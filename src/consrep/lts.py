@@ -4,8 +4,16 @@ Calculus mode derives every transition from the expanded normal form:
 communication pairs an output in transit with the matching collector (or
 the observer), suspicion fires the right branch of a collector sum,
 perfect suspicion lets the observer skip a crashed agent, and a crash
-shrinks the live set.  Each raw successor is canonicalised back to a
-representative, which realises closure under structural congruence.
+shrinks the live set.  Each step is a record of the components it
+replaces.  Its target is canonicalised back to a representative, which
+realises closure under structural congruence: only the replacement
+components are evaluated and classified, the untouched ones keep the
+representative slots they were built from, and a crash drops every
+component located at the crashed agent.  That the expansion's components
+are fixed points and classify back to their slots is checked once per
+state.  Full extraction of the raw successor configurations
+(``calculus_raw_successors``) stays the definition the tests compare
+against.
 
 Representative mode takes the successors straight from the rule set on
 representatives.  Both modes expose the same observable: the `ok` send,
@@ -88,31 +96,29 @@ def _guard_leaves(p) -> list:
     return leaves
 
 
-def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
-    """Table-style transitions of the expanded normal form, as
-    (rule, action, raw configuration) with the target not yet evaluated."""
+class Step(NamedTuple):
+    """One calculus step of an expanded normal form, target not yet built."""
+    rule: str
+    action: tuple
+    replaced: dict        # component index -> new located leaf, or None
+    crashed: int | None = None  # the agent a Stop step crashes
+
+
+def _expand(sys: cm.System, rep: repsem.Representative) -> tuple:
+    """The expansion of a representative, its restriction channels and its
+    located components."""
     cfg = repsem.sfi(sys, rep)
     chans, core = split_restriction(cfg.net)
-    comps = flatten_components(core)
+    return cfg, chans, flatten_components(core)
+
+
+def _calculus_steps(sys: cm.System, rep: repsem.Representative, cfg: Config,
+                    chans: tuple, comps: list) -> list:
+    """Every table-style step of the expanded normal form ``cfg``."""
     restricted = set(chans)
-
-    def rebuild(replacements: dict) -> Config:
-        net = ("nnil",)
-        for idx in range(len(comps) - 1, -1, -1):
-            if idx in replacements:
-                leaf = replacements[idx]
-                if leaf is None:
-                    continue
-            else:
-                leaf = ("loc",) + comps[idx]
-            net = leaf if net == ("nnil",) else ("npar", leaf, net)
-        for ch in reversed(chans):
-            net = ("res", net, ch)
-        return cfg._replace(net=net)
-
     outputs = []   # (idx, location, channel, value)
     inputs = []    # (idx, location, channel, pattern, continuation)
-    results = []
+    steps = []
 
     for idx, (location, p) in enumerate(comps):
         assert cfg.is_live(location)
@@ -123,8 +129,8 @@ def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
             case ("const", "WRAP", _):
                 continue  # inert observer: no transitions
             case ("tau", cont):
-                results.append((f"Tau l={location}", TAU,
-                                rebuild({idx: ("loc", location, cont)})))
+                steps.append(Step(f"Tau l={location}", TAU,
+                                  {idx: ("loc", location, cont)}))
                 continue
         for leaf in _guard_leaves(p):
             match leaf:
@@ -133,38 +139,68 @@ def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
                 case ("susp", k, cont):
                     if k != location and (k != rep.ti
                                           or "no-ti-protection" in sys.mutations):
-                        results.append((f"Susp l={location} k={k}", TAU,
-                                        rebuild({idx: ("loc", location, cont)})))
+                        steps.append(Step(f"Susp l={location} k={k}", TAU,
+                                          {idx: ("loc", location, cont)}))
                 case ("psusp", k, cont):
                     if not cfg.is_live(k):
-                        results.append((f"PSusp l={location} k={k}", TAU,
-                                        rebuild({idx: ("loc", location, cont)})))
+                        steps.append(Step(f"PSusp l={location} k={k}", TAU,
+                                          {idx: ("loc", location, cont)}))
 
     for oidx, _, och, ov in outputs:
         for iidx, iloc, ich, pattern, cont in inputs:
             if och == ich:
                 received = ("loc", iloc, substitute(cont, pattern, ov))
-                results.append((f"Com {chan_str(och)}", TAU,
-                                rebuild({oidx: None, iidx: received})))
+                steps.append(Step(f"Com {chan_str(och)}", TAU,
+                                  {oidx: None, iidx: received}))
         if och not in restricted:
-            results.append((f"Snd {chan_str(och)}", act_send(och, ov),
-                            rebuild({oidx: None})))
+            steps.append(Step(f"Snd {chan_str(och)}", act_send(och, ov),
+                              {oidx: None}))
 
     if cfg.budget > 0:
         for location in sorted(cfg.live):
             if location == rep.ti:
                 continue
-            stopped = rebuild({})._replace(live=cfg.live - {location},
-                                           budget=cfg.budget - 1)
-            results.append((f"Stop l={location}", TAU, stopped))
+            steps.append(Step(f"Stop l={location}", TAU, {}, location))
 
-    return results
+    return steps
+
+
+def _raw_config(cfg: Config, chans: tuple, comps: list, step: Step) -> Config:
+    """The configuration a step reaches, before evaluation."""
+    net = ("nnil",)
+    for idx in range(len(comps) - 1, -1, -1):
+        if idx in step.replaced:
+            leaf = step.replaced[idx]
+            if leaf is None:
+                continue
+        else:
+            leaf = ("loc",) + comps[idx]
+        net = leaf if net == ("nnil",) else ("npar", leaf, net)
+    for ch in reversed(chans):
+        net = ("res", net, ch)
+    if step.crashed is None:
+        return cfg._replace(net=net)
+    return cfg._replace(net=net, live=cfg.live - {step.crashed},
+                        budget=cfg.budget - 1)
+
+
+def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
+    """Table-style transitions of the expanded normal form, as
+    (rule, action, raw configuration) with the target not yet evaluated."""
+    cfg, chans, comps = _expand(sys, rep)
+    return [(step.rule, step.action, _raw_config(cfg, chans, comps, step))
+            for step in _calculus_steps(sys, rep, cfg, chans, comps)]
 
 
 def _calculus_successors(sys, rep) -> list:
-    transitions = set()
-    for rule, action, raw in calculus_raw_successors(sys, rep):
-        transitions.add(Transition(rep, action, repsem.sf(sys, raw), rule))
+    cfg, chans, comps = _expand(sys, rep)
+    slots = repsem.expansion_slots(sys, rep, cfg, comps)
+    transitions = {
+        Transition(rep, step.action,
+                   repsem.sf_step(sys, cfg, slots, step.replaced, step.crashed),
+                   step.rule)
+        for step in _calculus_steps(sys, rep, cfg, chans, comps)
+    }
     return sorted(transitions)
 
 
@@ -190,16 +226,3 @@ def successors(sys: cm.System, rep: repsem.Representative,
         return _representative_successors(sys, rep)
     raise ValueError(f"unknown mode {mode!r}")
 
-
-def weak_reach(graph, rep) -> set:
-    """States reachable through zero or more internal steps in a graph."""
-    seen = {rep}
-    frontier = [rep]
-    adjacency = graph.tau_adjacency()
-    while frontier:
-        s = frontier.pop()
-        for t in adjacency.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen

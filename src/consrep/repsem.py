@@ -36,7 +36,12 @@ from typing import NamedTuple
 from . import consensus_model as cm
 from .calculus_ast import BOT, Config, value_str
 from .errors import InvariantViolation, NotReachableShape
-from .evaluation import evaluate, flatten_components, split_restriction
+from .evaluation import (
+    _located_step,
+    evaluate,
+    flatten_components,
+    split_restriction,
+)
 
 
 class Representative(NamedTuple):
@@ -120,6 +125,36 @@ def validate_rep(sys: cm.System, rep: Representative) -> None:
 # ---------------------------------------------------------------------------
 # Extraction and expansion.
 
+def _assemble(sys: cm.System, live, budget: int, ti: int,
+              classified) -> Representative:
+    """The representative of a fully evaluated configuration from the
+    (kind, fields) pairs its components classify to."""
+    buckets: dict = {"out1": [], "out2": [], "out3": [], "in1": [], "in2": []}
+    wrap = None
+    for kind, fields in classified:
+        if kind != "wrap":
+            buckets[kind].append(fields)
+        elif wrap is not None:
+            raise NotReachableShape("two observer components")
+        else:
+            wrap = fields
+    if wrap is None:
+        wrap = (0, BOT, 1)  # the observer was consumed after emitting ok
+    rep = Representative(
+        live=tuple(sorted(live)),
+        budget=budget,
+        ti=ti,
+        out1=tuple(sorted(buckets["out1"])),
+        out2=tuple(sorted(buckets["out2"])),
+        out3=tuple(sorted(buckets["out3"])),
+        in1=tuple(sorted(buckets["in1"])),
+        in2=tuple(sorted(buckets["in2"])),
+        wrap=wrap,
+    )
+    validate_rep(sys, rep)
+    return rep
+
+
 def sf(sys: cm.System, cfg: Config) -> Representative:
     """Extract the standard-form representative of a reachable configuration."""
     if cfg.ti is None:
@@ -128,39 +163,9 @@ def sf(sys: cm.System, cfg: Config) -> Representative:
     chans, core = split_restriction(fixed.net)
     if sorted(chans) != list(sys.restriction):
         raise NotReachableShape("restriction group differs from the system's")
-    out1, out2, out3, in1, in2 = [], [], [], [], []
-    wrap = None
-    for location, proc in flatten_components(core):
-        kind, fields = cm.classify_component(sys, location, proc)
-        if kind == "out1":
-            out1.append(fields)
-        elif kind == "out2":
-            out2.append(fields)
-        elif kind == "out3":
-            out3.append(fields)
-        elif kind == "in1":
-            in1.append(fields)
-        elif kind == "in2":
-            in2.append(fields)
-        else:
-            if wrap is not None:
-                raise NotReachableShape("two observer components")
-            wrap = fields
-    if wrap is None:
-        wrap = (0, BOT, 1)  # the observer was consumed after emitting ok
-    rep = Representative(
-        live=tuple(sorted(cfg.live)),
-        budget=cfg.budget,
-        ti=cfg.ti,
-        out1=tuple(sorted(out1)),
-        out2=tuple(sorted(out2)),
-        out3=tuple(sorted(out3)),
-        in1=tuple(sorted(in1)),
-        in2=tuple(sorted(in2)),
-        wrap=wrap,
-    )
-    validate_rep(sys, rep)
-    return rep
+    return _assemble(sys, cfg.live, cfg.budget, cfg.ti,
+                     [cm.classify_component(sys, location, proc)
+                      for location, proc in flatten_components(core)])
 
 
 def sfi(sys: cm.System, rep: Representative) -> Config:
@@ -184,6 +189,60 @@ def sfi(sys: cm.System, rep: Representative) -> Config:
     for ch in reversed(sys.restriction):
         net = ("res", net, ch)
     return Config(live=frozenset(rep.live), budget=rep.budget, ti=rep.ti, net=net)
+
+
+def expansion_slots(sys: cm.System, rep: Representative, cfg: Config,
+                    comps: list) -> list:
+    """The (location, kind, fields) slot of each component of ``cfg``, the
+    expansion of ``rep`` flattened to ``comps``.
+
+    Checks the round trip that ``sf`` re-checks on every configuration:
+    each component is an evaluation fixed point and classifies back to the
+    slot of ``rep`` it was built from.  A calculus step leaves every
+    component it does not replace unevaluated and unclassified, so this
+    one check per state covers them in all of the state's successors."""
+    # The segments in the order sfi lays the components out.
+    slots = [("out1", e) for e in rep.out1] + [("out2", e) for e in rep.out2]
+    slots += [("out3", e) for e in rep.out3] + [("in1", e) for e in rep.in1]
+    slots += [("in2", e) for e in rep.in2] + [("wrap", rep.wrap)]
+    checked = []
+    for (kind, fields), (location, proc) in zip(slots, comps, strict=True):
+        if (_located_step(cfg, location, proc, sys.defs) is not None
+                or cm.classify_component(sys, location, proc) != (kind, fields)):
+            raise NotReachableShape(
+                f"expansion component at {location} does not round-trip")
+        checked.append((location, kind, fields))
+    return checked
+
+
+def sf_step(sys: cm.System, cfg: Config, slots: list, replaced: dict,
+            crashed=None) -> Representative:
+    """``sf`` of the configuration one calculus step reaches from ``cfg``,
+    evaluating and classifying only the components the step replaces.
+
+    ``slots`` are the checked slots of ``cfg`` (``expansion_slots``),
+    ``replaced`` maps a component index to its new located leaf or to None
+    when the step consumes it, and ``crashed`` names the agent a crash
+    step stops.  A crash garbage-collects every component located at that
+    agent (rule E3) and shrinks the live set and the budget; evaluation of
+    a component at a live location does not read the live set, so the
+    other components stay fixed points."""
+    live, budget = cfg.live, cfg.budget
+    if crashed is not None:
+        live, budget = live - {crashed}, budget - 1
+    classified = [(kind, fields)
+                  for idx, (location, kind, fields) in enumerate(slots)
+                  if idx not in replaced and location != crashed]
+    net = ("nnil",)
+    for leaf in replaced.values():
+        if leaf is not None:
+            net = leaf if net == ("nnil",) else ("npar", leaf, net)
+    if net != ("nnil",):
+        fixed = evaluate(Config(live=live, budget=budget, ti=cfg.ti, net=net),
+                         sys.defs)
+        classified += [cm.classify_component(sys, location, proc)
+                       for location, proc in flatten_components(fixed.net)]
+    return _assemble(sys, live, budget, cfg.ti, classified)
 
 
 # ---------------------------------------------------------------------------

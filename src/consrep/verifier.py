@@ -386,6 +386,19 @@ def _tau_cycle(graph: LtsGraph):
     return None
 
 
+def _decided_values(graph: LtsGraph) -> dict:
+    """Per rendered value, the number of states in which some decision in
+    transit or the observer holds it, sorted by value."""
+    decided: dict = {}
+    for rep in graph.nodes:
+        seen_here = {value_str(v) for _, v in rep.out3}
+        if rep.wrap[1] != BOT:
+            seen_here.add(value_str(rep.wrap[1]))
+        for s in seen_here:
+            decided[s] = decided.get(s, 0) + 1
+    return dict(sorted(decided.items()))
+
+
 def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
     """Validity, agreement, termination, plus the transition-level trace
     invariants (only `ok` is observable, suspicion spares the trusted
@@ -394,7 +407,6 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
     if graph.truncated:
         raise GraphTruncated("properties need a fully explored graph")
     failures: list = []
-    decided: dict = {}
 
     for rep, diagnosis in graph.defects:
         failures.append(
@@ -406,11 +418,6 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
             failures.append(
                 f"agreement broken: observer went inert at {repsem.rep_digest(rep)}"
             )
-        seen_here = {value_str(v) for _, v in rep.out3}
-        if rep.wrap[1] != BOT:
-            seen_here.add(value_str(rep.wrap[1]))
-        for s in seen_here:
-            decided[s] = decided.get(s, 0) + 1
 
     for tr in graph.edges:
         family = _rule_family(tr.rule)
@@ -454,7 +461,7 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
         details={
             "states": len(graph.node_ids),
             "transitions": len(graph.edges),
-            "decided_values": dict(sorted(decided.items())),
+            "decided_values": _decided_values(graph),
             "undecided_maximal_states": stuck,
         },
         counterexamples=failures,
@@ -626,20 +633,13 @@ def graph_stats(graph: LtsGraph) -> dict:
     adj = graph.adjacency()
     terminal = sum(1 for rep in graph.nodes
                    if all(tr.target == rep for tr in adj.get(rep, [])))
-    decided: dict = {}
-    for rep in graph.nodes:
-        seen_here = {value_str(v) for _, v in rep.out3}
-        if rep.wrap[1] != BOT:
-            seen_here.add(value_str(rep.wrap[1]))
-        for s in seen_here:
-            decided[s] = decided.get(s, 0) + 1
     return {
         "mode": graph.mode,
         "states": len(graph.node_ids),
         "transitions": len(graph.edges),
         "initial_states": len(graph.initials),
         "terminal_states": terminal,
-        "decided_values": dict(sorted(decided.items())),
+        "decided_values": _decided_values(graph),
         "truncated": graph.truncated,
     }
 

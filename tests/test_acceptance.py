@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line (run pytest with -s to see them all).
 The three-agent instance is explored up to a configurable partial bound,
-CONSREP_ACCEPT_N3 states (default 3000); the checks on the explored
+CONSREP_ACCEPT_N3 states (default 4000); the checks on the explored
 portion must be failure-free either way.  The instance is finite
 (1,060,526 states, within the 5,000,000 hard bound) and the full
 correspondence and property checks have been run to completion and pass;
@@ -21,7 +21,7 @@ from consrep.errors import BoundExceeded
 from consrep.evaluation import congruent
 from conftest import shuffle_config
 
-N3_BOUND = int(os.environ.get("CONSREP_ACCEPT_N3", "3000"))
+N3_BOUND = int(os.environ.get("CONSREP_ACCEPT_N3", "4000"))
 
 INSTANCES_1 = [cm.make_instance(1, [4], 0)]
 INSTANCES_2 = [

@@ -53,18 +53,6 @@ def test_modes_agree_on_small_graphs(sys1, sys2, graph1, graph2):
         assert {t[:3] for t in other.edges} == {t[:3] for t in graph.edges}
 
 
-def test_weak_reach(graph1):
-    reps = sorted(graph1.nodes, key=graph1.node_ids.get)
-    first, mid, final = reps
-    assert lts.weak_reach(graph1, final) == {final}
-    assert lts.weak_reach(graph1, first) == {first, mid, final}
-    # Monotone: anything reachable from a reachable state stays reachable.
-    for rep in graph1.nodes:
-        reach = lts.weak_reach(graph1, rep)
-        for other in reach:
-            assert lts.weak_reach(graph1, other) <= reach
-
-
 def test_only_ok_is_observable(graph2):
     for tr in graph2.edges:
         assert tr.action == TAU or tr.action == ("snd", CHAN_OK, BOT)
