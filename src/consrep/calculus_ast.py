@@ -134,14 +134,6 @@ def tuple_e(*es):
     return out
 
 
-def tuple_v(*vs):
-    assert vs
-    out = vs[-1]
-    for v in reversed(vs[:-1]):
-        out = vpair(v, out)
-    return out
-
-
 FunctionTable = dict[str, Callable]
 
 
@@ -458,71 +450,3 @@ def free_names(t) -> set:
         case _:
             _proc_names(t, acc)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Debug rendering.  Compact, not round-trippable.
-
-def expr_str(e) -> str:
-    match e:
-        case ("lit", v):
-            return value_str(v)
-        case ("var", x):
-            return x
-        case ("paire", a, b):
-            return f"({expr_str(a)},{expr_str(b)})"
-        case ("call", f, arg):
-            return f"{f}({expr_str(arg)})"
-    return repr(e)
-
-
-def _pat_str(pattern) -> str:
-    if isinstance(pattern, str):
-        return pattern
-    return f"({_pat_str(pattern[0])},{_pat_str(pattern[1])})"
-
-
-def proc_str(p) -> str:
-    match p:
-        case ("nil",):
-            return "0"
-        case ("out", ch, e, ("nil",)):
-            return f"{chan_str(ch)}!<{expr_str(e)}>"
-        case ("out", ch, e, cont):
-            return f"{chan_str(ch)}!<{expr_str(e)}>.{proc_str(cont)}"
-        case ("in", ch, pattern, cont):
-            return f"{chan_str(ch)}?({_pat_str(pattern)}).{proc_str(cont)}"
-        case ("susp", k, cont):
-            return f"susp_{k}.{proc_str(cont)}"
-        case ("psusp", k, cont):
-            return f"psusp_{k}.{proc_str(cont)}"
-        case ("sum", g1, g2):
-            return f"({proc_str(g1)} + {proc_str(g2)})"
-        case ("if", e, a, b):
-            return f"if {expr_str(e)} then {proc_str(a)} else {proc_str(b)}"
-        case ("tau", cont):
-            return f"tau.{proc_str(cont)}"
-        case ("const", name, arg):
-            return f"{name}({expr_str(arg)})"
-        case ("par", a, b):
-            return f"({proc_str(a)} | {proc_str(b)})"
-    return repr(p)
-
-
-def net_str(n) -> str:
-    match n:
-        case ("nnil",):
-            return "0"
-        case ("loc", location, p):
-            return f"{location}[{proc_str(p)}]"
-        case ("npar", a, b):
-            return f"{net_str(a)} | {net_str(b)}"
-        case ("res", inner, ch):
-            return f"({net_str(inner)}) \\ {chan_str(ch)}"
-    return repr(n)
-
-
-def config_str(cfg: Config) -> str:
-    live = ",".join(str(x) for x in sorted(cfg.live))
-    ti = "_" if cfg.ti is None else str(cfg.ti)
-    return f"<({{{live}}},{cfg.budget}), ti={ti}, {net_str(cfg.net)}>"

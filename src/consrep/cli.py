@@ -50,8 +50,6 @@ def _parse_args(argv):
 
     p_verify = sub.add_parser("verify", help="run every machine check")
     add_common(p_verify)
-    p_verify.add_argument("--mode", choices=["calculus", "representative", "both"],
-                          help="ignored; verification always uses both")
     p_verify.add_argument("--format", choices=["json", "dot", "text"],
                           help="report format (default json)")
 
@@ -224,6 +222,7 @@ def cmd_trace(cfg, schedule) -> int:
         if step not in enabled:
             raise StepNotEnabled(step, sorted(enabled))
         rep = enabled[step].target
+        repsem.validate_rep(sys_, rep)
         lines.append(f"-- {step}")
         lines.append(repsem.rep_str(rep))
     enabled = sorted(tr.rule for tr in lts.successors(sys_, rep, "representative"))

@@ -471,6 +471,9 @@ class System:
     mutations: frozenset = field(default_factory=frozenset)
     # Waiting-shape builder results; state components recur constantly.
     _wait_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # Collector-local steps of the representative semantics (see repsem);
+    # a collector's entry and the payload it receives recur across states.
+    _local_steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

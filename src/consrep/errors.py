@@ -34,7 +34,7 @@ class NonTermination(ConsrepError):
 
 
 class NotFullyEvaluated(ConsrepError):
-    """Canonical ordering was asked to sort a component it cannot place."""
+    """A network is not the flat parallel form of an evaluation fixed point."""
 
 
 # --- representatives ---

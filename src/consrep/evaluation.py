@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .calculus_ast import (
     NNIL,
-    STAR,
     Config,
     Defs,
     as_nat,
@@ -58,11 +57,6 @@ def _unfold_call(name: str, arg, defs: Defs):
     if defs.cache is not None:
         defs.cache[name, av] = unfolded
     return unfolded
-
-
-def is_inert_call(name: str, arg, defs: Defs) -> bool:
-    """True when unfolding ``name(arg)`` resolves back to the same call."""
-    return _unfold_call(name, arg, defs) is None
 
 
 def _located_step(cfg: Config, location, p, defs: Defs):
@@ -164,7 +158,7 @@ def evaluate(cfg: Config, defs: Defs, max_steps: int = DEFAULT_EVAL_STEPS) -> Co
 
 
 # ---------------------------------------------------------------------------
-# Canonical ordering of fully evaluated configurations.
+# The components of fully evaluated configurations.
 
 def split_restriction(net):
     """Peel the outer restriction chain: (channels outermost-first, core)."""
@@ -197,47 +191,6 @@ def flatten_components(core) -> list:
 
     walk(core)
     return comps
-
-
-def _segment_key(location, p):
-    """Sort key placing a component in its segment of the normal form:
-    round messages, sync messages, decisions, round collectors, sync
-    collectors, observer."""
-    match p:
-        case ("out", ("a", s, i, r), ("lit", _), ("nil",)) if location == s:
-            return (0, s, i, r)
-        case ("out", ("b", s, i), ("lit", _), ("nil",)) if location == s:
-            return (1, s, i)
-        case ("out", ("c", s), ("lit", _), ("nil",)) if location == s:
-            return (2, s)
-        case ("sum", ("in", ("a", _, q, r), _, _), _) if location == q:
-            return (3, q, r)
-        case ("sum", ("in", ("b", _, q), _, _), _) if location == q:
-            return (4, q)
-        case _ if location == STAR:
-            return (5,)
-    raise NotFullyEvaluated(
-        f"component {location}[...] matches no normal-form segment"
-    )
-
-
-def canonical_order(cfg: Config) -> Config:
-    """Reorder a fully evaluated configuration into its segment layout.
-
-    Flattens the parallel tree, keeps the restriction group outermost
-    (sorted), and sorts components by segment then by index keys.
-    Idempotent.
-    """
-    chans, core = split_restriction(cfg.net)
-    comps = flatten_components(core)
-    comps.sort(key=lambda lp: (_segment_key(*lp), lp[1]))
-    net = NNIL
-    for location, p in reversed(comps):
-        leaf = ("loc", location, p)
-        net = leaf if net == NNIL else ("npar", leaf, net)
-    for ch in sorted(chans, reverse=True):
-        net = ("res", net, ch)
-    return cfg._replace(net=net)
 
 
 def congruent(sys, c1: Config, c2: Config) -> bool:

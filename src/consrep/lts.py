@@ -204,17 +204,22 @@ def _calculus_successors(sys, rep) -> list:
     return sorted(transitions)
 
 
+def _transition_order(tr: Transition) -> tuple:
+    return tr.action, tr.target, tr.rule
+
+
 def _representative_successors(sys, rep) -> list:
-    transitions = {
-        Transition(rep, TAU, target, rule)
-        for rule, target in repsem.rep_successors(sys, rep)
-    }
+    # rep_successors returns distinct pairs and every transition here
+    # shares its source, so one sort without the source gives the order.
+    transitions = [Transition(rep, TAU, target, rule)
+                   for rule, target in repsem.rep_successors(sys, rep)]
     wj, _, wb = rep.wrap
     if wj == 0 and wb == 1:
         # Emitting ok consumes the observer; extraction restores it, so the
         # observable loops on the representative.
-        transitions.add(Transition(rep, act_send(CHAN_OK, BOT), rep, "Snd ok"))
-    return sorted(transitions)
+        transitions.append(Transition(rep, act_send(CHAN_OK, BOT), rep, "Snd ok"))
+    transitions.sort(key=_transition_order)
+    return transitions
 
 
 def successors(sys: cm.System, rep: repsem.Representative,

@@ -19,6 +19,14 @@ on a conflicting one, and stands at the public `ok` output after the last.
 A crash removes an agent and everything it owns.  The whole rule set is
 checked against the calculus semantics state by state - see the verifier.
 
+A collector's local state lives in the parameters of its process
+constant, so its step is a function of its own entry and the payload it
+receives alone.  That local part (the new entry and the messages sent) is
+memoised per System and shared by every global state; only the global
+assembly runs per state.  An undefined decision raises before anything is
+stored.  ``rep_successors`` does not validate what it returns: its
+consumers validate each state once, when they first discover it.
+
 Two canonical choices keep extraction a function: once the observer
 reaches the `ok` output its remembered value is gone from the term, so
 the representative pins it to bot; and a configuration whose observer was
@@ -248,68 +256,97 @@ def sf_step(sys: cm.System, cfg: Config, slots: list, replaced: dict,
 # ---------------------------------------------------------------------------
 # The representative semantics.
 
-def _add(entries: tuple, entry) -> tuple:
-    return tuple(sorted(entries + (entry,)))
-
-
 def _drop(entries: tuple, entry) -> tuple:
     return tuple(e for e in entries if e != entry)
 
 
-def _swap(entries: tuple, old, new) -> tuple:
-    return tuple(sorted(tuple(e for e in entries if e != old) + (new,)))
+def _merge(entries: tuple, new: tuple) -> tuple:
+    return tuple(sorted(entries + new)) if new else entries
+
+
+class LocalStep(NamedTuple):
+    """What one collector step produces, whatever the rest of the state:
+    the collector's next entry (at most one of ``in1``, ``in2``) and the
+    messages it sends, each a tuple of entries to add."""
+    in1: tuple = ()
+    in2: tuple = ()
+    out1: tuple = ()
+    out2: tuple = ()
+    out3: tuple = ()
+
+
+def _phase1_local(sys, entry, delta) -> LocalStep:
+    """The local step of a round collector that receives ``delta`` (a relay
+    vector, or bot for a suspicion), memoised on the System."""
+    key = (entry, delta)    # five-field entry: never a sync-collector key
+    step = sys._local_steps.get(key)
+    if step is None:
+        n = sys.n
+        q, r, vv, msgs, i = entry
+        msgs2 = cm.msg_add1(msgs, delta, r, i)
+        if i < n:
+            step = LocalStep(in1=((q, r, vv, msgs2, i + 1),))
+        elif r < n - 1:
+            vv2 = cm.updatek(r, msgs2, vv)
+            dd2 = cm.updater(r, msgs2, vv)
+            step = LocalStep(
+                in1=((q, r + 1, vv2, msgs2, 1),),
+                out1=tuple((q, j, r + 1, dd2) for j in range(1, n + 1)))
+        else:
+            vv2 = cm.updatek(r, msgs2, vv)
+            step = LocalStep(
+                in2=((q, vv2, msgs2, 1),),
+                out2=tuple((q, j, vv2) for j in range(1, n + 1)))
+        sys._local_steps[key] = step
+    return step
+
+
+def _phase2_local(sys, entry, payload) -> LocalStep:
+    """The local step of a sync collector that receives ``payload`` (a
+    knowledge vector, or bot for a suspicion), memoised on the System."""
+    key = (entry, payload)  # four-field entry: never a round-collector key
+    step = sys._local_steps.get(key)
+    if step is None:
+        n = sys.n
+        q, vv, msgs, i = entry
+        msgs2 = cm.msg_add2(msgs, payload, i)
+        if i < n:
+            step = LocalStep(in2=((q, vv, msgs2, i + 1),))
+        else:
+            vv2 = vv if "skip-correct" in sys.mutations else cm.correct_fn(msgs2, vv)
+            # getfst raises EmptyKnowledge before anything is stored, so an
+            # undefined decision raises again on every state that reaches it.
+            step = LocalStep(out3=((q, cm.getfst(vv2)),))
+        sys._local_steps[key] = step
+    return step
 
 
 def _phase1_step(sys, rep, entry, delta, consumed, rule, out):
-    """Advance a round collector on ``delta`` (a relay vector, or bot for a
-    suspicion).  ``consumed`` is the transit entry to remove, if any."""
-    n = sys.n
-    q, r, vv, msgs, i = entry
-    msgs2 = cm.msg_add1(msgs, delta, r, i)
+    """Advance a round collector on ``delta``.  ``consumed`` is the transit
+    entry to remove, if any."""
+    q, r, _, _, i = entry
+    step = _phase1_local(sys, entry, delta)
     out1 = _drop(rep.out1, consumed) if consumed else rep.out1
-    if i < n:
-        if rule == "SR1" and "sr1-deletes-in1" in sys.mutations:
-            in1 = _drop(rep.in1, entry)
-        else:
-            in1 = _swap(rep.in1, entry, (q, r, vv, msgs2, i + 1))
-        out.append((f"{rule} q={q} p={i} r={r}",
-                    rep._replace(out1=out1, in1=in1)))
-    elif r < n - 1:
-        vv2 = cm.updatek(r, msgs2, vv)
-        dd2 = cm.updater(r, msgs2, vv)
-        sends = tuple((q, j, r + 1, dd2) for j in range(1, n + 1))
-        out.append((f"{rule} q={q} p={i} r={r}", rep._replace(
-            out1=tuple(sorted(out1 + sends)),
-            in1=_swap(rep.in1, entry, (q, r + 1, vv2, msgs2, 1)),
-        )))
-    else:
-        vv2 = cm.updatek(r, msgs2, vv)
-        sends = tuple((q, j, vv2) for j in range(1, n + 1))
-        out.append((f"{rule} q={q} p={i} r={r}", rep._replace(
-            out1=out1,
-            out2=tuple(sorted(rep.out2 + sends)),
-            in1=_drop(rep.in1, entry),
-            in2=_add(rep.in2, (q, vv2, msgs2, 1)),
-        )))
+    in1 = _drop(rep.in1, entry)
+    if rule != "SR1" or "sr1-deletes-in1" not in sys.mutations:
+        in1 = _merge(in1, step.in1)
+    out.append((f"{rule} q={q} p={i} r={r}", rep._replace(
+        out1=_merge(out1, step.out1),
+        out2=_merge(rep.out2, step.out2),
+        in1=in1,
+        in2=_merge(rep.in2, step.in2),
+    )))
 
 
 def _phase2_step(sys, rep, entry, payload, consumed, rule, out):
-    n = sys.n
-    q, vv, msgs, i = entry
-    msgs2 = cm.msg_add2(msgs, payload, i)
+    q, _, _, i = entry
+    step = _phase2_local(sys, entry, payload)
     out2 = _drop(rep.out2, consumed) if consumed else rep.out2
-    if i < n:
-        out.append((f"{rule} q={q} p={i}", rep._replace(
-            out2=out2,
-            in2=_swap(rep.in2, entry, (q, vv, msgs2, i + 1)),
-        )))
-    else:
-        vv2 = vv if "skip-correct" in sys.mutations else cm.correct_fn(msgs2, vv)
-        out.append((f"{rule} q={q} p={i}", rep._replace(
-            out2=out2,
-            out3=_add(rep.out3, (q, cm.getfst(vv2))),
-            in2=_drop(rep.in2, entry),
-        )))
+    out.append((f"{rule} q={q} p={i}", rep._replace(
+        out2=out2,
+        out3=_merge(rep.out3, step.out3),
+        in2=_merge(_drop(rep.in2, entry), step.in2),
+    )))
 
 
 def _may_suspect(sys, rep, suspected: int, at: int) -> bool:
@@ -377,8 +414,6 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 in2=tuple(e for e in rep.in2 if e[0] != p),
             )))
 
-    for _, successor in out:
-        validate_rep(sys, successor)
     return sorted(set(out))
 
 

@@ -61,6 +61,7 @@ def explore(sys: cm.System, mode: str = "representative",
             max_states: int = DEFAULT_MAX_STATES) -> LtsGraph:
     """Breadth-first closure of the instance under the chosen successor
     function, starting from one representative per trusted immortal.
+    Each state is validated once, when it is first discovered.
 
     A state on which the algorithm itself is undefined (an empty decision,
     reachable only under fault-injection mutations) is kept as a node with
@@ -84,6 +85,7 @@ def explore(sys: cm.System, mode: str = "representative",
             continue
         for tr in succs:
             if tr.target not in node_ids:
+                repsem.validate_rep(sys, tr.target)
                 if len(node_ids) >= max_states:
                     graph = LtsGraph(mode, initials, node_ids, tuple(edges),
                                      truncated=True, defects=tuple(defects))
@@ -207,7 +209,8 @@ def check_correspondence(sys: cm.System,
                          max_states: int = DEFAULT_MAX_STATES) -> CorrespondenceReport:
     """Per reachable representative, the internal successor sets of the two
     semantics must be equal.  Explores the union so a divergence on either
-    side still gets visited and reported."""
+    side still gets visited and reported; each target is validated when it
+    is first discovered."""
     visited: set = set()
     queue: deque = deque()
     truncated = False
@@ -248,6 +251,7 @@ def check_correspondence(sys: cm.System,
             complete.append((rep, t))
         for t in sorted(rep_targets | calc_targets):
             if t not in visited:
+                repsem.validate_rep(sys, t)
                 if len(visited) >= max_states:
                     truncated = True
                     continue

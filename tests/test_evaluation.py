@@ -3,13 +3,11 @@ import pytest
 from consrep import consensus_model as cm
 from consrep import lts
 from consrep.calculus_ast import (
-    BOT,
     NIL,
     NNIL,
     Config,
     Defs,
     chan_b,
-    chan_c,
     cond,
     const,
     inp,
@@ -23,14 +21,8 @@ from consrep.calculus_ast import (
     res,
     var,
 )
-from consrep.errors import NonTermination, NotFullyEvaluated
-from consrep.evaluation import (
-    canonical_order,
-    congruent,
-    eval_steps,
-    evaluate,
-    is_inert_call,
-)
+from consrep.errors import NonTermination
+from consrep.evaluation import congruent, eval_steps, evaluate
 
 C = chan_b(1, 1)
 D = chan_b(2, 1)
@@ -93,9 +85,9 @@ def test_divergent_constant_hits_step_budget():
 
 
 def test_self_resolving_constant_is_inert():
-    assert is_inert_call("STAY", lit(nat(7)), TOY)
     cfg = cfgof(located(1, const("STAY", lit(nat(7)))))
     assert evaluate(cfg, TOY) == cfg
+    assert eval_steps(cfg, TOY) == []
 
 
 def test_evaluate_initial_single_agent(sys1):
@@ -114,28 +106,6 @@ def test_evaluate_initial_single_agent(sys1):
             comps.append(n)
     kinds = sorted(cm.classify_component(sys1, c[1], c[2])[0] for c in comps)
     assert kinds == ["in2", "out2", "wrap"]
-
-
-def test_canonical_order_idempotent_and_sorted(sys2):
-    b_first = npar(located(2, out_atom(chan_b(2, 1), lit(BOT))),
-                   located(1, out_atom(cm.chan_a(1, 2, 1), lit(BOT))))
-    cfg = cfgof(res(b_first, chan_b(2, 1)))
-    ordered = canonical_order(cfg)
-    assert ordered.net[0] == "res"
-    inner = ordered.net[1]
-    assert inner[1][1] == 1  # the round message moved to the front
-    assert canonical_order(ordered) == ordered
-
-
-def test_canonical_order_singleton():
-    cfg = cfgof(located(1, out_atom(chan_c(1), lit(nat(4)))))
-    assert canonical_order(cfg) == cfg
-
-
-def test_canonical_order_rejects_strays():
-    cfg = cfgof(located(1, const("STAY", lit(nat(0)))))
-    with pytest.raises(NotFullyEvaluated):
-        canonical_order(cfg)
 
 
 def test_congruent_reflexive_and_commutative(sys2):

@@ -1,0 +1,88 @@
+"""The memo of collector-local steps against the model's helpers.
+
+A collector's step in the representative semantics depends only on its
+own entry and the payload it receives, so ``repsem`` computes it once per
+(entry, payload) and keeps it on the System.  Every entry the memo holds
+after exploration must equal the step recomputed from the
+``consensus_model`` helpers, and a warm System must give the same
+successors as a fresh one.
+"""
+
+import random
+
+import pytest
+
+from consrep import consensus_model as cm
+from consrep import repsem, verifier
+from consrep.errors import BoundExceeded, EmptyKnowledge
+from consrep.repsem import LocalStep
+from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+
+
+def _phase1_oracle(sys_, entry, delta) -> LocalStep:
+    n = sys_.n
+    q, r, vv, msgs, i = entry
+    msgs2 = cm.msg_add1(msgs, delta, r, i)
+    if i < n:
+        return LocalStep(in1=((q, r, vv, msgs2, i + 1),))
+    vv2 = cm.updatek(r, msgs2, vv)
+    if r < n - 1:
+        dd2 = cm.updater(r, msgs2, vv)
+        return LocalStep(in1=((q, r + 1, vv2, msgs2, 1),),
+                         out1=tuple((q, j, r + 1, dd2) for j in range(1, n + 1)))
+    return LocalStep(in2=((q, vv2, msgs2, 1),),
+                     out2=tuple((q, j, vv2) for j in range(1, n + 1)))
+
+
+def _phase2_oracle(sys_, entry, payload) -> LocalStep:
+    q, vv, msgs, i = entry
+    msgs2 = cm.msg_add2(msgs, payload, i)
+    if i < sys_.n:
+        return LocalStep(in2=((q, vv, msgs2, i + 1),))
+    if "skip-correct" not in sys_.mutations:
+        vv = cm.correct_fn(msgs2, vv)
+    return LocalStep(out3=((q, cm.getfst(vv)),))
+
+
+def _assert_memo_matches_helpers(sys_) -> int:
+    fresh = cm.build_system(sys_.inst, sys_.mutations)
+    for (entry, payload), step in sys_._local_steps.items():
+        oracle = _phase1_oracle if len(entry) == 5 else _phase2_oracle
+        assert oracle(fresh, entry, payload) == step, (entry, payload)
+    return len(sys_._local_steps)
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])
+def test_memo_matches_helpers_on_n12(mutation):
+    mutations = [mutation] if mutation else []
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst, mutations)
+        graph = verifier.explore(sys_, "representative")
+        assert _assert_memo_matches_helpers(sys_) > 0
+        # An undefined decision is never stored: every state that reaches
+        # it raises again, on a warm System as on a fresh one.
+        for rep, _ in graph.defects:
+            for system in (sys_, cm.build_system(inst, mutations)):
+                with pytest.raises(EmptyKnowledge):
+                    repsem.rep_successors(system, rep)
+
+
+@pytest.fixture(scope="module")
+def warm_n3():
+    sys3 = cm.build_system(INSTANCE_3)
+    with pytest.raises(BoundExceeded) as exc:
+        verifier.explore(sys3, "representative", max_states=3000)
+    return sys3, exc.value.graph
+
+
+def test_memo_matches_helpers_on_n3_prefix(warm_n3):
+    sys3, _ = warm_n3
+    assert _assert_memo_matches_helpers(sys3) > 0
+
+
+def test_warm_successors_equal_fresh_on_sampled_n3(warm_n3):
+    sys3, graph = warm_n3
+    nodes = sorted(graph.nodes, key=graph.node_ids.get)
+    for rep in random.Random(20261018).sample(nodes, 500):
+        fresh = cm.build_system(INSTANCE_3)
+        assert repsem.rep_successors(fresh, rep) == repsem.rep_successors(sys3, rep)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import lts, repsem
+from consrep import cli, lts, repsem, verifier
 from consrep.calculus_ast import BOT, nat, npar, res
 from consrep.errors import InvariantViolation, NotReachableShape
 from consrep.evaluation import evaluate, split_restriction, flatten_components
@@ -117,6 +117,26 @@ def test_validation_rejects_broken_representatives(sys2):
     dup = rep.out1 + ((1, 1, 1, rep.out1[0][3]),)
     with pytest.raises(InvariantViolation):
         repsem.validate_rep(sys2, rep._replace(out1=dup))
+
+
+def test_invalid_successor_is_caught_where_it_is_discovered(
+        sys1, monkeypatch, capsys):
+    # Successors are validated by their consumers, once per new state; make
+    # every state also step, by rule BAD, to a duplicate decision message.
+    original = repsem.rep_successors
+
+    def with_invalid_successor(sys_, rep):
+        bad = rep._replace(out3=((rep.ti, nat(4)), (rep.ti, nat(4))))
+        return original(sys_, rep) + [("BAD", bad)]
+
+    monkeypatch.setattr(repsem, "rep_successors", with_invalid_successor)
+    with pytest.raises(InvariantViolation, match="duplicate decision message"):
+        verifier.explore(sys1, "representative")
+    with pytest.raises(InvariantViolation, match="duplicate decision message"):
+        verifier.check_correspondence(sys1)
+    code = cli.main(["trace", "--n", "1", "--values", "4", "ti=1", "BAD"])
+    assert code == cli.EXIT_USAGE
+    assert "duplicate decision message" in capsys.readouterr().err
 
 
 def test_extraction_rejects_foreign_terms(sys2):

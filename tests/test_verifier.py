@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,16 @@ def test_confluence_small_instances(sys1, sys2):
         report = verifier.check_confluence(sys_)
         assert report.passed
         assert report.details["diamonds"] > 0
+
+
+def test_confluence_reports_every_diamond_that_does_not_join(sys2, monkeypatch):
+    # With evaluation stopped, the two branches of each diamond are their
+    # own distinct "fixed points".
+    monkeypatch.setattr(verifier, "evaluate", lambda cfg, defs: cfg)
+    report = verifier.check_confluence(sys2)
+    assert report.passed is False
+    assert report.details["diamonds"] > 0
+    assert len(report.counterexamples) == report.details["diamonds"]
 
 
 def test_two_conditionals_form_a_joining_diamond(sys2):
@@ -156,6 +167,14 @@ def test_graph_json_is_byte_stable(sys2, graph2):
     fresh = verifier.explore(sys2, "representative")
     b = json.dumps(verifier.graph_jsonable(fresh), sort_keys=True)
     assert a == b
+
+
+def test_graph_json_bytes_are_pinned(graph2):
+    # n=2, values (5,7), budget 1: 230 states, 470 transitions.  A change
+    # of numbering, edge order or encoding changes this digest.
+    data = json.dumps(verifier.graph_jsonable(graph2), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "1d25c986f7dced5e3890d62b59df7a200dd715b9b16d603934e331d45af9fe11")
 
 
 def test_graph_stats(graph1):
