@@ -2,7 +2,9 @@
 
 Configuration comes from flags, falling back to a JSON config file, then
 defaults.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
-bound exceeded, 3 check failure.
+bound exceeded, 3 check failure (a failed report, or a state that breaks
+the representative invariants or matches no shape of the encoding: faults
+of the program, not of its input).
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ import sys as _sys
 
 from . import consensus_model as cm
 from . import lts, repsem, verifier
-from .errors import BoundExceeded, ConsrepError, GraphTruncated, StepNotEnabled
+from .errors import (
+    BoundExceeded,
+    ConsrepError,
+    GraphTruncated,
+    InvariantViolation,
+    NotReachableShape,
+    StepNotEnabled,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,26 +164,24 @@ def cmd_verify(cfg) -> int:
     reports.append(corr.to_jsonable())
     bound_hit |= corr.truncated
 
-    try:
-        conf = verifier.check_confluence(sys_, max_states)
-        reports.append(conf.to_jsonable())
-    except BoundExceeded:
-        bound_hit = True
-        reports.append({"check": "confluence", "status": "skipped",
-                        "details": {"reason": "state bound exceeded"}})
-
-    graph = None
+    # One representative graph serves every check after correspondence.
     try:
         graph = verifier.explore(sys_, "representative", max_states)
     except BoundExceeded as exc:
         bound_hit = True
         graph = exc.graph
-    for check in ("normal-forms", "properties", "bisimulation"):
+    skipped = {"status": "skipped", "details": {"reason": "state bound exceeded"}}
+    for check in ("confluence", "normal-forms", "properties", "bisimulation"):
         if graph.truncated:
-            reports.append({"check": check, "status": "skipped",
-                            "details": {"reason": "state bound exceeded"}})
+            reports.append({"check": check, **skipped})
             continue
-        if check == "normal-forms":
+        if check == "confluence":
+            try:
+                reports.append(verifier.check_confluence(sys_, graph).to_jsonable())
+            except BoundExceeded:
+                bound_hit = True
+                reports.append({"check": check, **skipped})
+        elif check == "normal-forms":
             reports.append(verifier.check_normal_forms(sys_, graph).to_jsonable())
         elif check == "properties":
             reports.append(verifier.check_properties(sys_, graph).to_jsonable())
@@ -249,6 +256,9 @@ def main(argv=None) -> int:
     except GraphTruncated as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BOUND
+    except (InvariantViolation, NotReachableShape) as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_CHECK_FAILED
     except ConsrepError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

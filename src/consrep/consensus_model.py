@@ -474,6 +474,11 @@ class System:
     # Collector-local steps of the representative semantics (see repsem);
     # a collector's entry and the payload it receives recur across states.
     _local_steps: dict = field(default_factory=dict, compare=False, repr=False)
+    # Calculus-side canonicalisation per component (see repsem): the
+    # round-trip-checked component of each representative slot, and the
+    # slots each evaluated replacement leaf yields.
+    _slot_comps: dict = field(default_factory=dict, compare=False, repr=False)
+    _leaf_slots: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -9,9 +9,12 @@ replaces.  Its target is canonicalised back to a representative, which
 realises closure under structural congruence: only the replacement
 components are evaluated and classified, the untouched ones keep the
 representative slots they were built from, and a crash drops every
-component located at the crashed agent.  That the expansion's components
-are fixed points and classify back to their slots is checked once per
-state.  Full extraction of the raw successor configurations
+component located at the crashed agent.  Both halves are memoised per
+component on the System (see ``repsem``): that an expansion component is
+a fixed point and classifies back to its slot is checked once per slot,
+and each replacement leaf is evaluated and classified once.  Targets are
+not validated here; the explorers validate each state when they first
+discover it.  Full extraction of the raw successor configurations
 (``calculus_raw_successors``) stays the definition the tests compare
 against.
 
@@ -194,7 +197,7 @@ def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
 
 def _calculus_successors(sys, rep) -> list:
     cfg, chans, comps = _expand(sys, rep)
-    slots = repsem.expansion_slots(sys, rep, cfg, comps)
+    slots = repsem.expansion_slots(rep, comps)
     transitions = {
         Transition(rep, step.action,
                    repsem.sf_step(sys, cfg, slots, step.replaced, step.crashed),

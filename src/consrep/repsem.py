@@ -27,6 +27,17 @@ assembly runs per state.  An undefined decision raises before anything is
 stored.  ``rep_successors`` does not validate what it returns: its
 consumers validate each state once, when they first discover it.
 
+Calculus-side canonicalisation works per component for the same reason.
+Expansion (``sfi``) takes each slot's component from a per-System memo
+that checks, once per slot, that the component is an evaluation fixed
+point and classifies back to its slot; ``sf_step`` takes the slots a
+replacement leaf evaluates to from a second memo, since a leaf at a live
+location evaluates the same in every state.  Neither validates: the
+explorers validate each calculus-step target when they first discover it,
+as they do representative successors.  Full extraction (``sf``) builds
+nothing from the memos and validates its result; it extracts the initial
+states and stays the oracle the tests compare the incremental path with.
+
 Two canonical choices keep extraction a function: once the observer
 reaches the `ok` output its remembered value is gone from the term, so
 the representative pins it to bot; and a configuration whose observer was
@@ -42,7 +53,7 @@ import json
 from typing import NamedTuple
 
 from . import consensus_model as cm
-from .calculus_ast import BOT, Config, value_str
+from .calculus_ast import BOT, NNIL, Config, value_str
 from .errors import InvariantViolation, NotReachableShape
 from .evaluation import (
     _located_step,
@@ -133,10 +144,11 @@ def validate_rep(sys: cm.System, rep: Representative) -> None:
 # ---------------------------------------------------------------------------
 # Extraction and expansion.
 
-def _assemble(sys: cm.System, live, budget: int, ti: int,
-              classified) -> Representative:
+def _assemble(live, budget: int, ti: int, classified) -> Representative:
     """The representative of a fully evaluated configuration from the
-    (kind, fields) pairs its components classify to."""
+    (kind, fields) pairs its components classify to.  Not validated: ``sf``
+    validates its result, and the explorers validate each calculus-step
+    target when they first discover it."""
     buckets: dict = {"out1": [], "out2": [], "out3": [], "in1": [], "in2": []}
     wrap = None
     for kind, fields in classified:
@@ -148,7 +160,7 @@ def _assemble(sys: cm.System, live, budget: int, ti: int,
             wrap = fields
     if wrap is None:
         wrap = (0, BOT, 1)  # the observer was consumed after emitting ok
-    rep = Representative(
+    return Representative(
         live=tuple(sorted(live)),
         budget=budget,
         ti=ti,
@@ -159,8 +171,6 @@ def _assemble(sys: cm.System, live, budget: int, ti: int,
         in2=tuple(sorted(buckets["in2"])),
         wrap=wrap,
     )
-    validate_rep(sys, rep)
-    return rep
 
 
 def sf(sys: cm.System, cfg: Config) -> Representative:
@@ -171,56 +181,107 @@ def sf(sys: cm.System, cfg: Config) -> Representative:
     chans, core = split_restriction(fixed.net)
     if sorted(chans) != list(sys.restriction):
         raise NotReachableShape("restriction group differs from the system's")
-    return _assemble(sys, cfg.live, cfg.budget, cfg.ti,
-                     [cm.classify_component(sys, location, proc)
-                      for location, proc in flatten_components(core)])
+    rep = _assemble(cfg.live, cfg.budget, cfg.ti,
+                    [cm.classify_component(sys, location, proc)
+                     for location, proc in flatten_components(core)])
+    validate_rep(sys, rep)
+    return rep
+
+
+def _slots(rep: Representative) -> list:
+    """The (kind, fields) slots of ``rep`` in the order ``sfi`` lays out
+    their components."""
+    slots = [("out1", e) for e in rep.out1]
+    slots += [("out2", e) for e in rep.out2]
+    slots += [("out3", e) for e in rep.out3]
+    slots += [("in1", e) for e in rep.in1]
+    slots += [("in2", e) for e in rep.in2]
+    slots.append(("wrap", rep.wrap))
+    return slots
+
+
+def _build_component(sys: cm.System, kind: str, fields) -> tuple:
+    if kind == "out1":
+        return cm.out1_comp(*fields)
+    if kind == "out2":
+        return cm.out2_comp(*fields)
+    if kind == "out3":
+        return cm.out3_comp(*fields)
+    if kind == "in1":
+        return cm.c1_wait_comp(sys, *fields)
+    if kind == "in2":
+        return cm.c2_wait_comp(sys, *fields)
+    wj, ww, wb = fields
+    if wj == 0:
+        return cm.ok_comp()
+    if wb == 1:
+        return cm.wrap_wait_comp(sys, wj, ww)
+    return cm.wrap_inert_comp(wj, ww)
+
+
+def _slot_component(sys: cm.System, kind: str, fields) -> tuple:
+    """The located component of one slot, memoised on the System.
+
+    Before a component is stored, the round trip that ``sf`` re-checks on
+    every configuration is checked once: the component is an evaluation
+    fixed point at its location, taken live, and classifies back to the
+    slot it was built from.  Evaluating a component at a live location
+    reads nothing else of the configuration, so the check holds in every
+    state that has the slot."""
+    key = (kind, fields)
+    comp = sys._slot_comps.get(key)
+    if comp is None:
+        comp = _build_component(sys, kind, fields)
+        _, location, proc = comp
+        alone = Config(live=frozenset({location}), budget=0, ti=None, net=NNIL)
+        if (_located_step(alone, location, proc, sys.defs) is not None
+                or cm.classify_component(sys, location, proc) != key):
+            raise NotReachableShape(
+                f"expansion component at {location} does not round-trip")
+        sys._slot_comps[key] = comp
+    return comp
 
 
 def sfi(sys: cm.System, rep: Representative) -> Config:
-    """Expand a representative back to its normal-form configuration."""
-    validate_rep(sys, rep)
-    comps = [cm.out1_comp(*e) for e in rep.out1]
-    comps += [cm.out2_comp(*e) for e in rep.out2]
-    comps += [cm.out3_comp(*e) for e in rep.out3]
-    comps += [cm.c1_wait_comp(sys, *e) for e in rep.in1]
-    comps += [cm.c2_wait_comp(sys, *e) for e in rep.in2]
-    wj, ww, wb = rep.wrap
-    if wj == 0:
-        comps.append(cm.ok_comp())
-    elif wb == 1:
-        comps.append(cm.wrap_wait_comp(sys, wj, ww))
-    else:
-        comps.append(cm.wrap_inert_comp(wj, ww))
-    net = ("nnil",)
-    for comp in reversed(comps):
-        net = comp if net == ("nnil",) else ("npar", comp, net)
+    """Expand a representative back to its normal-form configuration.
+
+    Not validated: ``rep`` comes from ``sf`` or from an explorer that
+    validated it on discovery."""
+    net = NNIL
+    for kind, fields in reversed(_slots(rep)):
+        comp = _slot_component(sys, kind, fields)
+        net = comp if net == NNIL else ("npar", comp, net)
     for ch in reversed(sys.restriction):
         net = ("res", net, ch)
     return Config(live=frozenset(rep.live), budget=rep.budget, ti=rep.ti, net=net)
 
 
-def expansion_slots(sys: cm.System, rep: Representative, cfg: Config,
-                    comps: list) -> list:
-    """The (location, kind, fields) slot of each component of ``cfg``, the
-    expansion of ``rep`` flattened to ``comps``.
+def expansion_slots(rep: Representative, comps: list) -> list:
+    """The (location, kind, fields) slot of each component of ``comps``,
+    the expansion ``sfi(sys, rep)`` flattened.
 
-    Checks the round trip that ``sf`` re-checks on every configuration:
-    each component is an evaluation fixed point and classifies back to the
-    slot of ``rep`` it was built from.  A calculus step leaves every
-    component it does not replace unevaluated and unclassified, so this
-    one check per state covers them in all of the state's successors."""
-    # The segments in the order sfi lays the components out.
-    slots = [("out1", e) for e in rep.out1] + [("out2", e) for e in rep.out2]
-    slots += [("out3", e) for e in rep.out3] + [("in1", e) for e in rep.in1]
-    slots += [("in2", e) for e in rep.in2] + [("wrap", rep.wrap)]
-    checked = []
-    for (kind, fields), (location, proc) in zip(slots, comps, strict=True):
-        if (_located_step(cfg, location, proc, sys.defs) is not None
-                or cm.classify_component(sys, location, proc) != (kind, fields)):
-            raise NotReachableShape(
-                f"expansion component at {location} does not round-trip")
-        checked.append((location, kind, fields))
-    return checked
+    ``sfi`` took every component from the slot memo, which checked its
+    round trip, so a calculus step leaves every component it does not
+    replace a fixed point that classifies back to its slot."""
+    return [(location, kind, fields)
+            for (location, _), (kind, fields) in zip(comps, _slots(rep), strict=True)]
+
+
+def _leaf_slots(sys: cm.System, target: Config, leaf) -> tuple:
+    """The (kind, fields) slots the fixed point of one replacement leaf
+    classifies to, memoised on the System.
+
+    Evaluating a located leaf reads only whether its own location is live,
+    and the caller passes a ``target`` in which it is, so the result is the
+    same in every state.  Nothing is stored when evaluation raises (an
+    undefined decision), so it raises again on every visit."""
+    slots = sys._leaf_slots.get(leaf)
+    if slots is None:
+        fixed = evaluate(target._replace(net=leaf), sys.defs)
+        slots = tuple(cm.classify_component(sys, location, proc)
+                      for location, proc in flatten_components(fixed.net))
+        sys._leaf_slots[leaf] = slots
+    return slots
 
 
 def sf_step(sys: cm.System, cfg: Config, slots: list, replaced: dict,
@@ -228,29 +289,27 @@ def sf_step(sys: cm.System, cfg: Config, slots: list, replaced: dict,
     """``sf`` of the configuration one calculus step reaches from ``cfg``,
     evaluating and classifying only the components the step replaces.
 
-    ``slots`` are the checked slots of ``cfg`` (``expansion_slots``),
-    ``replaced`` maps a component index to its new located leaf or to None
-    when the step consumes it, and ``crashed`` names the agent a crash
-    step stops.  A crash garbage-collects every component located at that
-    agent (rule E3) and shrinks the live set and the budget; evaluation of
-    a component at a live location does not read the live set, so the
-    other components stay fixed points."""
+    ``slots`` are the slots of ``cfg`` (``expansion_slots``), ``replaced``
+    maps a component index to its new located leaf or to None when the
+    step consumes it, and ``crashed`` names the agent a crash step stops.
+    A crash garbage-collects every component located at that agent (rule
+    E3) and shrinks the live set and the budget; evaluation of a component
+    at a live location does not read the live set, so the other components
+    stay fixed points.  Each leaf is located where its step fired, which is
+    live (a crash replaces nothing), so its slots come from the leaf memo.
+    The target is not validated: its discoverer validates it."""
     live, budget = cfg.live, cfg.budget
     if crashed is not None:
         live, budget = live - {crashed}, budget - 1
+    target = Config(live=live, budget=budget, ti=cfg.ti, net=NNIL)
     classified = [(kind, fields)
                   for idx, (location, kind, fields) in enumerate(slots)
                   if idx not in replaced and location != crashed]
-    net = ("nnil",)
     for leaf in replaced.values():
         if leaf is not None:
-            net = leaf if net == ("nnil",) else ("npar", leaf, net)
-    if net != ("nnil",):
-        fixed = evaluate(Config(live=live, budget=budget, ti=cfg.ti, net=net),
-                         sys.defs)
-        classified += [cm.classify_component(sys, location, proc)
-                       for location, proc in flatten_components(fixed.net)]
-    return _assemble(sys, live, budget, cfg.ti, classified)
+            assert target.is_live(leaf[1]), leaf[1]
+            classified += _leaf_slots(sys, target, leaf)
+    return _assemble(live, budget, cfg.ti, classified)
 
 
 # ---------------------------------------------------------------------------

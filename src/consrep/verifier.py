@@ -151,16 +151,17 @@ class CorrespondenceReport:
 # ---------------------------------------------------------------------------
 # Confluence.
 
-def check_confluence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
+def check_confluence(sys: cm.System, graph: LtsGraph,
                      max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
     """Every single-step evaluation diamond joins on equal fixed points.
 
-    Unevaluated configurations arise as the raw targets of transitions
-    (and as the freshly chosen-immortal initials); the check closes each
-    under single evaluation steps and compares the fixed points of every
-    branching."""
+    Unevaluated configurations arise as the raw targets of the transitions
+    of every state of ``graph`` (and as the freshly chosen-immortal
+    initials); the check closes each under single evaluation steps and
+    compares the fixed points of every branching."""
+    if graph.truncated:
+        raise GraphTruncated("confluence needs a fully explored graph")
     raw_configs = [cfg for cfg in lts.select_ti(sys, cm.make_initial(sys.inst))]
-    graph = explore(sys, "representative", max_states)
     for rep in graph.nodes:
         for _, _, raw in lts.calculus_raw_successors(sys, rep):
             raw_configs.append(raw)

@@ -75,11 +75,11 @@ def test_criterion_1_correspondence(systems_12):
            f"three-agent instance{partial} clean at bound {N3_BOUND}")
 
 
-def test_criterion_2_confluence(systems_12):
+def test_criterion_2_confluence(graphs_12):
     diamonds = 0
     configs = 0
-    for sys_ in systems_12:
-        report = verifier.check_confluence(sys_)
+    for sys_, graph in graphs_12:
+        report = verifier.check_confluence(sys_, graph)
         assert report.passed, report.counterexamples[:3]
         diamonds += report.details["diamonds"]
         configs += report.details["configurations"]

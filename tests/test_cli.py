@@ -71,6 +71,16 @@ def test_bound_exceeded_exit_code(capsys):
     assert code == 2
 
 
+def test_verify_skips_whole_graph_checks_past_the_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "--values", "5,7",
+                       "--max-states", "10")
+    assert code == 2
+    statuses = [(r["check"], r["status"]) for r in json.loads(out)["reports"]]
+    assert statuses == [("correspondence", "pass"), ("confluence", "skipped"),
+                        ("normal-forms", "skipped"), ("properties", "skipped"),
+                        ("bisimulation", "skipped")]
+
+
 def test_verify_single_agent(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--values", "4")
     assert code == 0

@@ -1,0 +1,109 @@
+"""The per-component memos of calculus-side canonicalisation against fresh
+recomputation.
+
+A process keeps its local state in the parameter list of its process
+constant, so ``repsem`` expands each representative slot into a component
+once per System (``_slot_comps``, round trip checked on entry) and
+evaluates and classifies each replacement leaf of a calculus step once
+per System (``_leaf_slots``).  Every entry the memos hold after
+exploration must equal the component the ``consensus_model`` builders give,
+evaluated and classified again on a fresh System, and a warm System must
+give the same calculus successors as a fresh one.
+"""
+
+import random
+
+import pytest
+
+from consrep import consensus_model as cm
+from consrep import lts, verifier
+from consrep.calculus_ast import Config
+from consrep.errors import BoundExceeded, EmptyKnowledge
+from consrep.evaluation import evaluate, flatten_components
+from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+
+
+def _alone(location, net) -> Config:
+    """A configuration in which only ``location`` is live."""
+    return Config(live=frozenset({location}), budget=0, ti=None, net=net)
+
+
+def _built(sys_, kind, fields) -> tuple:
+    match kind, fields:
+        case "out1", _:
+            return cm.out1_comp(*fields)
+        case "out2", _:
+            return cm.out2_comp(*fields)
+        case "out3", _:
+            return cm.out3_comp(*fields)
+        case "in1", _:
+            return cm.c1_wait_comp(sys_, *fields)
+        case "in2", _:
+            return cm.c2_wait_comp(sys_, *fields)
+        case "wrap", (0, _, _):
+            return cm.ok_comp()
+        case "wrap", (wj, ww, 1):
+            return cm.wrap_wait_comp(sys_, wj, ww)
+        case "wrap", (wj, ww, 0):
+            return cm.wrap_inert_comp(wj, ww)
+    raise AssertionError(f"no builder for slot {kind} {fields}")
+
+
+def _classified(sys_, location, net) -> tuple:
+    fixed = evaluate(_alone(location, net), sys_.defs)
+    return tuple(cm.classify_component(sys_, loc, proc)
+                 for loc, proc in flatten_components(fixed.net))
+
+
+def _assert_memos_match_recomputation(sys_) -> None:
+    fresh = cm.build_system(sys_.inst, sys_.mutations)
+    assert sys_._slot_comps and sys_._leaf_slots
+    for (kind, fields), comp in sys_._slot_comps.items():
+        assert _built(fresh, kind, fields) == comp, (kind, fields)
+        # A fixed point that classifies back to its slot.
+        assert _classified(fresh, comp[1], comp) == ((kind, fields),)
+        assert evaluate(_alone(comp[1], comp), fresh.defs).net == comp
+    for leaf, slots in sys_._leaf_slots.items():
+        assert _classified(fresh, leaf[1], leaf) == slots, leaf
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])
+def test_memos_match_recomputation_on_n12(mutation):
+    mutations = [mutation] if mutation else []
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst, mutations)
+        graph = verifier.explore(sys_, "calculus")
+        _assert_memos_match_recomputation(sys_)
+        # An undefined decision is never stored: every state that reaches
+        # it raises again, on a warm System as on a fresh one.
+        for rep, _ in graph.defects:
+            for system in (sys_, cm.build_system(inst, mutations)):
+                with pytest.raises(EmptyKnowledge):
+                    lts.successors(system, rep, "calculus")
+
+
+@pytest.fixture(scope="module")
+def warm_n3():
+    sys3 = cm.build_system(INSTANCE_3)
+    with pytest.raises(BoundExceeded) as exc:
+        verifier.explore(sys3, "representative", max_states=3000)
+    graph = exc.value.graph
+    nodes = sorted(graph.nodes, key=graph.node_ids.get)
+    sample = random.Random(20261019).sample(nodes, 500)
+    warm = [lts.successors(sys3, rep, "calculus") for rep in sample]
+    return sys3, sample, warm
+
+
+def test_memos_match_recomputation_on_sampled_n3(warm_n3):
+    sys3, _, _ = warm_n3
+    _assert_memos_match_recomputation(sys3)
+
+
+def test_warm_calculus_successors_equal_fresh_on_sampled_n3(warm_n3):
+    sys3, sample, warm = warm_n3
+    for rep, successors in zip(sample, warm):
+        # Recompute on the warm System too, now that its memos hold the
+        # entries of every other sampled state.
+        assert lts.successors(sys3, rep, "calculus") == successors
+        fresh = cm.build_system(INSTANCE_3)
+        assert lts.successors(fresh, rep, "calculus") == successors

@@ -135,8 +135,25 @@ def test_invalid_successor_is_caught_where_it_is_discovered(
     with pytest.raises(InvariantViolation, match="duplicate decision message"):
         verifier.check_correspondence(sys1)
     code = cli.main(["trace", "--n", "1", "--values", "4", "ti=1", "BAD"])
-    assert code == cli.EXIT_USAGE
+    assert code == cli.EXIT_CHECK_FAILED
     assert "duplicate decision message" in capsys.readouterr().err
+
+
+def test_invalid_calculus_target_is_caught_where_it_is_discovered(
+        sys1, monkeypatch):
+    # Calculus-step targets are not validated where sf_step assembles them;
+    # make every one carry a duplicate decision message.
+    original = repsem.sf_step
+
+    def with_duplicate_decision(sys_, *args):
+        target = original(sys_, *args)
+        return target._replace(out3=((target.ti, nat(4)), (target.ti, nat(4))))
+
+    monkeypatch.setattr(repsem, "sf_step", with_duplicate_decision)
+    with pytest.raises(InvariantViolation, match="duplicate decision message"):
+        verifier.check_correspondence(sys1)
+    with pytest.raises(InvariantViolation, match="duplicate decision message"):
+        verifier.explore(sys1, "calculus")
 
 
 def test_extraction_rejects_foreign_terms(sys2):

@@ -39,18 +39,19 @@ def test_node_set_monotone_in_budget():
     assert shifted <= set(hi.nodes)
 
 
-def test_confluence_small_instances(sys1, sys2):
-    for sys_ in (sys1, sys2):
-        report = verifier.check_confluence(sys_)
+def test_confluence_small_instances(sys1, sys2, graph1, graph2):
+    for sys_, graph in ((sys1, graph1), (sys2, graph2)):
+        report = verifier.check_confluence(sys_, graph)
         assert report.passed
         assert report.details["diamonds"] > 0
 
 
-def test_confluence_reports_every_diamond_that_does_not_join(sys2, monkeypatch):
+def test_confluence_reports_every_diamond_that_does_not_join(
+        sys2, graph2, monkeypatch):
     # With evaluation stopped, the two branches of each diamond are their
     # own distinct "fixed points".
     monkeypatch.setattr(verifier, "evaluate", lambda cfg, defs: cfg)
-    report = verifier.check_confluence(sys2)
+    report = verifier.check_confluence(sys2, graph2)
     assert report.passed is False
     assert report.details["diamonds"] > 0
     assert len(report.counterexamples) == report.details["diamonds"]
@@ -112,6 +113,8 @@ def test_properties_need_full_graph(sys2):
         verifier.explore(sys2, "representative", max_states=10)
     with pytest.raises(GraphTruncated):
         verifier.check_properties(sys2, exc.value.graph)
+    with pytest.raises(GraphTruncated):
+        verifier.check_confluence(sys2, exc.value.graph)
 
 
 def test_unprotected_immortal_breaks_the_algorithm():
