@@ -95,10 +95,6 @@ def chan_c(agent):
     return ("c", agent)
 
 
-def chan_is_concrete(ch) -> bool:
-    return all(isinstance(s, int) for s in ch[1:])
-
-
 def chan_str(ch) -> str:
     return "_".join(str(s) for s in ch)
 
@@ -377,76 +373,3 @@ def substitute(p, pattern, v):
     components of the value.  Only data values are substituted."""
     assert is_value(v), v
     return subst_proc(p, match_pattern(pattern, v))
-
-
-# ---------------------------------------------------------------------------
-# Free names: variable names plus concrete channel ids.
-
-def _expr_names(e, acc: set):
-    match e:
-        case ("lit", _):
-            pass
-        case ("var", x):
-            acc.add(x)
-        case ("paire", a, b):
-            _expr_names(a, acc)
-            _expr_names(b, acc)
-        case ("call", _, arg):
-            _expr_names(arg, acc)
-
-
-def _chan_names(ch, acc: set):
-    if chan_is_concrete(ch):
-        acc.add(ch)
-    else:
-        acc.add((ch[0],) + tuple(s for s in ch[1:] if isinstance(s, int)))
-        for s in ch[1:]:
-            if isinstance(s, str):
-                acc.add(s)
-
-
-def _proc_names(p, acc: set):
-    match p:
-        case ("nil",):
-            pass
-        case ("out", ch, e, cont):
-            _chan_names(ch, acc)
-            _expr_names(e, acc)
-            _proc_names(cont, acc)
-        case ("in", ch, pattern, cont):
-            _chan_names(ch, acc)
-            inner: set = set()
-            _proc_names(cont, inner)
-            acc |= inner - pattern_vars(pattern)
-        case ("susp", k, cont) | ("psusp", k, cont):
-            if isinstance(k, str):
-                acc.add(k)
-            _proc_names(cont, acc)
-        case ("sum", g1, g2) | ("par", g1, g2):
-            _proc_names(g1, acc)
-            _proc_names(g2, acc)
-        case ("if", e, a, b):
-            _expr_names(e, acc)
-            _proc_names(a, acc)
-            _proc_names(b, acc)
-        case ("tau", cont):
-            _proc_names(cont, acc)
-        case ("const", _, arg):
-            _expr_names(arg, acc)
-
-
-def free_names(t) -> set:
-    """Free variable names and channel ids of a process or network."""
-    acc: set = set()
-    match t:
-        case ("nnil",):
-            pass
-        case ("loc", _, p):
-            _proc_names(p, acc)
-        case ("npar", m, n):
-            acc |= free_names(m) | free_names(n)
-        case ("res", n, ch):
-            acc = free_names(n) - {ch}
-        case _:
-            _proc_names(t, acc)
-    return acc

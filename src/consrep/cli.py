@@ -43,24 +43,27 @@ def _parse_args(argv):
         p.add_argument("--n", type=int, help="number of agents")
         p.add_argument("--values", help="comma-separated proposed values")
         p.add_argument("--budget", type=int, help="crash budget (default n-1)")
-        p.add_argument("--max-states", type=int, dest="max_states",
-                       help="state bound (default 5000000)")
         p.add_argument("--mutate", action="append", default=None,
                        choices=sorted(cm.MUTATIONS),
                        help="enable a fault-injection mutation (testing hook)")
         p.add_argument("--output", help="write the result to this path")
 
+    def add_max_states(p):
+        p.add_argument("--max-states", type=int, dest="max_states",
+                       help="state bound (default 5000000)")
+
     p_explore = sub.add_parser("explore", help="explore the state space")
     add_common(p_explore)
+    add_max_states(p_explore)
     p_explore.add_argument("--mode", choices=["calculus", "representative", "both"],
                            help="successor semantics (default representative)")
     p_explore.add_argument("--format", choices=["json", "dot", "text"],
                            help="output format (default text)")
 
-    p_verify = sub.add_parser("verify", help="run every machine check")
+    p_verify = sub.add_parser("verify", help="run every machine check; "
+                                             "writes a JSON report")
     add_common(p_verify)
-    p_verify.add_argument("--format", choices=["json", "dot", "text"],
-                          help="report format (default json)")
+    add_max_states(p_verify)
 
     p_trace = sub.add_parser("trace", help="replay a schedule of rule instances")
     add_common(p_trace)
@@ -239,7 +242,12 @@ def cmd_trace(cfg, schedule) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else _sys.argv[1:])
+    try:
+        args = _parse_args(argv if argv is not None else _sys.argv[1:])
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage, the code of an exceeded state bound
+        # here; --help exits 0.
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         cfg = _load_config(args)
         if args.command == "explore":

@@ -35,7 +35,6 @@ DEFAULT_EVAL_STEPS = 10**6
 
 class EvalStep(NamedTuple):
     rule: str
-    path: tuple
 
 
 def _unfold_call(name: str, arg, defs: Defs):
@@ -90,27 +89,26 @@ def _located_step(cfg: Config, location, p, defs: Defs):
 
 
 def eval_steps(cfg: Config, defs: Defs) -> list:
-    """All single evaluation steps from a configuration, with their focus."""
+    """All single evaluation steps from a configuration, with their rule."""
     found = []
 
-    def walk(net, path, rebuild):
+    def walk(net, rebuild):
         match net:
             case ("loc", location, p):
                 s = _located_step(cfg, location, p, defs)
                 if s is not None:
-                    found.append((EvalStep(s[0], path), rebuild(s[1])))
+                    found.append((EvalStep(s[0]), rebuild(s[1])))
             case ("npar", a, b):
                 if a == NNIL:
-                    found.append((EvalStep("E4", path), rebuild(b)))
+                    found.append((EvalStep("E4"), rebuild(b)))
                 if b == NNIL:
-                    found.append((EvalStep("E5", path), rebuild(a)))
-                walk(a, path + (0,), lambda x, b=b, rb=rebuild: rb(("npar", x, b)))
-                walk(b, path + (1,), lambda x, a=a, rb=rebuild: rb(("npar", a, x)))
+                    found.append((EvalStep("E5"), rebuild(a)))
+                walk(a, lambda x, b=b, rb=rebuild: rb(("npar", x, b)))
+                walk(b, lambda x, a=a, rb=rebuild: rb(("npar", a, x)))
             case ("res", inner, ch):
-                walk(inner, path + ("r",),
-                     lambda x, ch=ch, rb=rebuild: rb(("res", x, ch)))
+                walk(inner, lambda x, ch=ch, rb=rebuild: rb(("res", x, ch)))
 
-    walk(cfg.net, (), lambda x: x)
+    walk(cfg.net, lambda x: x)
     return [(step, cfg._replace(net=net)) for step, net in found]
 
 

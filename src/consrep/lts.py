@@ -1,22 +1,24 @@
 """Labelled transitions over canonical representatives.
 
-Calculus mode derives every transition from the expanded normal form:
-communication pairs an output in transit with the matching collector (or
-the observer), suspicion fires the right branch of a collector sum,
-perfect suspicion lets the observer skip a crashed agent, and a crash
-shrinks the live set.  Each step is a record of the components it
-replaces.  Its target is canonicalised back to a representative, which
-realises closure under structural congruence: only the replacement
-components are evaluated and classified, the untouched ones keep the
-representative slots they were built from, and a crash drops every
+Calculus mode derives every transition from the expanded normal form,
+taken as its list of (slot, located component) pairs
+(``repsem.expansion``): communication pairs an output in transit with the
+matching collector (or the observer), suspicion fires the right branch of
+a collector sum, perfect suspicion lets the observer skip a crashed
+agent, and a crash shrinks the live set.  Only channels outside the
+system's restriction emit.  Each step is a record of the components it
+replaces, by index into that list.  Its target is canonicalised back to a
+representative, which realises closure under structural congruence: only
+the replacement components are evaluated and classified, the untouched
+ones keep the slots they were built from, and a crash drops every
 component located at the crashed agent.  Both halves are memoised per
 component on the System (see ``repsem``): that an expansion component is
 a fixed point and classifies back to its slot is checked once per slot,
 and each replacement leaf is evaluated and classified once.  Targets are
 not validated here; the explorers validate each state when they first
 discover it.  Full extraction of the raw successor configurations
-(``calculus_raw_successors``) stays the definition the tests compare
-against.
+(``calculus_raw_successors``, which composes each step's components into
+a term) stays the definition the tests compare against.
 
 Representative mode takes the successors straight from the rule set on
 representatives.  Both modes expose the same observable: the `ok` send,
@@ -32,23 +34,21 @@ from . import repsem
 from .calculus_ast import (
     BOT,
     CHAN_OK,
+    STAR,
     Config,
     chan_str,
+    npar_chain,
+    res_chain,
     substitute,
     value_str,
 )
 from .errors import TiAlreadySet
-from .evaluation import flatten_components, split_restriction
 
 TAU = ("tau",)
 
 
 def act_send(ch, v) -> tuple:
     return ("snd", ch, v)
-
-
-def act_recv(ch, v) -> tuple:
-    return ("rcv", ch, v)
 
 
 def action_str(action) -> str:
@@ -103,31 +103,23 @@ class Step(NamedTuple):
     """One calculus step of an expanded normal form, target not yet built."""
     rule: str
     action: tuple
-    replaced: dict        # component index -> new located leaf, or None
+    replaced: dict        # expansion index -> new located leaf, or None
     crashed: int | None = None  # the agent a Stop step crashes
 
 
-def _expand(sys: cm.System, rep: repsem.Representative) -> tuple:
-    """The expansion of a representative, its restriction channels and its
-    located components."""
-    cfg = repsem.sfi(sys, rep)
-    chans, core = split_restriction(cfg.net)
-    return cfg, chans, flatten_components(core)
-
-
-def _calculus_steps(sys: cm.System, rep: repsem.Representative, cfg: Config,
-                    chans: tuple, comps: list) -> list:
-    """Every table-style step of the expanded normal form ``cfg``."""
-    restricted = set(chans)
-    outputs = []   # (idx, location, channel, value)
+def _calculus_steps(sys: cm.System, rep: repsem.Representative,
+                    comps: list) -> list:
+    """Every table-style step of the expansion ``comps`` of ``rep``."""
+    live = rep.live
+    outputs = []   # (idx, channel, value)
     inputs = []    # (idx, location, channel, pattern, continuation)
     steps = []
 
-    for idx, (location, p) in enumerate(comps):
-        assert cfg.is_live(location)
+    for idx, (_, (_, location, p)) in enumerate(comps):
+        assert location == STAR or location in live
         match p:
             case ("out", ch, ("lit", v), ("nil",)):
-                outputs.append((idx, location, ch, v))
+                outputs.append((idx, ch, v))
                 continue
             case ("const", "WRAP", _):
                 continue  # inert observer: no transitions
@@ -145,11 +137,12 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative, cfg: Config,
                         steps.append(Step(f"Susp l={location} k={k}", TAU,
                                           {idx: ("loc", location, cont)}))
                 case ("psusp", k, cont):
-                    if not cfg.is_live(k):
+                    if k not in live:
                         steps.append(Step(f"PSusp l={location} k={k}", TAU,
                                           {idx: ("loc", location, cont)}))
 
-    for oidx, _, och, ov in outputs:
+    restricted = set(sys.restriction)
+    for oidx, och, ov in outputs:
         for iidx, iloc, ich, pattern, cont in inputs:
             if och == ich:
                 received = ("loc", iloc, substitute(cont, pattern, ov))
@@ -159,8 +152,8 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative, cfg: Config,
             steps.append(Step(f"Snd {chan_str(och)}", act_send(och, ov),
                               {oidx: None}))
 
-    if cfg.budget > 0:
-        for location in sorted(cfg.live):
+    if rep.budget > 0:
+        for location in live:
             if location == rep.ti:
                 continue
             steps.append(Step(f"Stop l={location}", TAU, {}, location))
@@ -168,41 +161,32 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative, cfg: Config,
     return steps
 
 
-def _raw_config(cfg: Config, chans: tuple, comps: list, step: Step) -> Config:
+def _raw_config(sys: cm.System, rep: repsem.Representative, comps: list,
+                step: Step) -> Config:
     """The configuration a step reaches, before evaluation."""
-    net = ("nnil",)
-    for idx in range(len(comps) - 1, -1, -1):
-        if idx in step.replaced:
-            leaf = step.replaced[idx]
-            if leaf is None:
-                continue
-        else:
-            leaf = ("loc",) + comps[idx]
-        net = leaf if net == ("nnil",) else ("npar", leaf, net)
-    for ch in reversed(chans):
-        net = ("res", net, ch)
-    if step.crashed is None:
-        return cfg._replace(net=net)
-    return cfg._replace(net=net, live=cfg.live - {step.crashed},
-                        budget=cfg.budget - 1)
+    leaves = [step.replaced.get(idx, comp) for idx, (_, comp) in enumerate(comps)]
+    net = res_chain(npar_chain([leaf for leaf in leaves if leaf is not None]),
+                    sys.restriction)
+    live, budget = frozenset(rep.live), rep.budget
+    if step.crashed is not None:
+        live, budget = live - {step.crashed}, budget - 1
+    return Config(live=live, budget=budget, ti=rep.ti, net=net)
 
 
 def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
     """Table-style transitions of the expanded normal form, as
     (rule, action, raw configuration) with the target not yet evaluated."""
-    cfg, chans, comps = _expand(sys, rep)
-    return [(step.rule, step.action, _raw_config(cfg, chans, comps, step))
-            for step in _calculus_steps(sys, rep, cfg, chans, comps)]
+    comps = repsem.expansion(sys, rep)
+    return [(step.rule, step.action, _raw_config(sys, rep, comps, step))
+            for step in _calculus_steps(sys, rep, comps)]
 
 
 def _calculus_successors(sys, rep) -> list:
-    cfg, chans, comps = _expand(sys, rep)
-    slots = repsem.expansion_slots(rep, comps)
+    comps = repsem.expansion(sys, rep)
     transitions = {
-        Transition(rep, step.action,
-                   repsem.sf_step(sys, cfg, slots, step.replaced, step.crashed),
+        Transition(rep, step.action, repsem.sf_step(sys, rep, comps, step),
                    step.rule)
-        for step in _calculus_steps(sys, rep, cfg, chans, comps)
+        for step in _calculus_steps(sys, rep, comps)
     }
     return sorted(transitions)
 

@@ -28,11 +28,16 @@ stored.  ``rep_successors`` does not validate what it returns: its
 consumers validate each state once, when they first discover it.
 
 Calculus-side canonicalisation works per component for the same reason.
-Expansion (``sfi``) takes each slot's component from a per-System memo
-that checks, once per slot, that the component is an evaluation fixed
-point and classifies back to its slot; ``sf_step`` takes the slots a
-replacement leaf evaluates to from a second memo, since a leaf at a live
-location evaluates the same in every state.  Neither validates: the
+``expansion`` lists a representative's normal form as (slot, located
+component) pairs, one per slot in ``_slots`` order, which alone decides
+which component sits at which index.  Each component comes from a
+per-System memo that checks, once per slot, that the component is an
+evaluation fixed point and classifies back to its slot.  ``sfi`` composes
+those components into a term under the system's restriction; the calculus
+steps work on the list itself, and ``sf_step`` reads the slots of the
+components a step leaves in place straight off it.  The slots a
+replacement leaf evaluates to come from a second memo, since a leaf at a
+live location evaluates the same in every state.  Neither validates: the
 explorers validate each calculus-step target when they first discover it,
 as they do representative successors.  Full extraction (``sf``) builds
 nothing from the memos and validates its result; it extracts the initial
@@ -53,7 +58,7 @@ import json
 from typing import NamedTuple
 
 from . import consensus_model as cm
-from .calculus_ast import BOT, NNIL, Config, value_str
+from .calculus_ast import BOT, NNIL, Config, npar_chain, res_chain, value_str
 from .errors import InvariantViolation, NotReachableShape
 from .evaluation import (
     _located_step,
@@ -189,8 +194,8 @@ def sf(sys: cm.System, cfg: Config) -> Representative:
 
 
 def _slots(rep: Representative) -> list:
-    """The (kind, fields) slots of ``rep`` in the order ``sfi`` lays out
-    their components."""
+    """The (kind, fields) slots of ``rep``, in the order of its expansion's
+    components."""
     slots = [("out1", e) for e in rep.out1]
     slots += [("out2", e) for e in rep.out2]
     slots += [("out3", e) for e in rep.out3]
@@ -219,8 +224,9 @@ def _build_component(sys: cm.System, kind: str, fields) -> tuple:
     return cm.wrap_inert_comp(wj, ww)
 
 
-def _slot_component(sys: cm.System, kind: str, fields) -> tuple:
-    """The located component of one slot, memoised on the System.
+def _slot_component(sys: cm.System, slot: tuple) -> tuple:
+    """The located component of one (kind, fields) slot, memoised on the
+    System.
 
     Before a component is stored, the round trip that ``sf`` re-checks on
     every configuration is checked once: the component is an evaluation
@@ -228,43 +234,35 @@ def _slot_component(sys: cm.System, kind: str, fields) -> tuple:
     slot it was built from.  Evaluating a component at a live location
     reads nothing else of the configuration, so the check holds in every
     state that has the slot."""
-    key = (kind, fields)
-    comp = sys._slot_comps.get(key)
+    comp = sys._slot_comps.get(slot)
     if comp is None:
-        comp = _build_component(sys, kind, fields)
+        comp = _build_component(sys, *slot)
         _, location, proc = comp
         alone = Config(live=frozenset({location}), budget=0, ti=None, net=NNIL)
         if (_located_step(alone, location, proc, sys.defs) is not None
-                or cm.classify_component(sys, location, proc) != key):
+                or cm.classify_component(sys, location, proc) != slot):
             raise NotReachableShape(
                 f"expansion component at {location} does not round-trip")
-        sys._slot_comps[key] = comp
+        sys._slot_comps[slot] = comp
     return comp
 
 
-def sfi(sys: cm.System, rep: Representative) -> Config:
-    """Expand a representative back to its normal-form configuration.
+def expansion(sys: cm.System, rep: Representative) -> list:
+    """The (slot, located component) pairs of the normal form of ``rep``,
+    one per slot in ``_slots`` order, each component from the slot memo.
 
     Not validated: ``rep`` comes from ``sf`` or from an explorer that
     validated it on discovery."""
-    net = NNIL
-    for kind, fields in reversed(_slots(rep)):
-        comp = _slot_component(sys, kind, fields)
-        net = comp if net == NNIL else ("npar", comp, net)
-    for ch in reversed(sys.restriction):
-        net = ("res", net, ch)
+    return [(slot, _slot_component(sys, slot)) for slot in _slots(rep)]
+
+
+def sfi(sys: cm.System, rep: Representative) -> Config:
+    """Expand a representative back to its normal-form configuration: the
+    components of its ``expansion`` in parallel, under the system's
+    restriction."""
+    net = res_chain(npar_chain([comp for _, comp in expansion(sys, rep)]),
+                    sys.restriction)
     return Config(live=frozenset(rep.live), budget=rep.budget, ti=rep.ti, net=net)
-
-
-def expansion_slots(rep: Representative, comps: list) -> list:
-    """The (location, kind, fields) slot of each component of ``comps``,
-    the expansion ``sfi(sys, rep)`` flattened.
-
-    ``sfi`` took every component from the slot memo, which checked its
-    round trip, so a calculus step leaves every component it does not
-    replace a fixed point that classifies back to its slot."""
-    return [(location, kind, fields)
-            for (location, _), (kind, fields) in zip(comps, _slots(rep), strict=True)]
 
 
 def _leaf_slots(sys: cm.System, target: Config, leaf) -> tuple:
@@ -284,32 +282,35 @@ def _leaf_slots(sys: cm.System, target: Config, leaf) -> tuple:
     return slots
 
 
-def sf_step(sys: cm.System, cfg: Config, slots: list, replaced: dict,
-            crashed=None) -> Representative:
-    """``sf`` of the configuration one calculus step reaches from ``cfg``,
-    evaluating and classifying only the components the step replaces.
+def sf_step(sys: cm.System, rep: Representative, comps: list,
+            step) -> Representative:
+    """``sf`` of the configuration one calculus step reaches from the
+    expansion of ``rep``, evaluating and classifying only the components
+    the step replaces.
 
-    ``slots`` are the slots of ``cfg`` (``expansion_slots``), ``replaced``
-    maps a component index to its new located leaf or to None when the
-    step consumes it, and ``crashed`` names the agent a crash step stops.
-    A crash garbage-collects every component located at that agent (rule
-    E3) and shrinks the live set and the budget; evaluation of a component
-    at a live location does not read the live set, so the other components
-    stay fixed points.  Each leaf is located where its step fired, which is
-    live (a crash replaces nothing), so its slots come from the leaf memo.
-    The target is not validated: its discoverer validates it."""
-    live, budget = cfg.live, cfg.budget
+    ``comps`` is ``expansion(sys, rep)``, whose components the slot memo
+    checked to round-trip, so a component the step leaves in place keeps
+    its slot.  ``step`` is an ``lts.Step``: ``replaced`` maps a component
+    index to its new located leaf or to None when the step consumes it,
+    and ``crashed`` names the agent a crash step stops.  A crash
+    garbage-collects every component located at that agent (rule E3) and
+    shrinks the live set and the budget; evaluation of a component at a
+    live location does not read the live set, so the other components stay
+    fixed points.  Each leaf is located where its step fired, which is live
+    (a crash replaces nothing), so its slots come from the leaf memo.  The
+    target is not validated: its discoverer validates it."""
+    replaced, crashed = step.replaced, step.crashed
+    live, budget = frozenset(rep.live), rep.budget
     if crashed is not None:
         live, budget = live - {crashed}, budget - 1
-    target = Config(live=live, budget=budget, ti=cfg.ti, net=NNIL)
-    classified = [(kind, fields)
-                  for idx, (location, kind, fields) in enumerate(slots)
-                  if idx not in replaced and location != crashed]
+    target = Config(live=live, budget=budget, ti=rep.ti, net=NNIL)
+    classified = [slot for idx, (slot, comp) in enumerate(comps)
+                  if idx not in replaced and comp[1] != crashed]
     for leaf in replaced.values():
         if leaf is not None:
             assert target.is_live(leaf[1]), leaf[1]
             classified += _leaf_slots(sys, target, leaf)
-    return _assemble(live, budget, cfg.ti, classified)
+    return _assemble(live, budget, rep.ti, classified)
 
 
 # ---------------------------------------------------------------------------

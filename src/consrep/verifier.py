@@ -151,6 +151,15 @@ class CorrespondenceReport:
 # ---------------------------------------------------------------------------
 # Confluence.
 
+def _raw_configs(sys: cm.System, graph: LtsGraph):
+    """The freshly chosen-immortal initials, then the raw targets of the
+    calculus transitions of every node of ``graph`` in id order."""
+    yield from lts.select_ti(sys, cm.make_initial(sys.inst))
+    for rep in graph.nodes:
+        for _, _, raw in lts.calculus_raw_successors(sys, rep):
+            yield raw
+
+
 def check_confluence(sys: cm.System, graph: LtsGraph,
                      max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
     """Every single-step evaluation diamond joins on equal fixed points.
@@ -161,16 +170,11 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     compares the fixed points of every branching."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
-    raw_configs = [cfg for cfg in lts.select_ti(sys, cm.make_initial(sys.inst))]
-    for rep in graph.nodes:
-        for _, _, raw in lts.calculus_raw_successors(sys, rep):
-            raw_configs.append(raw)
-
     seen: set = set()
     diamonds = 0
     undefined = 0
     failures: list = []
-    for cfg in raw_configs:
+    for cfg in _raw_configs(sys, graph):
         frontier = [cfg]
         while frontier:
             c = frontier.pop()
@@ -212,7 +216,8 @@ def check_correspondence(sys: cm.System,
     semantics must be equal.  Explores the union so a divergence on either
     side still gets visited and reported; each target is validated when it
     is first discovered."""
-    visited: set = set()
+    visited: set = set()           # every state met, admitted or not
+    admitted = 0                   # states queued for checking
     queue: deque = deque()
     truncated = False
     sound: list = []
@@ -222,6 +227,7 @@ def check_correspondence(sys: cm.System,
     for rep in lts.initial_reps(sys):
         if rep not in visited:
             visited.add(rep)
+            admitted += 1
             queue.append(rep)
     while queue:
         rep = queue.popleft()
@@ -253,10 +259,11 @@ def check_correspondence(sys: cm.System,
         for t in sorted(rep_targets | calc_targets):
             if t not in visited:
                 repsem.validate_rep(sys, t)
-                if len(visited) >= max_states:
+                visited.add(t)
+                if admitted >= max_states:
                     truncated = True
                     continue
-                visited.add(t)
+                admitted += 1
                 queue.append(t)
     return CorrespondenceReport(checked, sound, complete, truncated, defects)
 
@@ -417,12 +424,7 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
         failures.append(
             f"algorithm undefined at {repsem.rep_digest(rep)}: {diagnosis}"
         )
-    for rep in graph.nodes:
-        failures.extend(_node_validity_violations(sys, rep))
-        if rep.wrap[2] == 0:
-            failures.append(
-                f"agreement broken: observer went inert at {repsem.rep_digest(rep)}"
-            )
+    failures.extend(check_safety_subset(sys, graph.nodes).counterexamples)
 
     for tr in graph.edges:
         family = _rule_family(tr.rule)

@@ -8,16 +8,13 @@ from consrep.calculus_ast import (
     chan_b,
     eval_expr,
     finset,
-    free_names,
     inp,
     is_value,
     lit,
-    located,
     nat,
     out,
     out_atom,
     paire,
-    res,
     substitute,
     var,
     vpair,
@@ -121,21 +118,3 @@ def test_substitute_no_free_occurrence_is_identity(v):
 def test_substituted_literal_evaluates_to_itself(v):
     p = substitute(out(C, var("x"), NIL), "x", v)
     assert eval_expr(p[2], FTABLE) == v
-
-
-def test_free_names_nil():
-    assert free_names(NIL) == set()
-
-
-def test_free_names_output():
-    assert free_names(out(C, var("x"), NIL)) == {C, "x"}
-
-
-def test_free_names_restriction_binds():
-    net = res(located(1, out(C, lit(nat(1)), NIL)), C)
-    assert free_names(net) == set()
-
-
-def test_free_names_input_binds_pattern():
-    p = inp(C, "x", out(D, paire(var("x"), var("y")), NIL))
-    assert free_names(p) == {C, D, "y"}

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from consrep.cli import main
 
@@ -63,6 +64,26 @@ def test_missing_instance_is_a_usage_error(capsys):
     code, _, err = run(capsys, "explore")
     assert code == 1
     assert "--n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--n", "1", "--values", "4", "--mutate", "bogus"],
+    ["explore", "--n", "one", "--values", "4"],
+    ["frobnicate"],
+    # Flags a command would accept and then ignore are not offered.
+    ["verify", "--n", "1", "--values", "4", "--format", "dot"],
+    ["trace", "--n", "1", "--values", "4", "--max-states", "10"],
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "usage: consrep" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "--max-states" in out and "--format" not in out
 
 
 def test_bound_exceeded_exit_code(capsys):

@@ -16,10 +16,10 @@ import random
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import lts, verifier
+from consrep import lts, repsem, verifier
 from consrep.calculus_ast import Config
 from consrep.errors import BoundExceeded, EmptyKnowledge
-from consrep.evaluation import evaluate, flatten_components
+from consrep.evaluation import evaluate, flatten_components, split_restriction
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
@@ -80,6 +80,21 @@ def test_memos_match_recomputation_on_n12(mutation):
             for system in (sys_, cm.build_system(inst, mutations)):
                 with pytest.raises(EmptyKnowledge):
                     lts.successors(system, rep, "calculus")
+
+
+def test_expansion_lays_out_sfi_on_n12():
+    # repsem._slots alone decides which component sits at which index: the
+    # expansion pairs each slot with its component in the order in which
+    # sfi composes them.
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst)
+        for rep in verifier.explore(sys_, "representative").nodes:
+            pairs = repsem.expansion(sys_, rep)
+            chans, core = split_restriction(repsem.sfi(sys_, rep).net)
+            assert chans == sys_.restriction
+            assert [("loc",) + c for c in flatten_components(core)] == [
+                comp for _, comp in pairs]
+            assert [slot for slot, _ in pairs] == repsem._slots(rep)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import verifier
+from consrep import repsem, verifier
 from consrep.calculus_ast import chan_b, cond, lit, located, nat, npar, out_atom
 from consrep.errors import BoundExceeded, GraphTruncated
 from consrep.evaluation import eval_steps, evaluate
@@ -74,6 +74,24 @@ def test_correspondence_exact_on_small_instances(sys1, sys2):
         report = verifier.check_correspondence(sys_)
         assert report.passed and not report.truncated
         assert report.checked > 0
+
+
+def test_correspondence_validates_each_state_once(monkeypatch):
+    # Past the bound, targets are met again and again from the states still
+    # being checked; each is validated only the first time.
+    validated = []
+    original = repsem.validate_rep
+
+    def counted(sys_, rep):
+        validated.append(rep)
+        return original(sys_, rep)
+
+    monkeypatch.setattr(repsem, "validate_rep", counted)
+    report = verifier.check_correspondence(
+        cm.build_system(cm.make_instance(3, [1, 2, 3])), max_states=200)
+    assert report.passed and report.truncated and report.checked == 200
+    assert len(validated) > report.checked
+    assert len(validated) == len(set(validated))
 
 
 def test_correspondence_flags_missing_suspicion_rules():
