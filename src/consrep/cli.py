@@ -1,7 +1,7 @@
 """Command-line front end: explore, verify, trace.
 
 Configuration comes from flags, falling back to a JSON config file, then
-defaults.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
+defaults; the file may set only what the command has a flag for.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
 bound exceeded, 3 check failure (a failed report, or a state that breaks
 the representative invariants or matches no shape of the encoding: faults
 of the program, not of its input).
@@ -93,6 +93,12 @@ def _load_config(args) -> dict:
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # A key is accepted where its flag is: the parsed arguments of each
+        # command carry exactly the flags it has.
+        foreign = {key for key in file_cfg if not hasattr(args, key)}
+        if foreign:
+            raise ValueError(f"config keys not taken by {args.command}: "
+                             f"{sorted(foreign)}")
         cfg.update(file_cfg)
     for key in cfg:
         flag = getattr(args, key, None)

@@ -190,10 +190,3 @@ def flatten_components(core) -> list:
     walk(core)
     return comps
 
-
-def congruent(sys, c1: Config, c2: Config) -> bool:
-    """Structural congruence on reachable configurations, decided through
-    equality of standard-form representatives."""
-    from . import repsem
-
-    return repsem.sf(sys, c1) == repsem.sf(sys, c2)

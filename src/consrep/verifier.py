@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from . import consensus_model as cm
 from . import lts, repsem
-from .calculus_ast import BOT, value_str
+from .calculus_ast import BOT, NNIL, Config, npar_chain, res_chain, value_str
 from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
-from .evaluation import eval_steps, evaluate
+from .evaluation import eval_steps, evaluate, split_restriction
 from .lts import TAU, action_str
 
 DEFAULT_MAX_STATES = 5_000_000
@@ -167,15 +167,91 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     Unevaluated configurations arise as the raw targets of the transitions
     of every state of ``graph`` (and as the freshly chosen-immortal
     initials); the check closes each under single evaluation steps and
-    compares the fixed points of every branching."""
+    compares the fixed points of every branching.
+
+    The closure keys a configuration as (live, budget, ti, restriction
+    chain, component ids): the chain is peeled once per raw configuration,
+    the right spine of the parallel composition below it becomes a tuple of
+    components, and each component is interned to an int for the run of
+    the check.  Restrictions sit only on top (raw targets are built so and
+    no evaluation step makes one), so the key determines the term and one
+    term has one key.  Evaluation steps act on one component, whose steps
+    are computed once per (live set, component); E4/E5 drop an ``nnil``
+    from the tuple.  A branch's fixed point still comes from ``evaluate``
+    on the whole configuration, once per distinct branch.  Successors are
+    visited sorted by term, so the counts and counterexamples are those of
+    the closure over whole terms."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
+    terms: list = []                # component id -> term
+    ids: dict = {}                  # term -> component id
+    spines: dict = {}               # component id -> ids along its right spine
+    comp_steps: dict = {}           # (live, component id) -> ids of its steps
+    fixed: dict = {}                # branch key -> key of its fixed point
+
+    def intern(term) -> int:
+        cid = ids.get(term)
+        if cid is None:
+            cid = ids[term] = len(terms)
+            terms.append(term)
+        return cid
+
+    def flatten(net) -> tuple:
+        comps = []
+        while net[0] == "npar":
+            comps.append(intern(net[1]))
+            net = net[2]
+        comps.append(intern(net))
+        return tuple(comps)
+
+    def spine(cid) -> tuple:
+        s = spines.get(cid)
+        if s is None:
+            s = spines[cid] = flatten(terms[cid])
+        return s
+
+    def key(cfg: Config) -> tuple:
+        chain, core = split_restriction(cfg.net)
+        return (cfg.live, cfg.budget, cfg.ti, chain, flatten(core))
+
+    def config(k) -> Config:
+        live, budget, ti, chain, comps = k
+        return Config(live, budget, ti,
+                      res_chain(npar_chain([terms[c] for c in comps]), chain))
+
+    def successors(k) -> set:
+        live, budget, ti, chain, comps = k
+        last = len(comps) - 1
+        succs = set()
+        for i, cid in enumerate(comps):
+            steps = comp_steps.get((live, cid))
+            if steps is None:
+                cfg = Config(live, budget, ti, terms[cid])
+                steps = comp_steps[live, cid] = tuple(
+                    intern(c.net) for _, c in eval_steps(cfg, sys.defs))
+            head, tail = comps[:i], comps[i + 1:]
+            if i < last:
+                succs.update((live, budget, ti, chain, head + (r,) + tail)
+                             for r in steps)
+                if cid == nnil:                                       # E4
+                    succs.add((live, budget, ti, chain, head + tail))
+            else:
+                # The spine's end may step to a parallel composition:
+                # re-flatten it, so that one term keeps one key.
+                succs.update((live, budget, ti, chain, head + spine(r))
+                             for r in steps)
+        if last and comps[last] == nnil:                              # E5
+            succs.add((live, budget, ti, chain,
+                       comps[:last - 1] + spine(comps[last - 1])))
+        return succs
+
+    nnil = intern(NNIL)
     seen: set = set()
     diamonds = 0
     undefined = 0
     failures: list = []
     for cfg in _raw_configs(sys, graph):
-        frontier = [cfg]
+        frontier = [key(cfg)]
         while frontier:
             c = frontier.pop()
             if c in seen:
@@ -184,10 +260,17 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
             if len(seen) > max_configs:
                 raise BoundExceeded(graph, max_configs)
             try:
-                succs = sorted({target for _, target in eval_steps(c, sys.defs)})
+                succs = successors(c)
                 if len(succs) > 1:
                     diamonds += 1
-                    fixes = {evaluate(s, sys.defs) for s in succs}
+                    branches = {s: config(s) for s in succs}
+                    succs = sorted(succs, key=lambda s: branches[s].net)
+                    fixes = set()
+                    for s in succs:
+                        f = fixed.get(s)
+                        if f is None:
+                            f = fixed[s] = key(evaluate(branches[s], sys.defs))
+                        fixes.add(f)
                     if len(fixes) != 1:
                         failures.append(
                             f"a diamond joins on {len(fixes)} distinct fixed points"

@@ -1,7 +1,7 @@
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import verifier
+from consrep import repsem, verifier
 from consrep.calculus_ast import npar, res
 from consrep.evaluation import flatten_components, split_restriction
 
@@ -20,6 +20,12 @@ def shuffle_config(rng, cfg):
     for ch in order:
         net = res(net, ch)
     return cfg._replace(net=net)
+
+
+def congruent(sys, c1, c2) -> bool:
+    """Structural congruence on reachable configurations, decided through
+    equality of standard-form representatives."""
+    return repsem.sf(sys, c1) == repsem.sf(sys, c2)
 
 
 @pytest.fixture(scope="session")

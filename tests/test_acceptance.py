@@ -18,8 +18,7 @@ import pytest
 from consrep import consensus_model as cm
 from consrep import repsem, verifier
 from consrep.errors import BoundExceeded
-from consrep.evaluation import congruent
-from conftest import shuffle_config
+from conftest import congruent, shuffle_config
 
 N3_BOUND = int(os.environ.get("CONSREP_ACCEPT_N3", "4000"))
 

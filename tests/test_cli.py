@@ -168,3 +168,27 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run(capsys, "explore", "--config", str(cfg))
     assert code == 1
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("verify", "format", "dot"),
+    ("verify", "mode", "calculus"),
+    ("trace", "max_states", 1),
+    ("trace", "mode", "calculus"),
+    ("trace", "format", "json"),
+])
+def test_config_file_rejects_keys_the_command_has_no_flag_for(
+        capsys, tmp_path, command, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1, "values": [4], key: value}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert repr(key) in err and command in err
+    assert out == ""
+
+
+def test_config_file_keys_follow_the_command_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1, "values": [4], "max_states": 100}))
+    code, _, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0

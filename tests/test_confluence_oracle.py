@@ -1,0 +1,125 @@
+"""The confluence check against a closure over whole terms.
+
+``brute_force_confluence`` is the reference: it closes each raw
+configuration under single evaluation steps of the whole term and keys
+every configuration by the term itself.  ``verifier.check_confluence``
+must agree with it on the verdict, the counts and the counterexample
+list, in order.
+"""
+
+import pytest
+
+from consrep import consensus_model as cm
+from consrep import verifier
+from consrep.calculus_ast import (
+    NIL,
+    Config,
+    chan_b,
+    cond,
+    lit,
+    located,
+    nat,
+    npar_chain,
+    out_atom,
+    par,
+    res_chain,
+)
+from consrep.errors import BoundExceeded, EmptyKnowledge
+from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+
+
+def brute_force_confluence(sys, graph):
+    seen: set = set()
+    diamonds = 0
+    undefined = 0
+    failures: list = []
+    for cfg in verifier._raw_configs(sys, graph):
+        frontier = [cfg]
+        while frontier:
+            c = frontier.pop()
+            if c in seen:
+                continue
+            seen.add(c)
+            try:
+                succs = sorted({target for _, target
+                                in verifier.eval_steps(c, sys.defs)})
+                if len(succs) > 1:
+                    diamonds += 1
+                    fixes = {verifier.evaluate(s, sys.defs) for s in succs}
+                    if len(fixes) != 1:
+                        failures.append(
+                            f"a diamond joins on {len(fixes)} distinct fixed points"
+                        )
+            except EmptyKnowledge:
+                undefined += 1
+                continue
+            frontier.extend(s for s in succs if s not in seen)
+    return verifier.CheckReport(
+        name="confluence",
+        passed=not failures,
+        details={"configurations": len(seen), "diamonds": diamonds,
+                 "undefined": undefined},
+        counterexamples=failures,
+    )
+
+
+def assert_agrees(sys_, graph):
+    fast = verifier.check_confluence(sys_, graph)
+    slow = brute_force_confluence(sys_, graph)
+    assert (fast.passed, fast.details) == (slow.passed, slow.details)
+    assert fast.counterexamples == slow.counterexamples
+    return fast
+
+
+@pytest.mark.parametrize("mutation", [None] + sorted(cm.MUTATIONS))
+def test_agrees_on_n12(mutation):
+    mutations = [mutation] if mutation else []
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst, mutations)
+        assert_agrees(sys_, verifier.explore(sys_, "representative"))
+
+
+def test_agrees_with_identity_evaluate(sys2, graph2, monkeypatch):
+    monkeypatch.setattr(verifier, "evaluate", lambda cfg, defs: cfg)
+    report = assert_agrees(sys2, graph2)
+    assert not report.passed
+    assert len(report.counterexamples) == report.details["diamonds"] > 0
+
+
+def test_agrees_on_n3_prefix():
+    sys3 = cm.build_system(INSTANCE_3)
+    with pytest.raises(BoundExceeded) as exc:
+        verifier.explore(sys3, "representative", max_states=25)
+    graph = exc.value.graph
+    graph.truncated = False
+    report = assert_agrees(sys3, graph)
+    assert report.passed and report.details["diamonds"] > 0
+
+
+def test_agrees_where_the_spine_end_steps(sys2, graph2, monkeypatch):
+    # The observer ends every reachable configuration and never steps, so
+    # only built ones reach the spine-end cases: a parallel composition
+    # unfolded there (E1, re-flattened), its nil collected (E2) and then
+    # dropped (E5); a dead location collected (E3) and dropped inside (E4).
+    # The second configuration starts where E1 leads, so an unflattened
+    # key would count that term twice.
+    c, d = chan_b(1, 2), chan_b(2, 1)
+    head = [
+        located(1, cond(lit(nat(1)), out_atom(c, lit(nat(2))), NIL)),
+        located(2, out_atom(d, lit(nat(3)))),
+    ]
+    ends = ([located(1, par(out_atom(d, lit(nat(4))), NIL))],
+            [located(1, out_atom(d, lit(nat(4)))), located(1, NIL)])
+    configs = [Config(frozenset({1}), 0, 1,
+                      res_chain(npar_chain(head + end), (c, d)))
+               for end in ends]
+    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
+    report = assert_agrees(sys2, graph2)
+    assert report.passed and report.details["diamonds"] > 0
+
+
+def test_bound_is_on_distinct_configurations(sys2, graph2):
+    configs = verifier.check_confluence(sys2, graph2).details["configurations"]
+    verifier.check_confluence(sys2, graph2, max_configs=configs)
+    with pytest.raises(BoundExceeded):
+        verifier.check_confluence(sys2, graph2, max_configs=configs - 1)

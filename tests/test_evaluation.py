@@ -22,7 +22,8 @@ from consrep.calculus_ast import (
     var,
 )
 from consrep.errors import NonTermination
-from consrep.evaluation import congruent, eval_steps, evaluate
+from consrep.evaluation import eval_steps, evaluate
+from conftest import congruent
 
 C = chan_b(1, 1)
 D = chan_b(2, 1)
