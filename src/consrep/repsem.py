@@ -419,7 +419,12 @@ def _may_suspect(sys, rep, suspected: int, at: int) -> bool:
 
 def rep_successors(sys: cm.System, rep: Representative) -> list:
     """All internal steps of the representative semantics, as
-    (rule instance, successor) pairs, canonically sorted."""
+    (rule instance, successor) pairs, canonically sorted.
+
+    Within a validated state the rule instances are pairwise distinct
+    (each agent holds one role, and the SRW1/SRW2/SR7 instances carry
+    distinct parameters), so the list needs no deduplication and the sort
+    orders by rule alone."""
     n = sys.n
     out: list = []
 
@@ -474,7 +479,8 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 in2=tuple(e for e in rep.in2 if e[0] != p),
             )))
 
-    return sorted(set(out))
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ class LtsGraph:
     mode: str
     initials: tuple
     node_ids: dict                 # Representative -> discovery index
-    edges: tuple                   # Transition
+    edges: tuple                   # Transition over the stored nodes
     truncated: bool = False
     defects: tuple = ()            # (Representative, diagnosis) pairs
     _tau_adj: dict | None = field(default=None, repr=False)
@@ -63,18 +63,26 @@ def explore(sys: cm.System, mode: str = "representative",
     function, starting from one representative per trusted immortal.
     Each state is validated once, when it is first discovered.
 
+    The graph holds one object per state: every edge's source and target
+    are the stored nodes (the keys of ``node_ids``), and equal rules and
+    equal actions are one object each, so memory grows with the edges only
+    by one ``Transition`` apiece.
+
     A state on which the algorithm itself is undefined (an empty decision,
     reachable only under fault-injection mutations) is kept as a node with
     no successors and recorded as a defect.
     """
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
+    nodes: list = []               # discovery index -> stored node
+    labels: dict = {}              # rule or action -> its first equal object
     edges: list = []
     defects: list = []
     queue: deque = deque()
     for rep in initials:
         if rep not in node_ids:
-            node_ids[rep] = len(node_ids)
+            node_ids[rep] = len(nodes)
+            nodes.append(rep)
             queue.append(rep)
     while queue:
         rep = queue.popleft()
@@ -83,16 +91,19 @@ def explore(sys: cm.System, mode: str = "representative",
         except EmptyKnowledge as exc:
             defects.append((rep, str(exc)))
             continue
-        for tr in succs:
-            if tr.target not in node_ids:
-                repsem.validate_rep(sys, tr.target)
-                if len(node_ids) >= max_states:
+        for _, action, target, rule in succs:
+            ident = node_ids.get(target)
+            if ident is None:
+                repsem.validate_rep(sys, target)
+                if len(nodes) >= max_states:
                     graph = LtsGraph(mode, initials, node_ids, tuple(edges),
                                      truncated=True, defects=tuple(defects))
                     raise BoundExceeded(graph, max_states)
-                node_ids[tr.target] = len(node_ids)
-                queue.append(tr.target)
-            edges.append(tr)
+                ident = node_ids[target] = len(nodes)
+                nodes.append(target)
+                queue.append(target)
+            edges.append(lts.Transition(rep, labels.setdefault(action, action),
+                                        nodes[ident], labels.setdefault(rule, rule)))
     return LtsGraph(mode, initials, node_ids, tuple(edges), defects=tuple(defects))
 
 
@@ -160,6 +171,16 @@ def _raw_configs(sys: cm.System, graph: LtsGraph):
             yield raw
 
 
+def _term_order(terms: list, comps: tuple) -> tuple:
+    """A sort key on a component tuple that orders like the term it
+    composes, without building the term: each spine ``npar`` becomes
+    ("npar", its left component), the last component stays itself.  Keys of
+    one diamond share everything around the tuple, and a spine ends in a
+    component that is never an ``npar``, so a tuple and a term first
+    differ at the same place."""
+    return tuple(("npar", terms[c]) for c in comps[:-1]) + (terms[comps[-1]],)
+
+
 def check_confluence(sys: cm.System, graph: LtsGraph,
                      max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
     """Every single-step evaluation diamond joins on equal fixed points.
@@ -178,8 +199,9 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     term has one key.  Evaluation steps act on one component, whose steps
     are computed once per (live set, component); E4/E5 drop an ``nnil``
     from the tuple.  A branch's fixed point still comes from ``evaluate``
-    on the whole configuration, once per distinct branch.  Successors are
-    visited sorted by term, so the counts and counterexamples are those of
+    on the whole configuration, once per distinct branch, and is the only
+    place a branch is built.  Successors are visited in the order of their
+    terms (``_term_order``), so the counts and counterexamples are those of
     the closure over whole terms."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
@@ -263,13 +285,12 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
                 succs = successors(c)
                 if len(succs) > 1:
                     diamonds += 1
-                    branches = {s: config(s) for s in succs}
-                    succs = sorted(succs, key=lambda s: branches[s].net)
+                    succs = sorted(succs, key=lambda s: _term_order(terms, s[4]))
                     fixes = set()
                     for s in succs:
                         f = fixed.get(s)
                         if f is None:
-                            f = fixed[s] = key(evaluate(branches[s], sys.defs))
+                            f = fixed[s] = key(evaluate(config(s), sys.defs))
                         fixes.add(f)
                     if len(fixes) != 1:
                         failures.append(

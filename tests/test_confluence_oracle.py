@@ -4,7 +4,8 @@
 configuration under single evaluation steps of the whole term and keys
 every configuration by the term itself.  ``verifier.check_confluence``
 must agree with it on the verdict, the counts and the counterexample
-list, in order.
+list, in order; the order it visits a diamond's branches in, taken from
+their component tuples, must be the order of their terms.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from consrep.calculus_ast import (
     res_chain,
 )
 from consrep.errors import BoundExceeded, EmptyKnowledge
+from consrep.evaluation import split_restriction
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
@@ -116,6 +118,48 @@ def test_agrees_where_the_spine_end_steps(sys2, graph2, monkeypatch):
     monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
     report = assert_agrees(sys2, graph2)
     assert report.passed and report.details["diamonds"] > 0
+
+
+def test_term_order_agrees_on_every_diamond(monkeypatch):
+    # The whole-term closure meets every diamond in one call of
+    # eval_steps; there, ordering the successors by ``_term_order`` on
+    # their component tuples must give their order as terms.
+    terms: list = []
+    ids: dict = {}
+
+    def comps(cfg) -> tuple:
+        _, net = split_restriction(cfg.net)
+        out = []
+        while net[0] == "npar":
+            out.append(net[1])
+            net = net[2]
+        out.append(net)
+        for term in out:
+            if term not in ids:
+                ids[term] = len(terms)
+                terms.append(term)
+        return tuple(ids[term] for term in out)
+
+    real_eval_steps = verifier.eval_steps
+    checked = 0
+
+    def checking_eval_steps(cfg, defs):
+        nonlocal checked
+        steps = real_eval_steps(cfg, defs)
+        succs = sorted({target for _, target in steps})
+        if len(succs) > 1:
+            order = sorted(succs, key=lambda s: verifier._term_order(terms, comps(s)))
+            assert order == succs
+            checked += 1
+        return steps
+
+    monkeypatch.setattr(verifier, "eval_steps", checking_eval_steps)
+    diamonds = 0
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst)
+        graph = verifier.explore(sys_, "representative")
+        diamonds += brute_force_confluence(sys_, graph).details["diamonds"]
+    assert checked == diamonds > 0
 
 
 def test_bound_is_on_distinct_configurations(sys2, graph2):

@@ -1,0 +1,111 @@
+"""``verifier.explore`` against the breadth-first loop that stores every
+transition as the successor function returns it.
+
+``reference_explore`` is that loop.  ``verifier.explore`` must give the
+same nodes in the same order, the same edges, truncation flag and
+defects, while holding one object per state, per rule and per action:
+every edge's source and target are the stored nodes.  The same states
+back the fact that lets ``repsem.rep_successors`` skip deduplication:
+within one state its rule instances are pairwise distinct.
+"""
+
+from collections import deque
+
+import pytest
+
+from consrep import consensus_model as cm
+from consrep import lts, repsem, verifier
+from consrep.errors import BoundExceeded, EmptyKnowledge
+from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+
+N3_PREFIX = 3000
+MODES = ("representative", "calculus")
+
+
+def reference_explore(sys, mode, max_states=verifier.DEFAULT_MAX_STATES):
+    initials = tuple(lts.initial_reps(sys))
+    node_ids: dict = {}
+    edges: list = []
+    defects: list = []
+    queue: deque = deque()
+    for rep in initials:
+        if rep not in node_ids:
+            node_ids[rep] = len(node_ids)
+            queue.append(rep)
+    while queue:
+        rep = queue.popleft()
+        try:
+            succs = lts.successors(sys, rep, mode)
+        except EmptyKnowledge as exc:
+            defects.append((rep, str(exc)))
+            continue
+        for tr in succs:
+            if tr.target not in node_ids:
+                repsem.validate_rep(sys, tr.target)
+                if len(node_ids) >= max_states:
+                    graph = verifier.LtsGraph(mode, initials, node_ids, tuple(edges),
+                                              truncated=True, defects=tuple(defects))
+                    raise BoundExceeded(graph, max_states)
+                node_ids[tr.target] = len(node_ids)
+                queue.append(tr.target)
+            edges.append(tr)
+    return verifier.LtsGraph(mode, initials, node_ids, tuple(edges),
+                             defects=tuple(defects))
+
+
+def bounded(explorer, *args):
+    try:
+        return explorer(*args)
+    except BoundExceeded as exc:
+        return exc.graph
+
+
+def n12_systems():
+    for mutation in [None] + sorted(cm.MUTATIONS):
+        for inst in INSTANCES_1 + INSTANCES_2:
+            yield cm.build_system(inst, [mutation] if mutation else [])
+
+
+@pytest.fixture(scope="module")
+def explored():
+    """(system, explored graph, reference graph) for every n<=2 instance
+    under every mutation in both modes, then the n=3 (1,2,3) prefix."""
+    runs = [(sys_, mode) for sys_ in n12_systems() for mode in MODES]
+    runs.append((cm.build_system(INSTANCE_3), "representative", N3_PREFIX))
+    return [(args[0], bounded(verifier.explore, *args),
+             bounded(reference_explore, *args)) for args in runs]
+
+
+def test_explore_agrees_and_shares(explored):
+    assert len(explored) == 2 * 5 * 7 + 1
+    assert any(graph.defects for _, graph, _ in explored)
+    assert explored[-1][1].truncated
+    for _, fast, slow in explored:
+        assert list(fast.node_ids.items()) == list(slow.node_ids.items())
+        assert fast.edges == slow.edges
+        assert (fast.truncated, fast.defects) == (slow.truncated, slow.defects)
+
+        stored = {rep: rep for rep in fast.node_ids}
+        for tr in fast.edges:
+            assert stored[tr.source] is tr.source
+            assert stored[tr.target] is tr.target
+        for name in ("rule", "action"):
+            values = [getattr(tr, name) for tr in fast.edges]
+            assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_rep_successor_rules_are_distinct(explored):
+    states = 0
+    for sys_, graph, _ in explored:
+        if graph.mode != "representative":
+            continue
+        defective = {rep for rep, _ in graph.defects}
+        for rep in graph.nodes:
+            if rep in defective:
+                continue
+            succs = repsem.rep_successors(sys_, rep)
+            rules = [rule for rule, _ in succs]
+            assert len(set(rules)) == len(rules)
+            assert succs == sorted(set(succs))
+            states += 1
+    assert states > N3_PREFIX
