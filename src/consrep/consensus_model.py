@@ -479,6 +479,10 @@ class System:
     # slots each evaluated replacement leaf yields.
     _slot_comps: dict = field(default_factory=dict, compare=False, repr=False)
     _leaf_slots: dict = field(default_factory=dict, compare=False, repr=False)
+    # The located leaf a Com step leaves behind, per (input slot, index of
+    # the input among its component's guard leaves, received value); a slot
+    # determines its component, so the key determines the leaf.
+    _received: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

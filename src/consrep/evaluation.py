@@ -13,6 +13,16 @@ whose unfolding resolves straight back to the very same call (the stalled
 observer is the one case) is *inert* and is not unfolded.  Cutting that
 trivial cycle keeps such components stable under evaluation without losing
 any behaviour, since the cycle never exposes a new redex.
+
+Evaluation is compositional.  ``_norm`` is structural over ``res`` and
+``npar``, a located component's step reads only whether its location is
+live, and a fixed point normalises to itself.  So the fixed point of a
+configuration equals that of the same configuration with every parallel
+component replaced by its own fixed point under the same live set, and
+evaluating the whole raises exactly when evaluating some component does.
+The confluence check computes a component's fixed point once per live set
+on this ground (``tests/test_confluence_oracle.py`` checks the property on
+every configuration it visits on the n<=2 instances).
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ ones keep the slots they were built from, and a crash drops every
 component located at the crashed agent.  Both halves are memoised per
 component on the System (see ``repsem``): that an expansion component is
 a fixed point and classifies back to its slot is checked once per slot,
-and each replacement leaf is evaluated and classified once.  Targets are
+and each replacement leaf is evaluated and classified once.  The leaf a
+Com step leaves behind is substituted once per (input slot, guard leaf
+index, received value), since a slot determines its component.  Targets are
 not validated here; the explorers validate each state when they first
 discover it.  Full extraction of the raw successor configurations
 (``calculus_raw_successors``, which composes each step's components into
@@ -112,10 +114,10 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative,
     """Every table-style step of the expansion ``comps`` of ``rep``."""
     live = rep.live
     outputs = []   # (idx, channel, value)
-    inputs = []    # (idx, location, channel, pattern, continuation)
+    inputs = []    # (idx, slot, leaf index, location, channel, pattern, cont)
     steps = []
 
-    for idx, (_, (_, location, p)) in enumerate(comps):
+    for idx, (slot, (_, location, p)) in enumerate(comps):
         assert location == STAR or location in live
         match p:
             case ("out", ch, ("lit", v), ("nil",)):
@@ -127,10 +129,10 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative,
                 steps.append(Step(f"Tau l={location}", TAU,
                                   {idx: ("loc", location, cont)}))
                 continue
-        for leaf in _guard_leaves(p):
+        for li, leaf in enumerate(_guard_leaves(p)):
             match leaf:
                 case ("in", ch, pattern, cont):
-                    inputs.append((idx, location, ch, pattern, cont))
+                    inputs.append((idx, slot, li, location, ch, pattern, cont))
                 case ("susp", k, cont):
                     if k != location and (k != rep.ti
                                           or "no-ti-protection" in sys.mutations):
@@ -143,9 +145,12 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative,
 
     restricted = set(sys.restriction)
     for oidx, och, ov in outputs:
-        for iidx, iloc, ich, pattern, cont in inputs:
+        for iidx, slot, li, iloc, ich, pattern, cont in inputs:
             if och == ich:
-                received = ("loc", iloc, substitute(cont, pattern, ov))
+                received = sys._received.get((slot, li, ov))
+                if received is None:
+                    received = sys._received[slot, li, ov] = (
+                        "loc", iloc, substitute(cont, pattern, ov))
                 steps.append(Step(f"Com {chan_str(och)}", TAU,
                                   {oidx: None, iidx: received}))
         if och not in restricted:

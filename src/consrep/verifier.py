@@ -198,18 +198,27 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     no evaluation step makes one), so the key determines the term and one
     term has one key.  Evaluation steps act on one component, whose steps
     are computed once per (live set, component); E4/E5 drop an ``nnil``
-    from the tuple.  A branch's fixed point still comes from ``evaluate``
-    on the whole configuration, once per distinct branch, and is the only
-    place a branch is built.  Successors are visited in the order of their
-    terms (``_term_order``), so the counts and counterexamples are those of
-    the closure over whole terms."""
+    from the tuple.  Successors are visited in the order of their terms
+    (``_term_order``), so the counts and counterexamples are those of the
+    closure over whole terms.
+
+    A branch's fixed point is that of the same key with every component
+    replaced by its own fixed point (the lemma in ``evaluation``), and a
+    component's fixed point is computed once per (live set, component).
+    ``evaluate`` then runs on the whole configuration once per distinct
+    normalised key, the only place a configuration is built.  A branch whose
+    evaluation raises raises on every visit, since no memo stores an
+    exception: ``EmptyKnowledge`` when some component's does (counted as
+    undefined), and ``NonTermination`` when some component diverges, which
+    is the only way a branch diverges."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
     terms: list = []                # component id -> term
     ids: dict = {}                  # term -> component id
     spines: dict = {}               # component id -> ids along its right spine
     comp_steps: dict = {}           # (live, component id) -> ids of its steps
-    fixed: dict = {}                # branch key -> key of its fixed point
+    comp_fixed: dict = {}           # (live, component id) -> id of its fixed point
+    fixed: dict = {}                # normalised key -> key of its fixed point
 
     def intern(term) -> int:
         cid = ids.get(term)
@@ -267,6 +276,17 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
                        comps[:last - 1] + spine(comps[last - 1])))
         return succs
 
+    def normalised(k) -> tuple:
+        live, budget, ti, chain, comps = k
+        nfs = []
+        for cid in comps:
+            f = comp_fixed.get((live, cid))
+            if f is None:
+                cfg = Config(live, budget, ti, terms[cid])
+                f = comp_fixed[live, cid] = intern(evaluate(cfg, sys.defs).net)
+            nfs.append(f)
+        return (live, budget, ti, chain, tuple(nfs))
+
     nnil = intern(NNIL)
     seen: set = set()
     diamonds = 0
@@ -288,9 +308,10 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
                     succs = sorted(succs, key=lambda s: _term_order(terms, s[4]))
                     fixes = set()
                     for s in succs:
-                        f = fixed.get(s)
+                        n = normalised(s)
+                        f = fixed.get(n)
                         if f is None:
-                            f = fixed[s] = key(evaluate(config(s), sys.defs))
+                            f = fixed[n] = key(evaluate(config(n), sys.defs))
                         fixes.add(f)
                     if len(fixes) != 1:
                         failures.append(

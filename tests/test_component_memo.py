@@ -5,10 +5,12 @@ A process keeps its local state in the parameter list of its process
 constant, so ``repsem`` expands each representative slot into a component
 once per System (``_slot_comps``, round trip checked on entry) and
 evaluates and classifies each replacement leaf of a calculus step once
-per System (``_leaf_slots``).  Every entry the memos hold after
-exploration must equal the component the ``consensus_model`` builders give,
-evaluated and classified again on a fresh System, and a warm System must
-give the same calculus successors as a fresh one.
+per System (``_leaf_slots``).  ``lts`` keeps the leaf each Com step leaves
+behind per (input slot, guard leaf index, received value) (``_received``).
+Every entry the memos hold after exploration must equal the component the
+``consensus_model`` builders give, evaluated, classified or substituted
+into again on a fresh System, and a warm System must give the same
+calculus successors as a fresh one.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
-from consrep.calculus_ast import Config
+from consrep.calculus_ast import Config, substitute
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.evaluation import evaluate, flatten_components, split_restriction
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
@@ -65,6 +67,12 @@ def _assert_memos_match_recomputation(sys_) -> None:
         assert evaluate(_alone(comp[1], comp), fresh.defs).net == comp
     for leaf, slots in sys_._leaf_slots.items():
         assert _classified(fresh, leaf[1], leaf) == slots, leaf
+    assert sys_._received
+    for (slot, index, value), received in sys_._received.items():
+        _, location, proc = _built(fresh, *slot)
+        kind, _, pattern, cont = lts._guard_leaves(proc)[index]
+        assert kind == "in", (slot, index)
+        assert received == ("loc", location, substitute(cont, pattern, value))
 
 
 @pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])

@@ -5,7 +5,10 @@ configuration under single evaluation steps of the whole term and keys
 every configuration by the term itself.  ``verifier.check_confluence``
 must agree with it on the verdict, the counts and the counterexample
 list, in order; the order it visits a diamond's branches in, taken from
-their component tuples, must be the order of their terms.
+their component tuples, must be the order of their terms.  The fixed point
+of every configuration the reference visits must be that of its
+components' fixed points, the lemma by which the check evaluates each
+component once per live set.
 """
 
 import pytest
@@ -26,7 +29,7 @@ from consrep.calculus_ast import (
     res_chain,
 )
 from consrep.errors import BoundExceeded, EmptyKnowledge
-from consrep.evaluation import split_restriction
+from consrep.evaluation import evaluate, split_restriction
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
@@ -81,6 +84,58 @@ def test_agrees_on_n12(mutation):
         assert_agrees(sys_, verifier.explore(sys_, "representative"))
 
 
+def _with_component_fixed_points(cfg, defs):
+    """``cfg`` with each component of the right spine below its restriction
+    chain replaced by that component's own fixed point, evaluated alone
+    under ``cfg.live``."""
+    chain, net = split_restriction(cfg.net)
+    comps = []
+    while net[0] == "npar":
+        comps.append(net[1])
+        net = net[2]
+    comps.append(net)
+    fixed = [evaluate(cfg._replace(net=c), defs).net for c in comps]
+    return cfg._replace(net=res_chain(npar_chain(fixed), chain))
+
+
+def _evaluated(thunk):
+    try:
+        return thunk()
+    except EmptyKnowledge:
+        return EmptyKnowledge
+
+
+@pytest.mark.parametrize("mutation", [None, "no-ti-protection"])
+def test_fixed_point_is_that_of_the_component_fixed_points(mutation,
+                                                           monkeypatch):
+    # check_confluence normalises each diamond branch to its components'
+    # fixed points before evaluating it; on every configuration the
+    # whole-term closure visits, that must not change the fixed point, and
+    # the whole must raise EmptyKnowledge exactly when some component does.
+    visited = []
+    real_eval_steps = verifier.eval_steps
+
+    def recording_eval_steps(cfg, defs):
+        visited.append(cfg)
+        return real_eval_steps(cfg, defs)
+
+    monkeypatch.setattr(verifier, "eval_steps", recording_eval_steps)
+    mutations = [mutation] if mutation else []
+    undefined = 0
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst, mutations)
+        visited.clear()
+        brute_force_confluence(sys_, verifier.explore(sys_, "representative"))
+        assert visited
+        for cfg in visited:
+            whole = _evaluated(lambda: evaluate(cfg, sys_.defs))
+            parts = _evaluated(lambda: evaluate(
+                _with_component_fixed_points(cfg, sys_.defs), sys_.defs))
+            assert whole == parts, cfg
+            undefined += whole is EmptyKnowledge
+    assert (undefined > 0) == (mutation == "no-ti-protection")
+
+
 def test_agrees_with_identity_evaluate(sys2, graph2, monkeypatch):
     monkeypatch.setattr(verifier, "evaluate", lambda cfg, defs: cfg)
     report = assert_agrees(sys2, graph2)
@@ -115,6 +170,26 @@ def test_agrees_where_the_spine_end_steps(sys2, graph2, monkeypatch):
     configs = [Config(frozenset({1}), 0, 1,
                       res_chain(npar_chain(head + end), (c, d)))
                for end in ends]
+    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
+    report = assert_agrees(sys2, graph2)
+    assert report.passed and report.details["diamonds"] > 0
+
+
+def test_agrees_where_a_component_first_meets_a_dead_location(sys2, graph2,
+                                                              monkeypatch):
+    # A component's fixed point depends on the live set: at a dead location
+    # it is nil (E3), at a live one it resolves its conditional.  The first
+    # configuration meets ``x`` at dead location 2 inside a diamond, so its
+    # fixed point there is computed first; the second meets the same term
+    # live, in a diamond whose other branch has already stepped it.  A
+    # fixed-point memo keyed without the live set would join that diamond
+    # on two distinct fixed points.
+    c, d = chan_b(1, 2), chan_b(2, 1)
+    y = located(1, cond(lit(nat(1)), out_atom(c, lit(nat(2))), NIL))
+    x = located(2, cond(lit(nat(1)), out_atom(d, lit(nat(3))), NIL))
+    configs = [Config(frozenset(live), 0, 1,
+                      res_chain(npar_chain([y, x]), (c, d)))
+               for live in ({1}, {1, 2})]
     monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
     report = assert_agrees(sys2, graph2)
     assert report.passed and report.details["diamonds"] > 0
