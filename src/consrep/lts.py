@@ -18,7 +18,11 @@ and each replacement leaf is evaluated and classified once.  The leaf a
 Com step leaves behind is substituted once per (input slot, guard leaf
 index, received value), since a slot determines its component.  Targets are
 not validated here; the explorers validate each state when they first
-discover it.  Full extraction of the raw successor configurations
+discover it.  ``calculus_targets`` gives the τ-targets alone, for the
+correspondence check, from the same step records as ``successors``: it
+builds no ``Transition`` and never hashes the shared source, and every
+step's target is still built, so an undefined one raises just as it does
+in ``successors``.  Full extraction of the raw successor configurations
 (``calculus_raw_successors``, which composes each step's components into
 a term) stays the definition the tests compare against.
 
@@ -186,14 +190,30 @@ def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
             for step in _calculus_steps(sys, rep, comps)]
 
 
-def _calculus_successors(sys, rep) -> list:
+def _step_targets(sys: cm.System, rep: repsem.Representative):
+    """Each calculus step of ``rep`` with the representative it reaches,
+    in step order; every target is built, so a step whose target is
+    undefined raises where it stands."""
     comps = repsem.expansion(sys, rep)
-    transitions = {
-        Transition(rep, step.action, repsem.sf_step(sys, rep, comps, step),
-                   step.rule)
-        for step in _calculus_steps(sys, rep, comps)
-    }
-    return sorted(transitions)
+    for step in _calculus_steps(sys, rep, comps):
+        yield step, repsem.sf_step(sys, rep, comps, step)
+
+
+def calculus_targets(sys: cm.System, rep: repsem.Representative) -> set:
+    """The targets of the internal calculus steps of ``rep``: the τ-targets
+    of its calculus-mode ``successors``, with no ``Transition`` built and
+    the shared source never hashed."""
+    return {target for step, target in _step_targets(sys, rep)
+            if step.action == TAU}
+
+
+def _calculus_successors(sys, rep) -> list:
+    # Every transition here shares its source, so deduplicating and sorting
+    # (action, target, rule) gives the order of the transitions.
+    triples = {(step.action, target, step.rule)
+               for step, target in _step_targets(sys, rep)}
+    return [Transition(rep, action, target, rule)
+            for action, target, rule in sorted(triples)]
 
 
 def _transition_order(tr: Transition) -> tuple:

@@ -390,11 +390,14 @@ def _phase1_step(sys, rep, entry, delta, consumed, rule, out):
     in1 = _drop(rep.in1, entry)
     if rule != "SR1" or "sr1-deletes-in1" not in sys.mutations:
         in1 = _merge(in1, step.in1)
-    out.append((f"{rule} q={q} p={i} r={r}", rep._replace(
-        out1=_merge(out1, step.out1),
-        out2=_merge(rep.out2, step.out2),
-        in1=in1,
-        in2=_merge(rep.in2, step.in2),
+    out.append((f"{rule} q={q} p={i} r={r}", Representative(
+        rep.live, rep.budget, rep.ti,
+        _merge(out1, step.out1),
+        _merge(rep.out2, step.out2),
+        rep.out3,
+        in1,
+        _merge(rep.in2, step.in2),
+        rep.wrap,
     )))
 
 
@@ -402,10 +405,13 @@ def _phase2_step(sys, rep, entry, payload, consumed, rule, out):
     q, _, _, i = entry
     step = _phase2_local(sys, entry, payload)
     out2 = _drop(rep.out2, consumed) if consumed else rep.out2
-    out.append((f"{rule} q={q} p={i}", rep._replace(
-        out2=out2,
-        out3=_merge(rep.out3, step.out3),
-        in2=_merge(_drop(rep.in2, entry), step.in2),
+    out.append((f"{rule} q={q} p={i}", Representative(
+        rep.live, rep.budget, rep.ti, rep.out1,
+        out2,
+        _merge(rep.out3, step.out3),
+        rep.in1,
+        _merge(_drop(rep.in2, entry), step.in2),
+        rep.wrap,
     )))
 
 
@@ -424,7 +430,8 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
     Within a validated state the rule instances are pairwise distinct
     (each agent holds one role, and the SRW1/SRW2/SR7 instances carry
     distinct parameters), so the list needs no deduplication and the sort
-    orders by rule alone."""
+    orders by rule alone.  Successors are built with the positional
+    constructor: ``_replace`` goes through a dict of all nine fields."""
     n = sys.n
     out: list = []
 
@@ -459,24 +466,29 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 wrap2 = (wj + 1, v, 1) if wj + 1 <= n else (0, BOT, 1)
             else:
                 wrap2 = (wj, ww, 0)
-            out.append((f"SRW1 j={wj} v={value_str(v)}", rep._replace(
-                out3=_drop(rep.out3, decision), wrap=wrap2)))
+            out.append((f"SRW1 j={wj} v={value_str(v)}", Representative(
+                rep.live, rep.budget, rep.ti, rep.out1, rep.out2,
+                _drop(rep.out3, decision), rep.in1, rep.in2, wrap2)))
         if wj not in rep.live:
             wrap2 = (wj + 1, ww, 1) if wj + 1 <= n else (0, BOT, 1)
-            out.append((f"SRW2 j={wj}", rep._replace(wrap=wrap2)))
+            out.append((f"SRW2 j={wj}", Representative(
+                rep.live, rep.budget, rep.ti, rep.out1, rep.out2, rep.out3,
+                rep.in1, rep.in2, wrap2)))
 
     if rep.budget > 0:
         for p in rep.live:
             if p == rep.ti:
                 continue
-            out.append((f"SR7 p={p}", rep._replace(
-                live=tuple(x for x in rep.live if x != p),
-                budget=rep.budget - 1,
-                out1=tuple(e for e in rep.out1 if e[0] != p),
-                out2=tuple(e for e in rep.out2 if e[0] != p),
-                out3=tuple(e for e in rep.out3 if e[0] != p),
-                in1=tuple(e for e in rep.in1 if e[0] != p),
-                in2=tuple(e for e in rep.in2 if e[0] != p),
+            out.append((f"SR7 p={p}", Representative(
+                tuple(x for x in rep.live if x != p),
+                rep.budget - 1,
+                rep.ti,
+                tuple(e for e in rep.out1 if e[0] != p),
+                tuple(e for e in rep.out2 if e[0] != p),
+                tuple(e for e in rep.out3 if e[0] != p),
+                tuple(e for e in rep.in1 if e[0] != p),
+                tuple(e for e in rep.in2 if e[0] != p),
+                rep.wrap,
             )))
 
     out.sort()

@@ -92,14 +92,14 @@ def explore(sys: cm.System, mode: str = "representative",
             defects.append((rep, str(exc)))
             continue
         for _, action, target, rule in succs:
-            ident = node_ids.get(target)
-            if ident is None:
+            ident = node_ids.setdefault(target, len(nodes))
+            if ident == len(nodes):
                 repsem.validate_rep(sys, target)
-                if len(nodes) >= max_states:
+                if ident >= max_states:
+                    del node_ids[target]    # never admitted
                     graph = LtsGraph(mode, initials, node_ids, tuple(edges),
                                      truncated=True, defects=tuple(defects))
                     raise BoundExceeded(graph, max_states)
-                ident = node_ids[target] = len(nodes)
                 nodes.append(target)
                 queue.append(target)
             edges.append(lts.Transition(rep, labels.setdefault(action, action),
@@ -340,7 +340,14 @@ def check_correspondence(sys: cm.System,
     """Per reachable representative, the internal successor sets of the two
     semantics must be equal.  Explores the union so a divergence on either
     side still gets visited and reported; each target is validated when it
-    is first discovered."""
+    is first discovered, in sorted order.
+
+    Each target is hashed once per side, when its side's set is built
+    (``repsem.rep_successors``, looked up as a module attribute on every
+    call, and ``lts.calculus_targets``).  The comparison, the union and the
+    new targets (``targets - visited``) are set operations that reuse the
+    hashes the sets store; the sorted differences are taken only when the
+    two sides differ."""
     visited: set = set()           # every state met, admitted or not
     admitted = 0                   # states queued for checking
     queue: deque = deque()
@@ -362,8 +369,7 @@ def check_correspondence(sys: cm.System,
         except EmptyKnowledge:
             rep_targets = None
         try:
-            calc_targets = {tr.target for tr in lts.successors(sys, rep, "calculus")
-                            if tr.action == TAU}
+            calc_targets = lts.calculus_targets(sys, rep)
         except EmptyKnowledge as exc:
             calc_targets = None
             defect = str(exc)
@@ -377,19 +383,20 @@ def check_correspondence(sys: cm.System,
             else:
                 defects.append((rep, defect))
             continue
-        for t in sorted(rep_targets - calc_targets):
-            sound.append((rep, t))
-        for t in sorted(calc_targets - rep_targets):
-            complete.append((rep, t))
-        for t in sorted(rep_targets | calc_targets):
-            if t not in visited:
-                repsem.validate_rep(sys, t)
-                visited.add(t)
-                if admitted >= max_states:
-                    truncated = True
-                    continue
-                admitted += 1
-                queue.append(t)
+        targets = rep_targets
+        if rep_targets != calc_targets:
+            sound.extend((rep, t) for t in sorted(rep_targets - calc_targets))
+            complete.extend((rep, t) for t in sorted(calc_targets - rep_targets))
+            targets = rep_targets | calc_targets
+        fresh = targets - visited
+        visited |= fresh
+        for t in sorted(fresh):
+            repsem.validate_rep(sys, t)
+            if admitted >= max_states:
+                truncated = True
+                continue
+            admitted += 1
+            queue.append(t)
     return CorrespondenceReport(checked, sound, complete, truncated, defects)
 
 
