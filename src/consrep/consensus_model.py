@@ -483,6 +483,9 @@ class System:
     # the input among its component's guard leaves, received value); a slot
     # determines its component, so the key determines the leaf.
     _received: dict = field(default_factory=dict, compare=False, repr=False)
+    # What each slot's component offers a calculus step, by the identity of
+    # the component (see lts._offers).
+    _offers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -14,9 +14,11 @@ ones keep the slots they were built from, and a crash drops every
 component located at the crashed agent.  Both halves are memoised per
 component on the System (see ``repsem``): that an expansion component is
 a fixed point and classifies back to its slot is checked once per slot,
-and each replacement leaf is evaluated and classified once.  The leaf a
-Com step leaves behind is substituted once per (input slot, guard leaf
-index, received value), since a slot determines its component.  Targets are
+and each replacement leaf is evaluated and classified once.  What a
+component offers a step (its output, its silent leaves and its inputs) is
+read off its guard leaves once per slot, and the leaf a Com step leaves
+behind is substituted once per (input slot, guard leaf index, received
+value), since a slot determines its component.  Targets are
 not validated here; the explorers validate each state when they first
 discover it.  ``calculus_targets`` gives the τ-targets alone, for the
 correspondence check, from the same step records as ``successors``: it
@@ -113,57 +115,93 @@ class Step(NamedTuple):
     crashed: int | None = None  # the agent a Stop step crashes
 
 
+def _offers(sys: cm.System, slot: tuple, comp: tuple) -> tuple:
+    """What the component ``comp`` of one expansion slot offers, memoised
+    on the System, as (output, silent, inputs):
+
+    * output: None, or (channel, value, Com rule, Snd step) for an output in
+      transit, with the Snd step (rule, action) None on a restricted
+      channel;
+    * silent: (rule, new located leaf, ti, agent) per Tau, Susp or PSusp
+      leaf in guard order, firing in a state unless its trusted immortal is
+      ``ti`` or ``agent`` is live (None blocks nothing);
+    * inputs: (slot, guard leaf index, location, channel, pattern,
+      continuation) per input leaf in guard order.
+
+    What fires in a state depends only on these and on the state's ti and
+    live set.  The memo is keyed by the identity of ``comp``, which the
+    slot memo (``repsem._slot_component``) makes one object per slot, so a
+    lookup hashes no term; the entry keeps ``comp`` alive, so its id is
+    not reused while the entry exists."""
+    entry = sys._offers.get(id(comp))
+    if entry is not None:
+        return entry[1]
+    _, location, p = comp
+    output, silent, inputs = None, [], []
+    match p:
+        case ("out", ch, ("lit", v), ("nil",)):
+            snd = None
+            if ch not in sys.restriction:
+                snd = (f"Snd {chan_str(ch)}", act_send(ch, v))
+            output = (ch, v, f"Com {chan_str(ch)}", snd)
+        case ("const", "WRAP", _):
+            pass  # inert observer: no transitions
+        case ("tau", cont):
+            silent.append((f"Tau l={location}", ("loc", location, cont), None, None))
+        case _:
+            protected = "no-ti-protection" not in sys.mutations
+            for li, leaf in enumerate(_guard_leaves(p)):
+                match leaf:
+                    case ("in", ch, pattern, cont):
+                        inputs.append((slot, li, location, ch, pattern, cont))
+                    case ("susp", k, cont):
+                        if k != location:
+                            silent.append((f"Susp l={location} k={k}",
+                                           ("loc", location, cont),
+                                           k if protected else None, None))
+                    case ("psusp", k, cont):
+                        silent.append((f"PSusp l={location} k={k}",
+                                       ("loc", location, cont), None, k))
+    offers = (output, tuple(silent), tuple(inputs))
+    sys._offers[id(comp)] = (comp, offers)
+    return offers
+
+
 def _calculus_steps(sys: cm.System, rep: repsem.Representative,
                     comps: list) -> list:
-    """Every table-style step of the expansion ``comps`` of ``rep``."""
-    live = rep.live
-    outputs = []   # (idx, channel, value)
+    """Every table-style step of the expansion ``comps`` of ``rep``: the
+    silent steps in component order, then per output in transit its Com
+    steps and its Snd step, then the crashes."""
+    live, ti = rep.live, rep.ti
+    outputs = []   # (idx, channel, value, Com rule, Snd step)
     inputs = []    # (idx, slot, leaf index, location, channel, pattern, cont)
     steps = []
 
-    for idx, (slot, (_, location, p)) in enumerate(comps):
-        assert location == STAR or location in live
-        match p:
-            case ("out", ch, ("lit", v), ("nil",)):
-                outputs.append((idx, ch, v))
-                continue
-            case ("const", "WRAP", _):
-                continue  # inert observer: no transitions
-            case ("tau", cont):
-                steps.append(Step(f"Tau l={location}", TAU,
-                                  {idx: ("loc", location, cont)}))
-                continue
-        for li, leaf in enumerate(_guard_leaves(p)):
-            match leaf:
-                case ("in", ch, pattern, cont):
-                    inputs.append((idx, slot, li, location, ch, pattern, cont))
-                case ("susp", k, cont):
-                    if k != location and (k != rep.ti
-                                          or "no-ti-protection" in sys.mutations):
-                        steps.append(Step(f"Susp l={location} k={k}", TAU,
-                                          {idx: ("loc", location, cont)}))
-                case ("psusp", k, cont):
-                    if k not in live:
-                        steps.append(Step(f"PSusp l={location} k={k}", TAU,
-                                          {idx: ("loc", location, cont)}))
+    for idx, (slot, comp) in enumerate(comps):
+        assert comp[1] == STAR or comp[1] in live
+        output, silent, ins = _offers(sys, slot, comp)
+        if output is not None:
+            outputs.append((idx, *output))
+        for rule, leaf, blocking_ti, blocking_live in silent:
+            if blocking_ti != ti and blocking_live not in live:
+                steps.append(Step(rule, TAU, {idx: leaf}))
+        if ins:
+            inputs.extend((idx, *entry) for entry in ins)
 
-    restricted = set(sys.restriction)
-    for oidx, och, ov in outputs:
+    for oidx, och, ov, com_rule, snd in outputs:
         for iidx, slot, li, iloc, ich, pattern, cont in inputs:
             if och == ich:
                 received = sys._received.get((slot, li, ov))
                 if received is None:
                     received = sys._received[slot, li, ov] = (
                         "loc", iloc, substitute(cont, pattern, ov))
-                steps.append(Step(f"Com {chan_str(och)}", TAU,
-                                  {oidx: None, iidx: received}))
-        if och not in restricted:
-            steps.append(Step(f"Snd {chan_str(och)}", act_send(och, ov),
-                              {oidx: None}))
+                steps.append(Step(com_rule, TAU, {oidx: None, iidx: received}))
+        if snd is not None:
+            steps.append(Step(*snd, {oidx: None}))
 
     if rep.budget > 0:
         for location in live:
-            if location == rep.ti:
+            if location == ti:
                 continue
             steps.append(Step(f"Stop l={location}", TAU, {}, location))
 

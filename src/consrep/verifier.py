@@ -11,50 +11,24 @@ and weak bisimilarity with the one-state specification that just emits on
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from . import consensus_model as cm
 from . import lts, repsem
 from .calculus_ast import BOT, NNIL, Config, npar_chain, res_chain, value_str
 from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
 from .evaluation import eval_steps, evaluate, split_restriction
+from .graph import Edges, LtsGraph
 from .lts import TAU, action_str
 
+# The full n=3 (1,2,3) ``explore``, 1,060,526 states and 4,179,558 edges,
+# peaks at about 460 MiB RSS on CPython 3.11: about 455 bytes per state,
+# edges, interpreter and memos included.  At that rate this bound would
+# need about 2.3 GB.
 DEFAULT_MAX_STATES = 5_000_000
-
-
-@dataclass
-class LtsGraph:
-    mode: str
-    initials: tuple
-    node_ids: dict                 # Representative -> discovery index
-    edges: tuple                   # Transition over the stored nodes
-    truncated: bool = False
-    defects: tuple = ()            # (Representative, diagnosis) pairs
-    _tau_adj: dict | None = field(default=None, repr=False)
-    _adj: dict | None = field(default=None, repr=False)
-
-    @property
-    def nodes(self):
-        return self.node_ids.keys()
-
-    def tau_adjacency(self) -> dict:
-        if self._tau_adj is None:
-            adj: dict = {}
-            for tr in self.edges:
-                if tr.action == TAU:
-                    adj.setdefault(tr.source, []).append(tr.target)
-            self._tau_adj = adj
-        return self._tau_adj
-
-    def adjacency(self) -> dict:
-        if self._adj is None:
-            adj: dict = {}
-            for tr in self.edges:
-                adj.setdefault(tr.source, []).append(tr)
-            self._adj = adj
-        return self._adj
 
 
 def explore(sys: cm.System, mode: str = "representative",
@@ -63,48 +37,62 @@ def explore(sys: cm.System, mode: str = "representative",
     function, starting from one representative per trusted immortal.
     Each state is validated once, when it is first discovered.
 
-    The graph holds one object per state: every edge's source and target
-    are the stored nodes (the keys of ``node_ids``), and equal rules and
-    equal actions are one object each, so memory grows with the edges only
-    by one ``Transition`` apiece.
+    The graph holds one object per state, in the ``nodes`` list that is
+    also the BFS queue, and its edges as int columns (``Edges``): a
+    first-edge offset per node (``array('I')``, nodes + 1 long), a target
+    id per edge (``array('I')``) and a label id per edge (``array('I')``)
+    into one tuple of the graph's distinct (action, rule) pairs, whose
+    actions and rules are one object each.  A node's edges are appended
+    together when it is expanded, in successor order, and nodes are
+    expanded in id order.  So an edge costs two 4-byte ints (target and
+    label id) and a node one offset, and a ``Transition`` exists only while
+    someone iterates ``graph.edges``.
 
     A state on which the algorithm itself is undefined (an empty decision,
     reachable only under fault-injection mutations) is kept as a node with
-    no successors and recorded as a defect.
+    no successors and recorded as a defect.  When the bound is hit, the
+    partial graph keeps the edges the overflowing source had so far, and
+    every node after it has none.
     """
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
-    nodes: list = []               # discovery index -> stored node
-    labels: dict = {}              # rule or action -> its first equal object
-    edges: list = []
-    defects: list = []
-    queue: deque = deque()
+    nodes: list = []               # node id -> stored node; the BFS queue
     for rep in initials:
-        if rep not in node_ids:
-            node_ids[rep] = len(nodes)
+        if node_ids.setdefault(rep, len(nodes)) == len(nodes):
             nodes.append(rep)
-            queue.append(rep)
-    while queue:
-        rep = queue.popleft()
+    offsets = array("I", [0])
+    targets = array("I")
+    label_ids = array("I")
+    labels: dict = {}              # (action, rule) -> label id
+    firsts: dict = {}              # rule or action -> its first equal object
+    defects: list = []
+    for rep in nodes:
         try:
             succs = lts.successors(sys, rep, mode)
         except EmptyKnowledge as exc:
             defects.append((rep, str(exc)))
-            continue
+            succs = ()
         for _, action, target, rule in succs:
             ident = node_ids.setdefault(target, len(nodes))
             if ident == len(nodes):
                 repsem.validate_rep(sys, target)
                 if ident >= max_states:
                     del node_ids[target]    # never admitted
-                    graph = LtsGraph(mode, initials, node_ids, tuple(edges),
+                    offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
+                    edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
+                    graph = LtsGraph(mode, initials, node_ids, edges,
                                      truncated=True, defects=tuple(defects))
                     raise BoundExceeded(graph, max_states)
                 nodes.append(target)
-                queue.append(target)
-            edges.append(lts.Transition(rep, labels.setdefault(action, action),
-                                        nodes[ident], labels.setdefault(rule, rule)))
-    return LtsGraph(mode, initials, node_ids, tuple(edges), defects=tuple(defects))
+            label = labels.get((action, rule))
+            if label is None:
+                label = labels[firsts.setdefault(action, action),
+                               firsts.setdefault(rule, rule)] = len(labels)
+            targets.append(ident)
+            label_ids.append(label)
+        offsets.append(len(targets))
+    edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
+    return LtsGraph(mode, initials, node_ids, edges, defects=tuple(defects))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +429,24 @@ def _rule_params(rule: str) -> dict:
 
 
 _SUSPICION_FAMILIES = {"SR4", "SR5", "SR6", "SR4'", "SR5'", "Susp"}
+_PERFECT_FAMILIES = {"SRW2", "PSusp"}
 _CRASH_FAMILIES = {"SR7", "Stop"}
+
+
+def _label_checks(action, rule: str) -> tuple:
+    """What the trace invariants read of one (action, rule) label, parsed
+    once per label: (action, rule, whether the action is an observable
+    other than ok, the agent a suspicion suspects, the agent a perfect
+    suspicion names, whether the rule crashes an agent)."""
+    family = _rule_family(rule)
+    params = _rule_params(rule)
+    suspected = perfect = None
+    if family in _SUSPICION_FAMILIES:
+        suspected = int(params.get("p") or params.get("k"))
+    if family in _PERFECT_FAMILIES:
+        perfect = int(params.get("j") or params.get("k"))
+    foreign = action != TAU and action != ("snd", ("ok",), BOT)
+    return action, rule, foreign, suspected, perfect, family in _CRASH_FAMILIES
 
 
 def _valid_relay(sys, dv) -> bool:
@@ -500,32 +505,28 @@ def _node_validity_violations(sys, rep) -> list:
     return bad
 
 
-def _tau_cycle(graph: LtsGraph):
-    """Return one internal-step cycle if the graph has any, else None."""
-    adj = graph.tau_adjacency()
+def _tau_cycle(edges: Edges):
+    """Return one internal-step cycle as node ids if the graph has any,
+    else None."""
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = {rep: WHITE for rep in graph.nodes}
-    for root in graph.nodes:
+    colour = bytearray(len(edges.nodes))
+    for root in range(len(colour)):
         if colour[root] != WHITE:
             continue
-        stack = [(root, iter(adj.get(root, ())))]
         colour[root] = GREY
         trail = [root]
+        stack = [iter(edges.tau_targets(root))]
         while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
+            for child in stack[-1]:
                 if colour[child] == GREY:
                     return trail[trail.index(child):] + [child]
                 if colour[child] == WHITE:
                     colour[child] = GREY
                     trail.append(child)
-                    stack.append((child, iter(adj.get(child, ()))))
-                    advanced = True
+                    stack.append(iter(edges.tau_targets(child)))
                     break
-            if not advanced:
-                colour[node] = BLACK
-                trail.pop()
+            else:
+                colour[trail.pop()] = BLACK
                 stack.pop()
     return None
 
@@ -558,36 +559,35 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
         )
     failures.extend(check_safety_subset(sys, graph.nodes).counterexamples)
 
-    for tr in graph.edges:
-        family = _rule_family(tr.rule)
-        params = _rule_params(tr.rule)
-        if tr.action != TAU and tr.action != ("snd", ("ok",), BOT):
-            failures.append(f"observable other than ok: {action_str(tr.action)}")
-        if family in _SUSPICION_FAMILIES:
-            suspected = int(params.get("p") or params.get("k"))
-            if suspected == tr.source.ti:
-                failures.append(f"trusted immortal suspected via {tr.rule}")
-        if family in {"SRW2", "PSusp"}:
-            suspected = int(params.get("j") or params.get("k"))
-            if suspected in tr.source.live:
-                failures.append(f"live agent {suspected} perfectly suspected")
-        if not set(tr.target.live) <= set(tr.source.live):
-            failures.append(f"live set grew across {tr.rule}")
-        if tr.target.budget > tr.source.budget:
-            failures.append(f"crash budget grew across {tr.rule}")
-        if (tr.target.budget < tr.source.budget) != (family in _CRASH_FAMILIES):
-            failures.append(f"budget change does not match rule {tr.rule}")
+    edges = graph.edges
+    nodes, targets, label_ids = edges.nodes, edges.targets, edges.label_ids
+    checks = [_label_checks(action, rule) for action, rule in edges.labels]
+    for source, (lo, hi) in zip(nodes, pairwise(edges.offsets)):
+        for i in range(lo, hi):
+            target = nodes[targets[i]]
+            action, rule, foreign, suspected, perfect, crash = checks[label_ids[i]]
+            if foreign:
+                failures.append(f"observable other than ok: {action_str(action)}")
+            if suspected == source.ti:
+                failures.append(f"trusted immortal suspected via {rule}")
+            if perfect in source.live:
+                failures.append(f"live agent {perfect} perfectly suspected")
+            if target.live != source.live and not set(target.live) <= set(source.live):
+                failures.append(f"live set grew across {rule}")
+            if target.budget > source.budget:
+                failures.append(f"crash budget grew across {rule}")
+            if (target.budget < source.budget) != crash:
+                failures.append(f"budget change does not match rule {rule}")
 
-    cycle = _tau_cycle(graph)
+    cycle = _tau_cycle(edges)
     if cycle is not None:
         failures.append(
             "internal-step cycle through "
-            + " -> ".join(repsem.rep_digest(r) for r in cycle)
+            + " -> ".join(repsem.rep_digest(nodes[s]) for s in cycle)
         )
-    adj = graph.tau_adjacency()
     stuck = 0
-    for rep in graph.nodes:
-        if not adj.get(rep):
+    for s, rep in enumerate(nodes):
+        if not edges.tau_targets(s):
             wj, _, wb = rep.wrap
             if wj != 0 or wb != 1:
                 stuck += 1
@@ -640,8 +640,10 @@ def ok_spec_graph(sys: cm.System) -> LtsGraph:
         out1=(), out2=(), out3=(), in1=(), in2=(),
         wrap=(0, BOT, 1),
     )
-    edges = tuple(lts.successors(sys, spec_rep, "representative"))
-    return LtsGraph("representative", (spec_rep,), {spec_rep: 0}, edges)
+    node_ids = {spec_rep: 0}
+    edges = Edges.from_transitions(
+        node_ids, lts.successors(sys, spec_rep, "representative"))
+    return LtsGraph("representative", (spec_rep,), node_ids, edges)
 
 
 def weak_bisim(g1: LtsGraph, g2: LtsGraph):
@@ -653,21 +655,27 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph):
     if g1.truncated or g2.truncated:
         raise GraphTruncated("bisimulation needs fully explored graphs")
 
-    states = [(0, rep) for rep in g1.nodes] + [(1, rep) for rep in g2.nodes]
-    index = {s: k for k, s in enumerate(states)}
+    # State k is node k of g1, or node k - n1 of g2.
+    n1 = len(g1.node_ids)
+    size = n1 + len(g2.node_ids)
     graphs = (g1, g2)
+    bases = (0, n1)
 
-    tau_succ: list = [[] for _ in states]
+    tau_succ: list = [[] for _ in range(size)]
     visible: dict = {}
-    for side, g in enumerate(graphs):
-        for tr in g.edges:
-            src = index[(side, tr.source)]
-            dst = index[(side, tr.target)]
-            if tr.action == TAU:
-                tau_succ[src].append(dst)
-            else:
-                visible.setdefault(tr.action, [[] for _ in states])
-                visible[tr.action][src].append(dst)
+    for base, g in zip(bases, graphs):
+        edges = g.edges
+        labels, targets, label_ids = edges.labels, edges.targets, edges.label_ids
+        for s, (lo, hi) in enumerate(pairwise(edges.offsets), base):
+            for i in range(lo, hi):
+                action = labels[label_ids[i]][0]
+                dst = base + targets[i]
+                if action == TAU:
+                    tau_succ[s].append(dst)
+                else:
+                    if action not in visible:
+                        visible[action] = [[] for _ in range(size)]
+                    visible[action][s].append(dst)
 
     def closure(start: int) -> frozenset:
         seen = {start}
@@ -680,11 +688,11 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph):
                     frontier.append(t)
         return frozenset(seen)
 
-    tclo = [closure(k) for k in range(len(states))]
+    tclo = [closure(k) for k in range(size)]
     weak_moves: dict = {}
     for action, succ in sorted(visible.items()):
         moves = []
-        for k in range(len(states)):
+        for k in range(size):
             reach: set = set()
             for x in tclo[k]:
                 for y in succ[x]:
@@ -693,12 +701,12 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph):
         weak_moves[action] = moves
 
     labels = sorted(weak_moves)
-    block = [0] * len(states)
+    block = [0] * size
     history = [block]
     while True:
         sigs = {}
         new_block = []
-        for k in range(len(states)):
+        for k in range(size):
             sig = (
                 block[k],
                 frozenset(block[x] for x in tclo[k]),
@@ -712,14 +720,11 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph):
         block = new_block
         history.append(block)
 
-    init_blocks = {block[index[(0, r)]] for r in g1.initials}
-    init_blocks |= {block[index[(1, r)]] for r in g2.initials}
-    if len(init_blocks) == 1:
-        relation = sorted(
-            (g1.node_ids[r1], g2.node_ids[r2])
-            for r1 in g1.nodes for r2 in g2.nodes
-            if block[index[(0, r1)]] == block[index[(1, r2)]]
-        )
+    initials = [base + g.node_ids[r] for base, g in zip(bases, graphs)
+                for r in g.initials]
+    if len({block[k] for k in initials}) == 1:
+        relation = [(i, j) for i in range(n1) for j in range(size - n1)
+                    if block[i] == block[n1 + j]]
         return True, relation
 
     def distinguish(s: int, t: int) -> list:
@@ -755,12 +760,8 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph):
                 path.append("right takes internal steps")
             rnd = next(r for r, blk in enumerate(history) if blk[s] != blk[t])
 
-    s0 = index[(0, g1.initials[0])]
-    bad = next(
-        (index[(side, r)] for side, g in enumerate(graphs) for r in g.initials
-         if block[index[(side, r)]] != block[s0]),
-        None,
-    )
+    s0 = initials[0]
+    bad = next((k for k in initials if block[k] != block[s0]), None)
     path = distinguish(s0, bad) if bad is not None else ["initials differ"]
     return False, " ; ".join(path)
 
@@ -769,9 +770,9 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph):
 # Exports.
 
 def graph_stats(graph: LtsGraph) -> dict:
-    adj = graph.adjacency()
-    terminal = sum(1 for rep in graph.nodes
-                   if all(tr.target == rep for tr in adj.get(rep, [])))
+    edges = graph.edges
+    terminal = sum(1 for s, (lo, hi) in enumerate(pairwise(edges.offsets))
+                   if all(edges.targets[i] == s for i in range(lo, hi)))
     return {
         "mode": graph.mode,
         "states": len(graph.node_ids),

@@ -1,10 +1,12 @@
 """``verifier.explore`` against the breadth-first loop that stores every
 transition as the successor function returns it.
 
-``reference_explore`` is that loop.  ``verifier.explore`` must give the
-same nodes in the same order, the same edges, truncation flag and
-defects, while holding one object per state, per rule and per action:
-every edge's source and target are the stored nodes.  The same states
+``reference_explore`` is that loop; its graph stores the transitions
+through ``Edges.from_transitions``.  ``verifier.explore`` must
+give the same nodes in the same order, the same edges (as columns and as
+``Transition``s, edge by edge), truncation flag and defects, while
+holding one object per state, per rule and per action: every edge's
+source and target are the stored nodes.  The same states
 back the fact that lets ``repsem.rep_successors`` skip deduplication:
 within one state its rule instances are pairwise distinct.
 """
@@ -15,6 +17,7 @@ import pytest
 
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
+from consrep.graph import Edges
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
@@ -43,13 +46,16 @@ def reference_explore(sys, mode, max_states=verifier.DEFAULT_MAX_STATES):
             if tr.target not in node_ids:
                 repsem.validate_rep(sys, tr.target)
                 if len(node_ids) >= max_states:
-                    graph = verifier.LtsGraph(mode, initials, node_ids, tuple(edges),
-                                              truncated=True, defects=tuple(defects))
+                    graph = verifier.LtsGraph(
+                        mode, initials, node_ids,
+                        Edges.from_transitions(node_ids, edges),
+                        truncated=True, defects=tuple(defects))
                     raise BoundExceeded(graph, max_states)
                 node_ids[tr.target] = len(node_ids)
                 queue.append(tr.target)
             edges.append(tr)
-    return verifier.LtsGraph(mode, initials, node_ids, tuple(edges),
+    return verifier.LtsGraph(mode, initials, node_ids,
+                             Edges.from_transitions(node_ids, edges),
                              defects=tuple(defects))
 
 
@@ -83,6 +89,7 @@ def test_explore_agrees_and_shares(explored):
     for _, fast, slow in explored:
         assert list(fast.node_ids.items()) == list(slow.node_ids.items())
         assert fast.edges == slow.edges
+        assert list(fast.edges) == list(slow.edges)
         assert (fast.truncated, fast.defects) == (slow.truncated, slow.defects)
 
         stored = {rep: rep for rep in fast.node_ids}
