@@ -2,9 +2,10 @@
 
 Configuration comes from flags, falling back to a JSON config file, then
 defaults; the file may set only what the command has a flag for.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
-bound exceeded, 3 check failure (a failed report, or a state that breaks
-the representative invariants or matches no shape of the encoding: faults
-of the program, not of its input).
+bound exceeded, 3 check failure (a failed report, a state that breaks
+the representative invariants or matches no shape of the encoding, or a
+replayed schedule that ends where the algorithm is undefined: faults of
+the program, not of its input).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import lts, repsem, verifier
 from .errors import (
     BoundExceeded,
     ConsrepError,
+    EmptyKnowledge,
     GraphTruncated,
     InvariantViolation,
     NotReachableShape,
@@ -195,7 +197,7 @@ def cmd_verify(cfg) -> int:
         elif check == "properties":
             reports.append(verifier.check_properties(sys_, graph).to_jsonable())
         else:
-            ok, evidence = verifier.weak_bisim(graph, verifier.ok_spec_graph(sys_))
+            ok, evidence = verifier.weak_bisim(graph)
             reports.append({
                 "check": "bisimulation",
                 "status": "pass" if ok else "fail",
@@ -241,10 +243,18 @@ def cmd_trace(cfg, schedule) -> int:
         repsem.validate_rep(sys_, rep)
         lines.append(f"-- {step}")
         lines.append(repsem.rep_str(rep))
-    enabled = sorted(tr.rule for tr in lts.successors(sys_, rep, "representative"))
-    lines.append(f"-- enabled: {', '.join(enabled) or '(none)'}")
+    try:
+        enabled = sorted(tr.rule for tr in lts.successors(sys_, rep, "representative"))
+    except EmptyKnowledge as exc:
+        # The algorithm is undefined here (mutations only): the schedule
+        # still replayed, so print where it led.
+        lines.append(f"-- enabled: undefined ({exc})")
+        code = EXIT_CHECK_FAILED
+    else:
+        lines.append(f"-- enabled: {', '.join(enabled) or '(none)'}")
+        code = EXIT_OK
     _emit("\n".join(lines), cfg["output"])
-    return EXIT_OK
+    return code
 
 
 def main(argv=None) -> int:

@@ -59,6 +59,9 @@ def act_send(ch, v) -> tuple:
     return ("snd", ch, v)
 
 
+OK = act_send(CHAN_OK, BOT)
+
+
 def action_str(action) -> str:
     match action:
         case ("tau",):
@@ -267,7 +270,7 @@ def _representative_successors(sys, rep) -> list:
     if wj == 0 and wb == 1:
         # Emitting ok consumes the observer; extraction restores it, so the
         # observable loops on the representative.
-        transitions.append(Transition(rep, act_send(CHAN_OK, BOT), rep, "Snd ok"))
+        transitions.append(Transition(rep, OK, rep, "Snd ok"))
     transitions.sort(key=_transition_order)
     return transitions
 

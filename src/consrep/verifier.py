@@ -14,15 +14,15 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import accumulate, chain, pairwise, repeat
 
 from . import consensus_model as cm
 from . import lts, repsem
-from .calculus_ast import BOT, NNIL, Config, npar_chain, res_chain, value_str
+from .calculus_ast import BOT, NNIL, STAR, Config, npar_chain, res_chain, value_str
 from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
 from .evaluation import eval_steps, evaluate, split_restriction
 from .graph import Edges, LtsGraph
-from .lts import TAU, action_str
+from .lts import OK, TAU, action_str
 
 # The full n=3 (1,2,3) ``explore``, 1,060,526 states and 4,179,558 edges,
 # peaks at about 460 MiB RSS on CPython 3.11: about 455 bytes per state,
@@ -392,15 +392,33 @@ def check_correspondence(sys: cm.System,
 # Normal-form round trips.
 
 def check_normal_forms(sys: cm.System, graph: LtsGraph) -> CheckReport:
-    """Extraction succeeded on every reachable state already (or the graph
-    would not exist); re-check expansion round-trips on each node."""
+    """Every node's expansion is fully evaluated and extracts back to the
+    node.  Extraction succeeded on every reachable state already (or the
+    graph would not exist).
+
+    The slot memo (``repsem._slot_component``) checks once per slot that
+    its component is an evaluation fixed point at a live location and
+    classifies back to the slot, and raises ``NotReachableShape`` where one
+    does not.  By the compositionality lemma in ``evaluation``, a node's
+    expansion is then a fixed point exactly when no component is ``nnil``
+    and each sits at ``*`` or at a live location (a dead-located one is
+    garbage-collected, E3), and ``sf`` of it is ``_assemble`` of the node's
+    own slots.  So the round trip holds exactly when the expansion is a
+    fixed point and that assembly is the node.
+    ``tests/test_normal_forms_oracle.py`` keeps the whole-term
+    ``sfi`` -> ``sf`` -> ``evaluate`` loop as the oracle."""
     failures = []
     for rep in graph.nodes:
-        expanded = repsem.sfi(sys, rep)
-        if repsem.sf(sys, expanded) != rep:
+        slots = repsem._slots(rep)
+        live = frozenset(rep.live)
+        evaluated = True
+        for slot in slots:
+            comp = repsem._slot_component(sys, slot)
+            if comp == NNIL or not (comp[1] == STAR or comp[1] in live):
+                evaluated = False
+        if not evaluated or repsem._assemble(live, rep.budget, rep.ti, slots) != rep:
             failures.append(f"round trip broke at {repsem.rep_digest(rep)}")
-        fixed = evaluate(expanded, sys.defs)
-        if fixed != expanded:
+        if not evaluated:
             failures.append(
                 f"expansion of {repsem.rep_digest(rep)} is not fully evaluated"
             )
@@ -445,7 +463,7 @@ def _label_checks(action, rule: str) -> tuple:
         suspected = int(params.get("p") or params.get("k"))
     if family in _PERFECT_FAMILIES:
         perfect = int(params.get("j") or params.get("k"))
-    foreign = action != TAU and action != ("snd", ("ok",), BOT)
+    foreign = action != TAU and action != OK
     return action, rule, foreign, suspected, perfect, family in _CRASH_FAMILIES
 
 
@@ -630,140 +648,114 @@ def check_safety_subset(sys: cm.System, reps) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Weak bisimulation.
 
-def ok_spec_graph(sys: cm.System) -> LtsGraph:
-    """The specification: an observer standing at the public ok output,
-    nothing else, no crashes left."""
-    spec_rep = repsem.Representative(
-        live=tuple(range(1, sys.n + 1)),
-        budget=0,
-        ti=1,
-        out1=(), out2=(), out3=(), in1=(), in2=(),
-        wrap=(0, BOT, 1),
-    )
-    node_ids = {spec_rep: 0}
-    edges = Edges.from_transitions(
-        node_ids, lts.successors(sys, spec_rep, "representative"))
-    return LtsGraph("representative", (spec_rep,), node_ids, edges)
+def _edge_sources(offsets: array):
+    """The source id of each edge, in edge order, produced lazily."""
+    return chain.from_iterable(repeat(s, hi - lo)
+                               for s, (lo, hi) in enumerate(pairwise(offsets)))
 
 
-def weak_bisim(g1: LtsGraph, g2: LtsGraph):
-    """Decide weak bisimilarity of the initial states of two graphs.
+def weak_bisim(graph: LtsGraph):
+    """Decide whether the initial states of ``graph`` are weakly bisimilar
+    to the specification: one state with an ``ok`` self-loop.
 
-    Returns (True, relation) with the relation as cross-graph node-id
-    pairs, or (False, description of a distinguishing observation path).
-    """
-    if g1.truncated or g2.truncated:
-        raise GraphTruncated("bisimulation needs fully explored graphs")
+    Every node of an explored graph is reachable from its initials, so the
+    lemma applies: they are bisimilar exactly when every node weakly emits
+    ``ok`` (has a τ-path to an ``ok`` edge) and no edge carries another
+    visible action.  Then "every node x the spec state" is a weak
+    bisimulation (a τ-step is matched by the spec standing still, an
+    ``ok`` by its loop, the spec's ``ok`` by the node's weak ``ok``), and
+    any bisimulation relates every reachable node to that one state.  So
+    one BFS backwards over the τ-edges from the nodes with an ``ok`` edge
+    decides it, in O(states + transitions) and with no ``Transition``
+    built.  ``tests/test_bisim_oracle.py`` keeps a generic
+    partition-refinement checker as the oracle.
 
-    # State k is node k of g1, or node k - n1 of g2.
-    n1 = len(g1.node_ids)
-    size = n1 + len(g2.node_ids)
-    graphs = (g1, g2)
-    bases = (0, n1)
+    Returns (True, the node ids, each related to the spec's one state), or
+    (False, evidence): the nearest bad state (``_bad_state_evidence``)."""
+    if graph.truncated:
+        raise GraphTruncated("bisimulation needs a fully explored graph")
+    edges = graph.edges
+    n = len(edges.nodes)
+    # Per label: 0 for τ, 1 for ok, 2 for any other visible action.
+    kinds = bytes(0 if action == TAU else 1 if action == OK else 2
+                  for action, _ in edges.labels)
+    starts = array("I", [0]) * (n + 1)
+    reached = bytearray(n)              # node id -> weakly emits ok
+    queue = array("I")
+    for s, t, label in zip(_edge_sources(edges.offsets), edges.targets,
+                           edges.label_ids):
+        kind = kinds[label]
+        if kind == 0:
+            starts[t] += 1
+        elif kind == 1 and not reached[s]:
+            reached[s] = 1
+            queue.append(s)
+    # Reverse τ-adjacency in CSR form: the sources of the τ-edges into t
+    # are sources[starts[t]:starts[t + 1]].  Running in-degree sums, filled
+    # from the back, leave each entry at the start of its node's range.
+    starts = array("I", accumulate(starts))
+    sources = array("I", [0]) * starts[n]
+    for s, t, label in zip(_edge_sources(edges.offsets), edges.targets,
+                           edges.label_ids):
+        if not kinds[label]:
+            k = starts[t] - 1
+            starts[t] = k
+            sources[k] = s
+    for t in queue:
+        for s in sources[starts[t]:starts[t + 1]]:
+            if not reached[s]:
+                reached[s] = 1
+                queue.append(s)
+    # The label table holds the labels of the graph's edges only.
+    if 2 not in kinds and 0 not in reached:
+        return True, range(n)
+    return False, _bad_state_evidence(graph, kinds, reached)
 
-    tau_succ: list = [[] for _ in range(size)]
-    visible: dict = {}
-    for base, g in zip(bases, graphs):
-        edges = g.edges
-        labels, targets, label_ids = edges.labels, edges.targets, edges.label_ids
-        for s, (lo, hi) in enumerate(pairwise(edges.offsets), base):
-            for i in range(lo, hi):
-                action = labels[label_ids[i]][0]
-                dst = base + targets[i]
-                if action == TAU:
-                    tau_succ[s].append(dst)
-                else:
-                    if action not in visible:
-                        visible[action] = [[] for _ in range(size)]
-                    visible[action][s].append(dst)
 
-    def closure(start: int) -> frozenset:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            s = frontier.pop()
-            for t in tau_succ[s]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return frozenset(seen)
-
-    tclo = [closure(k) for k in range(size)]
-    weak_moves: dict = {}
-    for action, succ in sorted(visible.items()):
-        moves = []
-        for k in range(size):
-            reach: set = set()
-            for x in tclo[k]:
-                for y in succ[x]:
-                    reach |= tclo[y]
-            moves.append(frozenset(reach))
-        weak_moves[action] = moves
-
-    labels = sorted(weak_moves)
-    block = [0] * size
-    history = [block]
-    while True:
-        sigs = {}
-        new_block = []
-        for k in range(size):
-            sig = (
-                block[k],
-                frozenset(block[x] for x in tclo[k]),
-                tuple(frozenset(block[x] for x in weak_moves[a][k]) for a in labels),
-            )
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block.append(sigs[sig])
-        if new_block == block:
+def _bad_state_evidence(graph: LtsGraph, kinds: bytes, reached: bytearray) -> str:
+    """The nearest bad state, found by a forward BFS from the initials over
+    every edge: a node that cannot weakly emit ok (not ``reached``) or that
+    has an edge with a visible action other than ok (label kind 2).  Names
+    its digest, what is wrong there and the shortest schedule to it, in
+    the ``ti=K "RULE" ...`` form that ``consrep trace`` replays."""
+    edges = graph.edges
+    offsets, targets, label_ids, labels = (edges.offsets, edges.targets,
+                                           edges.label_ids, edges.labels)
+    n = len(edges.nodes)
+    parent = array("i", [-1]) * n       # node id -> BFS parent, -1 at a root
+    via = array("I", [0]) * n           # node id -> the edge from its parent
+    seen = bytearray(n)
+    queue = array("I")
+    for rep in graph.initials:
+        s = graph.node_ids[rep]
+        if not seen[s]:
+            seen[s] = 1
+            queue.append(s)
+    for s in queue:
+        other = [labels[label_ids[i]][0] for i in range(offsets[s], offsets[s + 1])
+                 if kinds[label_ids[i]] == 2]
+        if other or not reached[s]:
             break
-        block = new_block
-        history.append(block)
-
-    initials = [base + g.node_ids[r] for base, g in zip(bases, graphs)
-                for r in g.initials]
-    if len({block[k] for k in initials}) == 1:
-        relation = [(i, j) for i in range(n1) for j in range(size - n1)
-                    if block[i] == block[n1 + j]]
-        return True, relation
-
-    def distinguish(s: int, t: int) -> list:
-        """A distinguishing observation path, replayed off the refinement.
-
-        The two states first get different classes in some refinement
-        round; at the round before, their signatures differ on a label.
-        A visible difference ends the path; a silent one steps into the
-        class only one side reaches, where the states already differ one
-        round earlier, so the replay terminates."""
-        path: list = []
-        rnd = next(r for r, blk in enumerate(history) if blk[s] != blk[t])
-        while True:
-            prev = history[rnd - 1]
-            for label in labels:
-                sblocks = {prev[x] for x in weak_moves[label][s]}
-                tblocks = {prev[x] for x in weak_moves[label][t]}
-                if sblocks != tblocks:
-                    side = "left" if sblocks - tblocks else "right"
-                    detail = ("the other side cannot do it at all"
-                              if not (sblocks and tblocks)
-                              else "into a class the other side cannot reach")
-                    return path + [f"the {side} side weakly does "
-                                   f"{action_str(label)} ({detail})"]
-            sclo = {prev[x] for x in tclo[s]}
-            tclo_blocks = {prev[x] for x in tclo[t]}
-            diff = sclo - tclo_blocks
-            if diff:
-                s = min(x for x in tclo[s] if prev[x] in diff)
-                path.append("left takes internal steps")
-            else:
-                t = min(x for x in tclo[t] if prev[x] in tclo_blocks - sclo)
-                path.append("right takes internal steps")
-            rnd = next(r for r, blk in enumerate(history) if blk[s] != blk[t])
-
-    s0 = initials[0]
-    bad = next((k for k in initials if block[k] != block[s0]), None)
-    path = distinguish(s0, bad) if bad is not None else ["initials differ"]
-    return False, " ; ".join(path)
+        for i in range(offsets[s], offsets[s + 1]):
+            t = targets[i]
+            if not seen[t]:
+                seen[t] = 1
+                parent[t] = s
+                via[t] = i
+                queue.append(t)
+    else:
+        raise ValueError("every bad state is unreachable from the initials")
+    rules = []
+    node = s
+    while parent[node] >= 0:
+        rules.append(labels[label_ids[via[node]]][1])
+        node = parent[node]
+    schedule = " ".join([f"ti={edges.nodes[node].ti}"]
+                        + [f'"{rule}"' for rule in reversed(rules)])
+    problem = (f"emits {action_str(other[0])}, a visible action other than ok"
+               if other else "cannot weakly emit ok")
+    return (f"state {repsem.rep_digest(edges.nodes[s])} {problem}; "
+            f"shortest schedule: {schedule}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ each.
 
 import os
 import random
+import shlex
 
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import repsem, verifier
+from consrep import cli, repsem, verifier
 from consrep.errors import BoundExceeded
 from conftest import congruent, shuffle_config
 
@@ -142,14 +143,32 @@ def test_criterion_4_properties(graphs_12, partial_3):
 def test_criterion_5_weak_bisimulation(graphs_12):
     pairs = 0
     for sys_, graph in graphs_12:
-        ok, relation = verifier.weak_bisim(graph, verifier.ok_spec_graph(sys_))
+        ok, relation = verifier.weak_bisim(graph)
         assert ok, relation
         pairs += len(relation)
     _ok(5, f"every instance weakly bisimilar to the one-state ok emitter "
            f"({pairs} related state pairs)")
 
 
-def test_criterion_6_mutation_sensitivity():
+def _replay(graph, evidence, mutations, tmp_path) -> tuple:
+    """``consrep trace`` of the bisimulation evidence's schedule on the
+    (5,7) instance with one crash: its exit code, and whether it ends at
+    the state the evidence names."""
+    digest = evidence.split()[1]
+    schedule = shlex.split(evidence.split("shortest schedule: ", 1)[1])
+    out = tmp_path / "trace.txt"
+    argv = ["trace", "--n", "2", "--values", "5,7", "--budget", "1",
+            "--output", str(out), *schedule]
+    for m in mutations:
+        argv += ["--mutate", m]
+    code = cli.main(argv)
+    # The last state printed precedes the list of enabled steps.
+    last = out.read_text().split("\n-- ")[-2].split("\n", 1)[1]
+    named = [r for r in graph.nodes if repsem.rep_digest(r) == digest]
+    return code, len(named) == 1 and last == repsem.rep_str(named[0])
+
+
+def test_criterion_6_mutation_sensitivity(tmp_path):
     inst = cm.make_instance(2, [5, 7], 1)
 
     # Suspicion allowed to hit the trusted immortal: agreement breaks,
@@ -160,8 +179,12 @@ def test_criterion_6_mutation_sensitivity():
     assert not report_a.passed
     assert len(graph_a.defects) == 12
     assert sum(1 for r in graph_a.nodes if r.wrap[2] == 0) == 11
-    ok_a, _ = verifier.weak_bisim(graph_a, verifier.ok_spec_graph(sys_a))
-    assert not ok_a
+    ok_a, evidence_a = verifier.weak_bisim(graph_a)
+    assert not ok_a and "ok" in evidence_a
+    # The nearest state that cannot weakly emit ok is one where the
+    # algorithm is undefined; the schedule still replays to it, and the
+    # trace exits 3 there.
+    assert _replay(graph_a, evidence_a, ["no-ti-protection"], tmp_path) == (3, True)
 
     # Representative reception dropping the collector: soundness breaks.
     sys_b = cm.build_system(inst, ["sr1-deletes-in1"])
@@ -185,8 +208,9 @@ def test_criterion_6_mutation_sensitivity():
     assert any(graph_c.edges.tau_targets(graph_c.node_ids[r]) for r in conflicted)
     assert any("agreement broken" in c for c in report_c.counterexamples)
     assert verifier.check_correspondence(sys_c).passed
-    ok_c, evidence = verifier.weak_bisim(graph_c, verifier.ok_spec_graph(sys_c))
+    ok_c, evidence = verifier.weak_bisim(graph_c)
     assert not ok_c and "ok" in evidence
+    assert _replay(graph_c, evidence, ["skip-correct"], tmp_path) == (0, True)
 
     # Losing the phase-1 suspicion rules: completeness breaks.
     sys_d = cm.build_system(inst, ["no-phase1-susp"])

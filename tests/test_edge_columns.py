@@ -1,8 +1,9 @@
 """The int columns of an explored graph's edges (``consrep.graph.Edges``).
 
 ``len``, ``hash`` and ``==`` on ``graph.edges`` read the columns, and so
-do the checks that walk the edges (``check_properties``, ``weak_bisim``,
-``graph_stats``): none of them builds an ``lts.Transition``, which is
+do the checks that walk the edges (``check_properties``, ``weak_bisim``
+passing and failing, ``graph_stats``) and ``check_normal_forms``: none of
+them builds an ``lts.Transition``, which is
 counted by replacing the class with a subclass that counts its
 instances.  The hash equals that of the tuple of the transitions, so the
 graph fingerprints are what they were when the edges were that tuple.  A
@@ -72,7 +73,7 @@ def test_len_hash_eq_and_the_checks_build_no_transition(transitions_built):
     sys_ = cm.build_system(INSTANCES_2[1])
     graph = verifier.explore(sys_, "representative")
     again = verifier.explore(sys_, "representative")
-    spec = verifier.ok_spec_graph(sys_)
+    failing = verifier.explore(cm.build_system(INSTANCES_2[1], ["skip-correct"]))
     truncated = _bounded(cm.build_system(INSTANCE_3), 300)
     transitions_built[0] = 0
 
@@ -82,7 +83,9 @@ def test_len_hash_eq_and_the_checks_build_no_transition(transitions_built):
     assert graph.edges == again.edges
     assert graph.edges != truncated.edges
     assert verifier.check_properties(sys_, graph).passed
-    assert verifier.weak_bisim(graph, spec)[0]
+    assert verifier.weak_bisim(graph)[0]
+    assert not verifier.weak_bisim(failing)[0]
+    assert verifier.check_normal_forms(sys_, graph).passed
     verifier.graph_stats(graph)
     assert transitions_built[0] == 0
 
