@@ -475,8 +475,9 @@ class System:
     # a collector's entry and the payload it receives recur across states.
     _local_steps: dict = field(default_factory=dict, compare=False, repr=False)
     # Calculus-side canonicalisation per component (see repsem): the
-    # round-trip-checked component of each representative slot, and the
-    # slots each evaluated replacement leaf yields.
+    # round-trip-checked component of each representative slot, and, by
+    # the identity of each replacement leaf, the leaf and the slots it
+    # evaluates to.
     _slot_comps: dict = field(default_factory=dict, compare=False, repr=False)
     _leaf_slots: dict = field(default_factory=dict, compare=False, repr=False)
     # The located leaf a Com step leaves behind, per (input slot, index of

@@ -8,19 +8,21 @@ a collector sum, perfect suspicion lets the observer skip a crashed
 agent, and a crash shrinks the live set.  Only channels outside the
 system's restriction emit.  Each step is a record of the components it
 replaces, by index into that list.  Its target is canonicalised back to a
-representative, which realises closure under structural congruence: only
-the replacement components are evaluated and classified, the untouched
-ones keep the slots they were built from, and a crash drops every
-component located at the crashed agent.  Both halves are memoised per
-component on the System (see ``repsem``): that an expansion component is
-a fixed point and classifies back to its slot is checked once per slot,
-and each replacement leaf is evaluated and classified once.  What a
-component offers a step (its output, its silent leaves and its inputs) is
-read off its guard leaves once per slot, and the leaf a Com step leaves
-behind is substituted once per (input slot, guard leaf index, received
-value), since a slot determines its component.  Targets are
-not validated here; the explorers validate each state when they first
-discover it.  ``calculus_targets`` gives the τ-targets alone, for the
+representative, which realises closure under structural congruence:
+``repsem.sf_step`` patches the source representative, dropping the
+entries of the replaced components (and, on a crash, every entry the
+crashed agent owns) and merging in the slots of the leaves left in their
+place, so only those leaves are evaluated and classified.  Both halves are
+memoised per component on the System (see ``repsem``): that an expansion
+component is a fixed point and classifies back to its slot is checked
+once per slot, and each replacement leaf is evaluated and classified once,
+looked up by the identity of the leaf object that the offer memo or the
+received-leaf memo below holds.  What a component offers a step (its
+output, its silent leaves and its inputs) is read off its guard leaves
+once per slot, and the leaf a Com step leaves behind is substituted once
+per (input slot, guard leaf index, received value), since a slot
+determines its component.  Targets are not validated here; the explorers
+validate each state when they first discover it.  ``calculus_targets`` gives the τ-targets alone, for the
 correspondence check, from the same step records as ``successors``: it
 builds no ``Transition`` and never hashes the shared source, and every
 step's target is still built, so an undefined one raises just as it does

@@ -34,14 +34,21 @@ which component sits at which index.  Each component comes from a
 per-System memo that checks, once per slot, that the component is an
 evaluation fixed point and classifies back to its slot.  ``sfi`` composes
 those components into a term under the system's restriction; the calculus
-steps work on the list itself, and ``sf_step`` reads the slots of the
-components a step leaves in place straight off it.  The slots a
-replacement leaf evaluates to come from a second memo, since a leaf at a
-live location evaluates the same in every state.  Neither validates: the
-explorers validate each calculus-step target when they first discover it,
-as they do representative successors.  Full extraction (``sf``) builds
-nothing from the memos and validates its result; it extracts the initial
-states and stays the oracle the tests compare the incremental path with.
+steps work on the list itself.  ``sf_step`` builds a step's target by
+patching the source representative as the representative rules do: the
+entry of each component the step replaces leaves its field, the slots of
+the leaf left in its place are merged in, and a crash drops what the
+crashed agent owns, as SR7 does; the fields a step leaves alone stay the
+source's tuples.  The slots a replacement leaf evaluates to come from a
+second memo, keyed by the leaf's identity.  Locality makes both memos
+sound: evaluating a located component reads only whether its own
+location is live, so a component or leaf evaluated alone at its location
+evaluates the same in every state in which that location is live.
+Neither validates: the explorers validate each calculus-step target when
+they first discover it, as they do representative successors.  Full
+extraction (``sf``) builds nothing from the memos and validates its
+result; it extracts the initial states and stays the oracle the tests
+compare the incremental path with.
 
 Two canonical choices keep extraction a function: once the observer
 reaches the `ok` output its remembered value is gone from the term, so
@@ -58,7 +65,15 @@ import json
 from typing import NamedTuple
 
 from . import consensus_model as cm
-from .calculus_ast import BOT, NNIL, Config, npar_chain, res_chain, value_str
+from .calculus_ast import (
+    BOT,
+    NNIL,
+    STAR,
+    Config,
+    npar_chain,
+    res_chain,
+    value_str,
+)
 from .errors import InvariantViolation, NotReachableShape
 from .evaluation import (
     _located_step,
@@ -151,9 +166,11 @@ def validate_rep(sys: cm.System, rep: Representative) -> None:
 
 def _assemble(live, budget: int, ti: int, classified) -> Representative:
     """The representative of a fully evaluated configuration from the
-    (kind, fields) pairs its components classify to.  Not validated: ``sf``
-    validates its result, and the explorers validate each calculus-step
-    target when they first discover it."""
+    (kind, fields) pairs its components classify to, every field bucketed
+    and sorted afresh.  ``sf`` and the normal-form round trip of
+    ``verifier.check_normal_forms`` use it; calculus-step targets are
+    patched instead (``sf_step``).  Not validated: ``sf`` validates its
+    result."""
     buckets: dict = {"out1": [], "out2": [], "out3": [], "in1": [], "in2": []}
     wrap = None
     for kind, fields in classified:
@@ -224,6 +241,11 @@ def _build_component(sys: cm.System, kind: str, fields) -> tuple:
     return cm.wrap_inert_comp(wj, ww)
 
 
+def _alone(location, net) -> Config:
+    """A configuration of ``net`` in which only ``location`` is live."""
+    return Config(live=frozenset({location}), budget=0, ti=None, net=net)
+
+
 def _slot_component(sys: cm.System, slot: tuple) -> tuple:
     """The located component of one (kind, fields) slot, memoised on the
     System.
@@ -238,7 +260,7 @@ def _slot_component(sys: cm.System, slot: tuple) -> tuple:
     if comp is None:
         comp = _build_component(sys, *slot)
         _, location, proc = comp
-        alone = Config(live=frozenset({location}), budget=0, ti=None, net=NNIL)
+        alone = _alone(location, NNIL)
         if (_located_step(alone, location, proc, sys.defs) is not None
                 or cm.classify_component(sys, location, proc) != slot):
             raise NotReachableShape(
@@ -265,59 +287,104 @@ def sfi(sys: cm.System, rep: Representative) -> Config:
     return Config(live=frozenset(rep.live), budget=rep.budget, ti=rep.ti, net=net)
 
 
-def _leaf_slots(sys: cm.System, target: Config, leaf) -> tuple:
+def _leaf_slots(sys: cm.System, leaf) -> tuple:
     """The (kind, fields) slots the fixed point of one replacement leaf
     classifies to, memoised on the System.
 
-    Evaluating a located leaf reads only whether its own location is live,
-    and the caller passes a ``target`` in which it is, so the result is the
-    same in every state.  Nothing is stored when evaluation raises (an
-    undefined decision), so it raises again on every visit."""
-    slots = sys._leaf_slots.get(leaf)
-    if slots is None:
-        fixed = evaluate(target._replace(net=leaf), sys.defs)
-        slots = tuple(cm.classify_component(sys, location, proc)
-                      for location, proc in flatten_components(fixed.net))
-        sys._leaf_slots[leaf] = slots
+    The leaf is evaluated alone at its own location, taken live, as
+    ``_slot_component`` checks a slot's component: evaluating a located
+    leaf reads only whether its own location is live, and a step leaves
+    its leaf at a live location, so the result is the same in every state.
+    The memo is keyed by the identity of ``leaf``, which the records that
+    hold it (``lts._offers`` and ``lts``'s received-leaf memo) make one
+    object per leaf, so a lookup hashes no term; the entry keeps ``leaf``
+    alive, so its id is not reused while the entry exists.  Nothing is
+    stored when evaluation raises (an undefined decision), so it raises
+    again on every visit."""
+    entry = sys._leaf_slots.get(id(leaf))
+    if entry is not None:
+        return entry[1]
+    fixed = evaluate(_alone(leaf[1], leaf), sys.defs)
+    slots = tuple(cm.classify_component(sys, loc, proc)
+                  for loc, proc in flatten_components(fixed.net))
+    sys._leaf_slots[id(leaf)] = (leaf, slots)
     return slots
+
+
+# The index of each slot kind among a representative's fields from out1 on.
+_FIELD = {"out1": 0, "out2": 1, "out3": 2, "in1": 3, "in2": 4, "wrap": 5}
 
 
 def sf_step(sys: cm.System, rep: Representative, comps: list,
             step) -> Representative:
     """``sf`` of the configuration one calculus step reaches from the
-    expansion of ``rep``, evaluating and classifying only the components
-    the step replaces.
+    expansion of ``rep``, built by patching ``rep`` with what the step
+    changes, as the representative rules build their successors.
 
     ``comps`` is ``expansion(sys, rep)``, whose components the slot memo
     checked to round-trip, so a component the step leaves in place keeps
-    its slot.  ``step`` is an ``lts.Step``: ``replaced`` maps a component
-    index to its new located leaf or to None when the step consumes it,
-    and ``crashed`` names the agent a crash step stops.  A crash
-    garbage-collects every component located at that agent (rule E3) and
-    shrinks the live set and the budget; evaluation of a component at a
-    live location does not read the live set, so the other components stay
-    fixed points.  Each leaf is located where its step fired, which is live
-    (a crash replaces nothing), so its slots come from the leaf memo.  The
-    target is not validated: its discoverer validates it."""
+    its slot and its entry.  ``step`` is an ``lts.Step``: ``replaced`` maps
+    a component index to its new located leaf or to None when the step
+    consumes it, and ``crashed`` names the agent a crash step stops.
+
+    * A crash garbage-collects every component located at that agent (rule
+      E3) and shrinks the live set and the budget.  Every component but
+      the observer's is located at its entry's owner, so this drops each
+      entry the agent owns, as SR7 does.  Evaluation of a component at a
+      live location does not read the live set, so the others stay fixed
+      points.
+    * Each replaced component's own entry leaves its field; a consumed
+      observer leaves none behind.
+    * Each leaf is located where its step fired, which is live (a crash
+      replaces nothing), so its slots come from the leaf memo and are
+      merged into their fields; a second observer raises.  An observer
+      consumed with nothing in its place is restored to ``(0, BOT, 1)``.
+
+    Untouched fields stay the tuples of ``rep``.  Every leaf is evaluated
+    before anything is merged, so a step raises as ``_assemble`` of its
+    whole slot list would.  The target is not validated: its discoverer
+    validates it."""
     replaced, crashed = step.replaced, step.crashed
-    live, budget = frozenset(rep.live), rep.budget
+    live, budget = rep.live, rep.budget
+    fields = list(rep[3:])  # out1, out2, out3, in1, in2, wrap
     if crashed is not None:
-        live, budget = live - {crashed}, budget - 1
-    target = Config(live=live, budget=budget, ti=rep.ti, net=NNIL)
-    classified = [slot for idx, (slot, comp) in enumerate(comps)
-                  if idx not in replaced and comp[1] != crashed]
-    for leaf in replaced.values():
+        live = tuple(p for p in live if p != crashed)
+        budget -= 1
+        fields[:5] = [tuple(e for e in entries if e[0] != crashed)
+                      for entries in fields[:5]]
+    added: list = []
+    for idx, leaf in replaced.items():
+        kind, entry = comps[idx][0]
+        k = _FIELD[kind]
+        fields[k] = None if k == 5 else _drop(fields[k], entry)
         if leaf is not None:
-            assert target.is_live(leaf[1]), leaf[1]
-            classified += _leaf_slots(sys, target, leaf)
-    return _assemble(live, budget, rep.ti, classified)
+            assert leaf[1] == STAR or leaf[1] in live, leaf[1]
+            added += _leaf_slots(sys, leaf)
+    grown = set()
+    for kind, entry in added:
+        k = _FIELD[kind]
+        if k < 5:
+            fields[k] += (entry,)
+            grown.add(k)
+        elif fields[5] is None:
+            fields[5] = entry
+        else:
+            raise NotReachableShape("two observer components")
+    for k in grown:
+        fields[k] = tuple(sorted(fields[k]))
+    if fields[5] is None:
+        fields[5] = (0, BOT, 1)  # the observer was consumed after emitting ok
+    return Representative(live, budget, rep.ti, *fields)
 
 
 # ---------------------------------------------------------------------------
 # The representative semantics.
 
 def _drop(entries: tuple, entry) -> tuple:
-    return tuple(e for e in entries if e != entry)
+    """``entries`` without ``entry``, which it holds once (a validated field
+    holds no entry twice)."""
+    i = entries.index(entry)
+    return entries[:i] + entries[i + 1:]
 
 
 def _merge(entries: tuple, new: tuple) -> tuple:

@@ -5,12 +5,13 @@ A process keeps its local state in the parameter list of its process
 constant, so ``repsem`` expands each representative slot into a component
 once per System (``_slot_comps``, round trip checked on entry) and
 evaluates and classifies each replacement leaf of a calculus step once
-per System (``_leaf_slots``).  ``lts`` keeps the leaf each Com step leaves
+per System (``_leaf_slots``, keyed by the identity of the leaf and holding
+the leaf beside its slots).  ``lts`` keeps the leaf each Com step leaves
 behind per (input slot, guard leaf index, received value) (``_received``).
 Every entry the memos hold after exploration must equal the component the
 ``consensus_model`` builders give, evaluated, classified or substituted
 into again on a fresh System, and a warm System must give the same
-calculus successors as a fresh one.
+calculus successors as a fresh one and evaluate no leaf again.
 """
 
 import random
@@ -18,7 +19,7 @@ import random
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import lts, repsem, verifier
+from consrep import evaluation, lts, repsem, verifier
 from consrep.calculus_ast import Config, substitute
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.evaluation import evaluate, flatten_components, split_restriction
@@ -65,8 +66,13 @@ def _assert_memos_match_recomputation(sys_) -> None:
         # A fixed point that classifies back to its slot.
         assert _classified(fresh, comp[1], comp) == ((kind, fields),)
         assert evaluate(_alone(comp[1], comp), fresh.defs).net == comp
-    for leaf, slots in sys_._leaf_slots.items():
+    for key, (leaf, slots) in sys_._leaf_slots.items():
+        assert key == id(leaf)
         assert _classified(fresh, leaf[1], leaf) == slots, leaf
+    # Each distinct leaf was evaluated and classified once: no two entries
+    # hold equal leaves.
+    leaves = [leaf for leaf, _ in sys_._leaf_slots.values()]
+    assert len(set(leaves)) == len(leaves)
     assert sys_._received
     for (slot, index, value), received in sys_._received.items():
         _, location, proc = _built(fresh, *slot)
@@ -130,3 +136,24 @@ def test_warm_calculus_successors_equal_fresh_on_sampled_n3(warm_n3):
         assert lts.successors(sys3, rep, "calculus") == successors
         fresh = cm.build_system(INSTANCE_3)
         assert lts.successors(fresh, rep, "calculus") == successors
+
+
+def test_a_warm_system_evaluates_only_the_initial_states(monkeypatch):
+    # A second correspondence check on the same System finds every leaf in
+    # the memo: the only configurations it evaluates are the initial ones,
+    # which ``lts.initial_reps`` extracts in full.
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst)
+        first = verifier.check_correspondence(sys_)
+        evaluated = []
+        original = evaluation.evaluate
+
+        def counted(cfg, defs, *args):
+            evaluated.append(cfg)
+            return original(cfg, defs, *args)
+
+        for module in (evaluation, repsem, verifier):
+            monkeypatch.setattr(module, "evaluate", counted)
+        assert verifier.check_correspondence(sys_) == first
+        monkeypatch.undo()
+        assert evaluated == lts.select_ti(sys_, cm.make_initial(inst))
