@@ -2,7 +2,7 @@
 
 Configuration comes from flags, falling back to a JSON config file, then
 defaults; the file may set only what the command has a flag for.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
-bound exceeded, 3 check failure (a failed report, a state that breaks
+or configuration bound exceeded, 3 check failure (a failed report, a state that breaks
 the representative invariants or matches no shape of the encoding, or a
 replayed schedule that ends where the algorithm is undefined: faults of
 the program, not of its input).
@@ -181,17 +181,21 @@ def cmd_verify(cfg) -> int:
     except BoundExceeded as exc:
         bound_hit = True
         graph = exc.graph
-    skipped = {"status": "skipped", "details": {"reason": "state bound exceeded"}}
+
+    def skipped(check, bound):
+        return {"check": check, "status": "skipped",
+                "details": {"reason": f"{bound} bound exceeded"}}
+
     for check in ("confluence", "normal-forms", "properties", "bisimulation"):
         if graph.truncated:
-            reports.append({"check": check, **skipped})
+            reports.append(skipped(check, "state"))
             continue
         if check == "confluence":
             try:
                 reports.append(verifier.check_confluence(sys_, graph).to_jsonable())
             except BoundExceeded:
                 bound_hit = True
-                reports.append({"check": check, **skipped})
+                reports.append(skipped(check, "configuration"))
         elif check == "normal-forms":
             reports.append(verifier.check_normal_forms(sys_, graph).to_jsonable())
         elif check == "properties":

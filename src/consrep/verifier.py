@@ -14,11 +14,12 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cmp_to_key, partial
 from itertools import accumulate, chain, pairwise, repeat
 
 from . import consensus_model as cm
 from . import lts, repsem
-from .calculus_ast import BOT, NNIL, STAR, Config, npar_chain, res_chain, value_str
+from .calculus_ast import BOT, NNIL, STAR, npar_chain, res_chain, value_str
 from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
 from .evaluation import eval_steps, evaluate, split_restriction
 from .graph import Edges, LtsGraph
@@ -159,14 +160,21 @@ def _raw_configs(sys: cm.System, graph: LtsGraph):
             yield raw
 
 
-def _term_order(terms: list, comps: tuple) -> tuple:
-    """A sort key on a component tuple that orders like the term it
-    composes, without building the term: each spine ``npar`` becomes
-    ("npar", its left component), the last component stays itself.  Keys of
-    one diamond share everything around the tuple, and a spine ends in a
-    component that is never an ``npar``, so a tuple and a term first
-    differ at the same place."""
-    return tuple(("npar", terms[c]) for c in comps[:-1]) + (terms[comps[-1]],)
+def _branch_cmp(terms: list, a: tuple, b: tuple) -> int:
+    """Compare two distinct component tuples as the terms they compose,
+    without building the terms: -1 or 1.  Keys of one diamond share everything
+    around the tuple, and each spine ``npar`` holds its left component and
+    the rest, so two spines first differ where their components first
+    differ, or where the shorter one ends (its last component, never an
+    ``npar``, stands alone where the other holds an ``npar``).  Only the
+    terms at that position are compared."""
+    last_a, last_b = len(a) - 1, len(b) - 1
+    i = 0
+    while a[i] == b[i] and i < last_a and i < last_b:
+        i += 1
+    x = terms[a[i]] if i == last_a else ("npar", terms[a[i]])
+    y = terms[b[i]] if i == last_b else ("npar", terms[b[i]])
+    return -1 if x < y else 1
 
 
 def check_confluence(sys: cm.System, graph: LtsGraph,
@@ -178,35 +186,41 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     initials); the check closes each under single evaluation steps and
     compares the fixed points of every branching.
 
-    The closure keys a configuration as (live, budget, ti, restriction
-    chain, component ids): the chain is peeled once per raw configuration,
-    the right spine of the parallel composition below it becomes a tuple of
-    components, and each component is interned to an int for the run of
-    the check.  Restrictions sit only on top (raw targets are built so and
-    no evaluation step makes one), so the key determines the term and one
-    term has one key.  Evaluation steps act on one component, whose steps
-    are computed once per (live set, component); E4/E5 drop an ``nnil``
-    from the tuple.  Successors are visited in the order of their terms
-    (``_term_order``), so the counts and counterexamples are those of the
-    closure over whole terms.
+    The closure keys a configuration by its context and its component
+    ids.  The context (live, budget, ti, restriction chain) is peeled and
+    interned once per raw configuration and keeps the seen set of its
+    component tuples; no evaluation step changes it, so a closure stays in
+    one context and probes only int tuples.  The right spine of the
+    parallel composition below the chain becomes a tuple of components,
+    each interned to an int for the run of the check.  Restrictions sit
+    only on top (raw targets are built so and no evaluation step makes
+    one), so the key determines the term and one term has one key.
+    Evaluation steps act on one component, whose steps are computed once
+    per (live set, component) in the live set's step table; a component
+    with no steps that is not ``nnil`` is passed over, and E4/E5 drop an
+    ``nnil`` from the tuple.  A diamond's branches are visited in the order
+    of their terms (``_branch_cmp``), so the counts and counterexamples are
+    those of the closure over whole terms.
 
     A branch's fixed point is that of the same key with every component
     replaced by its own fixed point (the lemma in ``evaluation``), and a
-    component's fixed point is computed once per (live set, component).
-    ``evaluate`` then runs on the whole configuration once per distinct
-    normalised key, the only place a configuration is built.  A branch whose
-    evaluation raises raises on every visit, since no memo stores an
-    exception: ``EmptyKnowledge`` when some component's does (counted as
-    undefined), and ``NonTermination`` when some component diverges, which
-    is the only way a branch diverges."""
+    component's fixed point is computed once per (live set, component) in
+    the live set's fixed-point table.  ``evaluate`` then runs on the whole
+    configuration once per distinct normalised key, the only place a
+    configuration is built; evaluation keeps the context, so a fixed point
+    is kept as its component tuple.  A branch whose evaluation raises
+    raises on every visit, since no memo stores an exception:
+    ``EmptyKnowledge`` when some component's does (counted as undefined),
+    and ``NonTermination`` when some component diverges, which is the only
+    way a branch diverges."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
     terms: list = []                # component id -> term
     ids: dict = {}                  # term -> component id
     spines: dict = {}               # component id -> ids along its right spine
-    comp_steps: dict = {}           # (live, component id) -> ids of its steps
-    comp_fixed: dict = {}           # (live, component id) -> id of its fixed point
-    fixed: dict = {}                # normalised key -> key of its fixed point
+    tables: dict = {}               # live -> (step table, fixed-point table)
+    contexts: dict = {}             # context -> (seen, fixed) + its live set's tables
+    by_term = cmp_to_key(partial(_branch_cmp, terms))
 
     def intern(term) -> int:
         cid = ids.get(term)
@@ -229,77 +243,74 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
             s = spines[cid] = flatten(terms[cid])
         return s
 
-    def key(cfg: Config) -> tuple:
-        chain, core = split_restriction(cfg.net)
-        return (cfg.live, cfg.budget, cfg.ti, chain, flatten(core))
-
-    def config(k) -> Config:
-        live, budget, ti, chain, comps = k
-        return Config(live, budget, ti,
-                      res_chain(npar_chain([terms[c] for c in comps]), chain))
-
-    def successors(k) -> set:
-        live, budget, ti, chain, comps = k
+    def successors(comps, steps_of, raw) -> set:
         last = len(comps) - 1
         succs = set()
         for i, cid in enumerate(comps):
-            steps = comp_steps.get((live, cid))
+            steps = steps_of.get(cid)
             if steps is None:
-                cfg = Config(live, budget, ti, terms[cid])
-                steps = comp_steps[live, cid] = tuple(
-                    intern(c.net) for _, c in eval_steps(cfg, sys.defs))
+                steps = steps_of[cid] = tuple(
+                    intern(c.net)
+                    for _, c in eval_steps(raw._replace(net=terms[cid]), sys.defs))
+            if not steps and cid != nnil:
+                continue
             head, tail = comps[:i], comps[i + 1:]
             if i < last:
-                succs.update((live, budget, ti, chain, head + (r,) + tail)
-                             for r in steps)
+                succs.update(head + (r,) + tail for r in steps)
                 if cid == nnil:                                       # E4
-                    succs.add((live, budget, ti, chain, head + tail))
+                    succs.add(head + tail)
             else:
                 # The spine's end may step to a parallel composition:
                 # re-flatten it, so that one term keeps one key.
-                succs.update((live, budget, ti, chain, head + spine(r))
-                             for r in steps)
+                succs.update(head + spine(r) for r in steps)
         if last and comps[last] == nnil:                              # E5
-            succs.add((live, budget, ti, chain,
-                       comps[:last - 1] + spine(comps[last - 1])))
+            succs.add(comps[:last - 1] + spine(comps[last - 1]))
         return succs
 
-    def normalised(k) -> tuple:
-        live, budget, ti, chain, comps = k
-        nfs = []
+    def normalised(comps, fixed_of, raw) -> tuple:
         for cid in comps:
-            f = comp_fixed.get((live, cid))
-            if f is None:
-                cfg = Config(live, budget, ti, terms[cid])
-                f = comp_fixed[live, cid] = intern(evaluate(cfg, sys.defs).net)
-            nfs.append(f)
-        return (live, budget, ti, chain, tuple(nfs))
+            if cid not in fixed_of:
+                fixed_of[cid] = intern(
+                    evaluate(raw._replace(net=terms[cid]), sys.defs).net)
+        return tuple(map(fixed_of.__getitem__, comps))
 
     nnil = intern(NNIL)
-    seen: set = set()
+    configurations = 0
     diamonds = 0
     undefined = 0
     failures: list = []
     for cfg in _raw_configs(sys, graph):
-        frontier = [key(cfg)]
+        chans, core = split_restriction(cfg.net)
+        context = (cfg.live, cfg.budget, cfg.ti, chans)
+        known = contexts.get(context)
+        if known is None:
+            tabs = tables.get(cfg.live)
+            if tabs is None:
+                tabs = tables[cfg.live] = ({}, {})
+            known = contexts[context] = (set(), {}) + tabs
+        seen, fixed, steps_of, fixed_of = known
+        frontier = [flatten(core)]
         while frontier:
             c = frontier.pop()
             if c in seen:
                 continue
             seen.add(c)
-            if len(seen) > max_configs:
+            configurations += 1
+            if configurations > max_configs:
                 raise BoundExceeded(graph, max_configs)
             try:
-                succs = successors(c)
+                succs = successors(c, steps_of, cfg)
                 if len(succs) > 1:
                     diamonds += 1
-                    succs = sorted(succs, key=lambda s: _term_order(terms, s[4]))
+                    succs = sorted(succs, key=by_term)
                     fixes = set()
-                    for s in succs:
-                        n = normalised(s)
+                    for n in dict.fromkeys(normalised(s, fixed_of, cfg)
+                                           for s in succs):
                         f = fixed.get(n)
                         if f is None:
-                            f = fixed[n] = key(evaluate(config(n), sys.defs))
+                            whole = res_chain(npar_chain([terms[k] for k in n]), chans)
+                            net = evaluate(cfg._replace(net=whole), sys.defs).net
+                            f = fixed[n] = flatten(split_restriction(net)[1])
                         fixes.add(f)
                     if len(fixes) != 1:
                         failures.append(
@@ -314,7 +325,7 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     return CheckReport(
         name="confluence",
         passed=not failures,
-        details={"configurations": len(seen), "diamonds": diamonds,
+        details={"configurations": configurations, "diamonds": diamonds,
                  "undefined": undefined},
         counterexamples=failures,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from consrep import verifier
 from consrep.cli import main
 
 
@@ -100,6 +101,22 @@ def test_verify_skips_whole_graph_checks_past_the_bound(capsys):
     assert statuses == [("correspondence", "pass"), ("confluence", "skipped"),
                         ("normal-forms", "skipped"), ("properties", "skipped"),
                         ("bisimulation", "skipped")]
+
+
+def test_verify_reports_the_confluence_configuration_bound(capsys, monkeypatch):
+    # The graph is complete, so only confluence's own bound on distinct
+    # configurations stops it; the report names that bound.
+    real = verifier.check_confluence
+    monkeypatch.setattr(verifier, "check_confluence",
+                        lambda sys_, graph: real(sys_, graph, max_configs=10))
+    code, out, _ = run(capsys, "verify", "--n", "1", "--values", "4")
+    assert code == 2
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    assert reports["confluence"]["status"] == "skipped"
+    assert reports["confluence"]["details"] == {
+        "reason": "configuration bound exceeded"}
+    assert all(r["status"] == "pass" for check, r in reports.items()
+               if check != "confluence")
 
 
 def test_verify_single_agent(capsys):

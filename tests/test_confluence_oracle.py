@@ -11,12 +11,16 @@ components' fixed points, the lemma by which the check evaluates each
 component once per live set.
 """
 
+from functools import cmp_to_key
+from itertools import product
+
 import pytest
 
 from consrep import consensus_model as cm
 from consrep import verifier
 from consrep.calculus_ast import (
     NIL,
+    NNIL,
     Config,
     chan_b,
     cond,
@@ -82,6 +86,32 @@ def test_agrees_on_n12(mutation):
     for inst in INSTANCES_1 + INSTANCES_2:
         sys_ = cm.build_system(inst, mutations)
         assert_agrees(sys_, verifier.explore(sys_, "representative"))
+
+
+# Confluence details (configurations, diamonds, undefined) of the n<=2
+# acceptance instances, keyed by (values, budget).  A change to how the
+# check counts must update these together with the verify-n12 report
+# digests of the benchmark.
+N12_DETAILS = {
+    ((4,), 0): (40, 18, 0),
+    ((5, 7), 0): (1412, 360, 0),
+    ((5, 7), 1): (3892, 1905, 0),
+    ((7, 5), 0): (1412, 360, 0),
+    ((7, 5), 1): (3892, 1905, 0),
+    ((3, 3), 0): (1412, 360, 0),
+    ((3, 3), 1): (3872, 1902, 0),
+}
+
+
+def test_counts_on_n12_are_pinned():
+    found = {}
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst)
+        details = verifier.check_confluence(
+            sys_, verifier.explore(sys_, "representative")).details
+        found[inst.values, inst.budget] = (
+            details["configurations"], details["diamonds"], details["undefined"])
+    assert found == N12_DETAILS
 
 
 def _with_component_fixed_points(cfg, defs):
@@ -195,9 +225,57 @@ def test_agrees_where_a_component_first_meets_a_dead_location(sys2, graph2,
     assert report.passed and report.details["diamonds"] > 0
 
 
+def test_agrees_where_adjacent_nnils_drop_to_one_configuration(sys2, graph2,
+                                                              monkeypatch):
+    # Both nnils between the two inert outputs drop (E4) to the same
+    # configuration, so the first configuration has one successor and the
+    # closure meets no diamond; the inert components are passed over.  The
+    # same components under a second restriction chain are a second
+    # context, whose three configurations count again.
+    c, d = chan_b(1, 2), chan_b(2, 1)
+    x, y = located(1, out_atom(c, lit(nat(2)))), located(2, out_atom(c, lit(nat(3))))
+    configs = [Config(frozenset({1, 2}), 0, 1,
+                      res_chain(npar_chain([x, NNIL, NNIL, y]), chans))
+               for chans in ((c,), (c, d))]
+    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
+    report = assert_agrees(sys2, graph2)
+    assert report.details == {"configurations": 6, "diamonds": 0, "undefined": 0}
+
+
+def test_agrees_where_an_nnil_ends_the_spine_after_an_inert_component(
+        sys2, graph2, monkeypatch):
+    # The nnil at the spine's end drops (E5) and leaves the inert output
+    # before it as the new end; the conditional ahead of both steps too, so
+    # the first configuration is a diamond.
+    c, d = chan_b(1, 2), chan_b(2, 1)
+    z = located(1, cond(lit(nat(1)), out_atom(c, lit(nat(2))), NIL))
+    y = located(2, out_atom(d, lit(nat(3))))
+    configs = [Config(frozenset({1, 2}), 0, 1,
+                      res_chain(npar_chain([z, y, NNIL]), (c, d)))]
+    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
+    report = assert_agrees(sys2, graph2)
+    assert report.passed
+    assert report.details == {"configurations": 4, "diamonds": 1, "undefined": 0}
+
+
+def test_branch_cmp_orders_tuples_as_their_terms():
+    # Every tuple of one to three components orders as the spine built
+    # from it, prefixes included: where the shorter tuple ends, its last
+    # component stands alone against the other's ``npar``.  The ids are
+    # numbered against the terms' own order, so comparing ids would fail.
+    c = chan_b(1, 2)
+    terms = [NNIL, located(1, out_atom(c, lit(nat(2)))),
+             located(2, cond(lit(nat(1)), NIL, NIL))]
+    tuples = [t for n in (1, 2, 3) for t in product(range(len(terms)), repeat=n)]
+    by_terms = sorted(tuples, key=lambda t: npar_chain([terms[k] for k in t]))
+    assert by_terms != sorted(tuples)
+    assert sorted(tuples, key=cmp_to_key(
+        lambda a, b: verifier._branch_cmp(terms, a, b))) == by_terms
+
+
 def test_term_order_agrees_on_every_diamond(monkeypatch):
     # The whole-term closure meets every diamond in one call of
-    # eval_steps; there, ordering the successors by ``_term_order`` on
+    # eval_steps; there, ordering the successors by ``_branch_cmp`` on
     # their component tuples must give their order as terms.
     terms: list = []
     ids: dict = {}
@@ -223,7 +301,8 @@ def test_term_order_agrees_on_every_diamond(monkeypatch):
         steps = real_eval_steps(cfg, defs)
         succs = sorted({target for _, target in steps})
         if len(succs) > 1:
-            order = sorted(succs, key=lambda s: verifier._term_order(terms, comps(s)))
+            order = sorted(succs, key=cmp_to_key(
+                lambda a, b: verifier._branch_cmp(terms, comps(a), comps(b))))
             assert order == succs
             checked += 1
         return steps
