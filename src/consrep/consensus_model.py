@@ -487,6 +487,10 @@ class System:
     # What each slot's component offers a calculus step, by the identity of
     # the component (see lts._offers).
     _offers: dict = field(default_factory=dict, compare=False, repr=False)
+    # Each distinct representative entry as one ``repsem.Entry``, which
+    # caches its hash; filled where the memos above are filled and by
+    # ``repsem.sf``.
+    _entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

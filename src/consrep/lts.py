@@ -33,6 +33,12 @@ a term) stays the definition the tests compare against.
 Representative mode takes the successors straight from the rule set on
 representatives.  Both modes expose the same observable: the `ok` send,
 which leaves the representative fixed.
+
+``labelled_targets`` gives a state's transitions as (action, target,
+rule) triples in canonical order; every transition shares its source, so
+sorting the triples orders the transitions.  ``verifier.explore`` reads
+them and builds no ``Transition``; ``successors`` wraps the same triples
+for the callers that want ``Transition`` records.
 """
 
 from __future__ import annotations
@@ -250,39 +256,32 @@ def calculus_targets(sys: cm.System, rep: repsem.Representative) -> set:
             if step.action == TAU}
 
 
-def _calculus_successors(sys, rep) -> list:
-    # Every transition here shares its source, so deduplicating and sorting
-    # (action, target, rule) gives the order of the transitions.
-    triples = {(step.action, target, step.rule)
-               for step, target in _step_targets(sys, rep)}
-    return [Transition(rep, action, target, rule)
-            for action, target, rule in sorted(triples)]
-
-
-def _transition_order(tr: Transition) -> tuple:
-    return tr.action, tr.target, tr.rule
-
-
-def _representative_successors(sys, rep) -> list:
-    # rep_successors returns distinct pairs and every transition here
-    # shares its source, so one sort without the source gives the order.
-    transitions = [Transition(rep, TAU, target, rule)
-                   for rule, target in repsem.rep_successors(sys, rep)]
+def labelled_targets(sys: cm.System, rep: repsem.Representative,
+                     mode: str = "representative") -> list:
+    """Every transition from a representative as an (action, target, rule)
+    triple, in the canonical order of ``successors``: every transition
+    shares its source, so sorting the triples orders the transitions."""
+    if mode == "calculus":
+        # Two steps may reach one target under one rule; keep it once.
+        return sorted({(step.action, target, step.rule)
+                       for step, target in _step_targets(sys, rep)})
+    if mode != "representative":
+        raise ValueError(f"unknown mode {mode!r}")
+    # rep_successors returns distinct pairs, so the triples are distinct.
+    triples = [(TAU, target, rule)
+               for rule, target in repsem.rep_successors(sys, rep)]
     wj, _, wb = rep.wrap
     if wj == 0 and wb == 1:
         # Emitting ok consumes the observer; extraction restores it, so the
         # observable loops on the representative.
-        transitions.append(Transition(rep, OK, rep, "Snd ok"))
-    transitions.sort(key=_transition_order)
-    return transitions
+        triples.append((OK, rep, "Snd ok"))
+    triples.sort()
+    return triples
 
 
 def successors(sys: cm.System, rep: repsem.Representative,
                mode: str = "representative") -> list:
     """Every transition from a representative, canonically sorted."""
-    if mode == "calculus":
-        return _calculus_successors(sys, rep)
-    if mode == "representative":
-        return _representative_successors(sys, rep)
-    raise ValueError(f"unknown mode {mode!r}")
+    return [Transition(rep, action, target, rule)
+            for action, target, rule in labelled_targets(sys, rep, mode)]
 

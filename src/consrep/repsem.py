@@ -50,6 +50,19 @@ extraction (``sf``) builds nothing from the memos and validates its
 result; it extracts the initial states and stays the oracle the tests
 compare the incremental path with.
 
+Representatives are the keys the explorers hash and compare on every
+edge, so their entries are hash-consed.  Each distinct out1/out2/out3/
+in1/in2 entry is one ``Entry`` per System (``System._entries``), a tuple
+that computes its tuple hash once, when it is made.  Entries are interned
+only where a memo entry is filled (a collector-local step, a leaf's
+slots) and in ``sf``; the rules, ``sf_step`` and the crash rule reuse
+those objects, so no state pays for interning, and the entries of the two
+semantics compare by identity.  A representative's value, order, hash,
+JSON and digest are those of the same fields as plain tuples, and
+``validate_rep`` checks that ``live`` and every entry field are strictly
+increasing, the canonical form that makes representative equality decide
+congruence.  ``wrap`` stays a plain tuple: the observer rules rebuild it.
+
 Two canonical choices keep extraction a function: once the observer
 reaches the `ok` output its remembered value is gone from the term, so
 the representative pins it to bot; and a configuration whose observer was
@@ -83,7 +96,49 @@ from .evaluation import (
 )
 
 
+class Entry(tuple):
+    """An interned representative entry (see ``_intern``).  Its hash is
+    ``tuple.__hash__`` of its value, computed once when it is made, so a
+    representative's hash costs a call per entry in place of a walk over
+    every value nested in it.  It pickles and copies as a plain ``tuple``,
+    so a hash cached under one hash seed never reaches another process.  A
+    tuple subclass cannot have non-empty ``__slots__``, so the hash lives
+    in the instance ``__dict__``."""
+
+    def __new__(cls, value):
+        self = tuple.__new__(cls, value)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+def _intern(sys: cm.System, entry: tuple) -> Entry:
+    """The System's ``Entry`` for the value ``entry``, made on first
+    sight."""
+    obj = sys._entries.get(entry)
+    if obj is None:
+        obj = sys._entries[entry] = Entry(entry)
+    return obj
+
+
+def _classify(sys: cm.System, location, proc) -> tuple:
+    """``classify_component`` with the fields of an entry interned."""
+    kind, fields = cm.classify_component(sys, location, proc)
+    return kind, fields if kind == "wrap" else _intern(sys, fields)
+
+
 class Representative(NamedTuple):
+    """The canonical key of a congruence class.  ``live`` and each of
+    out1..in2 are strictly increasing, and out1..in2 hold interned
+    ``Entry`` objects; ``wrap`` is a plain tuple.  Its value, order and
+    hash are those of the same fields as plain tuples, so a representative
+    built by hand from plain tuples is equal to it and finds it in a
+    dict."""
     live: tuple      # sorted agent ids
     budget: int
     ti: int
@@ -95,70 +150,82 @@ class Representative(NamedTuple):
     wrap: tuple      # (position, remembered value, accepting flag)
 
 
+# The fields held in strictly increasing order: live and out1 .. in2.
+_CANONICAL_FIELDS = ("live", *Representative._fields[3:8])
+
+
 def validate_rep(sys: cm.System, rep: Representative) -> None:
     n = sys.n
     live = set(rep.live)
 
-    def fail(msg):
-        raise InvariantViolation(msg)
-
     if rep.ti not in live:
-        fail(f"trusted immortal {rep.ti} not live")
+        raise InvariantViolation(f"trusted immortal {rep.ti} not live")
     if rep.budget < 0:
-        fail("negative crash budget")
-    if not live <= set(range(1, n + 1)):
-        fail("live set out of range")
+        raise InvariantViolation("negative crash budget")
+    if not (1 <= min(live) and max(live) <= n):
+        raise InvariantViolation("live set out of range")
 
     seen1 = set()
     for p, i, r, _ in rep.out1:
         if p not in live:
-            fail(f"round message owned by dead agent {p}")
+            raise InvariantViolation(f"round message owned by dead agent {p}")
         if not (1 <= i <= n and 1 <= r < n):
-            fail(f"round message ({p},{i},{r}) out of bounds")
-        if (p, i, r) in seen1:
-            fail(f"duplicate round message ({p},{i},{r})")
-        seen1.add((p, i, r))
+            raise InvariantViolation(f"round message ({p},{i},{r}) out of bounds")
+        key = (p, i, r)
+        if key in seen1:
+            raise InvariantViolation(f"duplicate round message ({p},{i},{r})")
+        seen1.add(key)
     seen2 = set()
     for p, i, _ in rep.out2:
         if p not in live:
-            fail(f"sync message owned by dead agent {p}")
+            raise InvariantViolation(f"sync message owned by dead agent {p}")
         if not 1 <= i <= n:
-            fail(f"sync message ({p},{i}) out of bounds")
-        if (p, i) in seen2:
-            fail(f"duplicate sync message ({p},{i})")
-        seen2.add((p, i))
+            raise InvariantViolation(f"sync message ({p},{i}) out of bounds")
+        key = (p, i)
+        if key in seen2:
+            raise InvariantViolation(f"duplicate sync message ({p},{i})")
+        seen2.add(key)
     out3_owners = [p for p, _ in rep.out3]
-    if len(out3_owners) != len(set(out3_owners)):
-        fail("duplicate decision message")
-    if not set(out3_owners) <= live:
-        fail("decision message owned by dead agent")
+    deciders = set(out3_owners)
+    if len(out3_owners) != len(deciders):
+        raise InvariantViolation("duplicate decision message")
+    if not deciders <= live:
+        raise InvariantViolation("decision message owned by dead agent")
 
     roles: list = []
     for p, r, _, _, i in rep.in1:
         roles.append(p)
         if p not in live:
-            fail(f"dead agent {p} collecting")
+            raise InvariantViolation(f"dead agent {p} collecting")
         if not (1 <= r < n and 1 <= i <= n):
-            fail(f"collector ({p},{r},i={i}) out of bounds")
+            raise InvariantViolation(f"collector ({p},{r},i={i}) out of bounds")
     for p, _, _, i in rep.in2:
         roles.append(p)
         if p not in live:
-            fail(f"dead agent {p} collecting")
+            raise InvariantViolation(f"dead agent {p} collecting")
         if not 1 <= i <= n:
-            fail(f"collector ({p},i={i}) out of bounds")
+            raise InvariantViolation(f"collector ({p},i={i}) out of bounds")
     roles.extend(out3_owners)
     if len(roles) != len(set(roles)):
-        fail("an agent holds two roles at once")
+        raise InvariantViolation("an agent holds two roles at once")
 
     wj, ww, wb = rep.wrap
     if wb not in (0, 1):
-        fail(f"observer flag {wb}")
+        raise InvariantViolation(f"observer flag {wb}")
     if not 0 <= wj <= n:
-        fail(f"observer position {wj}")
+        raise InvariantViolation(f"observer position {wj}")
     if wj == 0 and (wb != 1 or ww != BOT):
-        fail("observer at ok must be accepting with no remembered value")
-    if wb == 0 and wj == 0:
-        fail("inert observer cannot sit at ok")
+        raise InvariantViolation(
+            "observer at ok must be accepting with no remembered value")
+
+    # Canonical form: a field out of order would be a second key for one
+    # congruence class.
+    for name, entries in zip(_CANONICAL_FIELDS, (rep.live, *rep[3:8])):
+        prev = None
+        for entry in entries:
+            if prev is not None and not prev < entry:
+                raise InvariantViolation(f"{name} not strictly increasing")
+            prev = entry
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +271,7 @@ def sf(sys: cm.System, cfg: Config) -> Representative:
     if sorted(chans) != list(sys.restriction):
         raise NotReachableShape("restriction group differs from the system's")
     rep = _assemble(cfg.live, cfg.budget, cfg.ti,
-                    [cm.classify_component(sys, location, proc)
+                    [_classify(sys, location, proc)
                      for location, proc in flatten_components(core)])
     validate_rep(sys, rep)
     return rep
@@ -305,7 +372,7 @@ def _leaf_slots(sys: cm.System, leaf) -> tuple:
     if entry is not None:
         return entry[1]
     fixed = evaluate(_alone(leaf[1], leaf), sys.defs)
-    slots = tuple(cm.classify_component(sys, loc, proc)
+    slots = tuple(_classify(sys, loc, proc)
                   for loc, proc in flatten_components(fixed.net))
     sys._leaf_slots[id(leaf)] = (leaf, slots)
     return slots
@@ -412,18 +479,19 @@ def _phase1_local(sys, entry, delta) -> LocalStep:
         q, r, vv, msgs, i = entry
         msgs2 = cm.msg_add1(msgs, delta, r, i)
         if i < n:
-            step = LocalStep(in1=((q, r, vv, msgs2, i + 1),))
+            step = LocalStep(in1=(_intern(sys, (q, r, vv, msgs2, i + 1)),))
         elif r < n - 1:
             vv2 = cm.updatek(r, msgs2, vv)
             dd2 = cm.updater(r, msgs2, vv)
             step = LocalStep(
-                in1=((q, r + 1, vv2, msgs2, 1),),
-                out1=tuple((q, j, r + 1, dd2) for j in range(1, n + 1)))
+                in1=(_intern(sys, (q, r + 1, vv2, msgs2, 1)),),
+                out1=tuple(_intern(sys, (q, j, r + 1, dd2))
+                           for j in range(1, n + 1)))
         else:
             vv2 = cm.updatek(r, msgs2, vv)
             step = LocalStep(
-                in2=((q, vv2, msgs2, 1),),
-                out2=tuple((q, j, vv2) for j in range(1, n + 1)))
+                in2=(_intern(sys, (q, vv2, msgs2, 1)),),
+                out2=tuple(_intern(sys, (q, j, vv2)) for j in range(1, n + 1)))
         sys._local_steps[key] = step
     return step
 
@@ -438,12 +506,12 @@ def _phase2_local(sys, entry, payload) -> LocalStep:
         q, vv, msgs, i = entry
         msgs2 = cm.msg_add2(msgs, payload, i)
         if i < n:
-            step = LocalStep(in2=((q, vv, msgs2, i + 1),))
+            step = LocalStep(in2=(_intern(sys, (q, vv, msgs2, i + 1)),))
         else:
             vv2 = vv if "skip-correct" in sys.mutations else cm.correct_fn(msgs2, vv)
             # getfst raises EmptyKnowledge before anything is stored, so an
             # undefined decision raises again on every state that reaches it.
-            step = LocalStep(out3=((q, cm.getfst(vv2)),))
+            step = LocalStep(out3=(_intern(sys, (q, cm.getfst(vv2))),))
         sys._local_steps[key] = step
     return step
 

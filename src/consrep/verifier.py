@@ -36,7 +36,9 @@ def explore(sys: cm.System, mode: str = "representative",
             max_states: int = DEFAULT_MAX_STATES) -> LtsGraph:
     """Breadth-first closure of the instance under the chosen successor
     function, starting from one representative per trusted immortal.
-    Each state is validated once, when it is first discovered.
+    Each state is validated once, when it is first discovered.  A state's
+    transitions come as sorted (action, target, rule) triples
+    (``lts.labelled_targets``), so exploring builds no ``Transition``.
 
     The graph holds one object per state, in the ``nodes`` list that is
     also the BFS queue, and its edges as int columns (``Edges``): a
@@ -47,7 +49,8 @@ def explore(sys: cm.System, mode: str = "representative",
     together when it is expanded, in successor order, and nodes are
     expanded in id order.  So an edge costs two 4-byte ints (target and
     label id) and a node one offset, and a ``Transition`` exists only while
-    someone iterates ``graph.edges``.
+    someone iterates ``graph.edges``.  Looking a target up in ``node_ids``
+    hashes it through the hashes its ``repsem.Entry`` objects cache.
 
     A state on which the algorithm itself is undefined (an empty decision,
     reachable only under fault-injection mutations) is kept as a node with
@@ -69,11 +72,11 @@ def explore(sys: cm.System, mode: str = "representative",
     defects: list = []
     for rep in nodes:
         try:
-            succs = lts.successors(sys, rep, mode)
+            succs = lts.labelled_targets(sys, rep, mode)
         except EmptyKnowledge as exc:
             defects.append((rep, str(exc)))
             succs = ()
-        for _, action, target, rule in succs:
+        for action, target, rule in succs:
             ident = node_ids.setdefault(target, len(nodes))
             if ident == len(nodes):
                 repsem.validate_rep(sys, target)

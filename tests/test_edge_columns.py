@@ -1,15 +1,16 @@
 """The int columns of an explored graph's edges (``consrep.graph.Edges``).
 
-``len``, ``hash`` and ``==`` on ``graph.edges`` read the columns, and so
-do the checks that walk the edges (``check_properties``, ``weak_bisim``
-passing and failing, ``graph_stats``) and ``check_normal_forms``: none of
-them builds an ``lts.Transition``, which is
-counted by replacing the class with a subclass that counts its
-instances.  The hash equals that of the tuple of the transitions, so the
-graph fingerprints are what they were when the edges were that tuple.  A
-graph cut by the state bound keeps, for the source that overflowed, the
-edges it had before the first target past the bound, and no edges for the
-nodes after it.
+Representative-mode ``explore`` builds the columns from (action, target,
+rule) triples.  ``len``, ``hash`` and ``==`` on ``graph.edges`` read the
+columns, and so do the checks that walk the edges (``check_properties``,
+``weak_bisim`` passing and failing, ``graph_stats``) and
+``check_normal_forms``: neither they nor that ``explore`` builds an
+``lts.Transition``, which is counted by replacing the class with a
+subclass that counts its instances.  The hash equals that of the tuple of
+the transitions, so the graph fingerprints are what they were when the
+edges were that tuple.  A graph cut by the state bound keeps, for the
+source that overflowed, the edges it had before the first target past the
+bound, and no edges for the nodes after it.
 """
 
 from itertools import takewhile
@@ -91,6 +92,13 @@ def test_len_hash_eq_and_the_checks_build_no_transition(transitions_built):
 
     # The counter sees the transitions that iteration builds.
     assert len(list(graph.edges)) == transitions_built[0] == len(graph.edges)
+
+
+def test_representative_explore_builds_no_transition(transitions_built):
+    # _graphs explores every n<=2 instance and the 500-state n=3 prefix.
+    graphs = list(_graphs())
+    assert transitions_built[0] == 0
+    assert sum(len(graph.edges) for _, graph in graphs) > 0
 
 
 @pytest.mark.parametrize("inst, bound", [(INSTANCES_2[1], 10), (INSTANCE_3, 300)])

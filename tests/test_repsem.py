@@ -114,9 +114,25 @@ def test_validation_rejects_broken_representatives(sys2):
         repsem.validate_rep(sys2, rep._replace(out3=((2, nat(5)), (2, nat(7)))))
     with pytest.raises(InvariantViolation):
         repsem.validate_rep(sys2, rep._replace(wrap=(0, nat(5), 1)))
+    # An inert observer at ok is rejected as not accepting.
+    with pytest.raises(InvariantViolation, match="^observer at ok must be accepting"):
+        repsem.validate_rep(sys2, rep._replace(wrap=(0, BOT, 0)))
     dup = rep.out1 + ((1, 1, 1, rep.out1[0][3]),)
     with pytest.raises(InvariantViolation):
         repsem.validate_rep(sys2, rep._replace(out1=dup))
+
+
+@pytest.mark.parametrize("field", ["live", "in1"])
+def test_validation_rejects_a_reversed_field(sys2, field):
+    # A field out of order would be a second key for one congruence class.
+    rep = lts.initial_reps(sys2)[0]
+    reversed_ = rep._replace(**{field: getattr(rep, field)[::-1]})
+    assert reversed_ != rep
+    with pytest.raises(InvariantViolation, match=f"^{field} not strictly increasing$"):
+        repsem.validate_rep(sys2, reversed_)
+    # An earlier check's message still comes first.
+    with pytest.raises(InvariantViolation, match="^trusted immortal 9 not live$"):
+        repsem.validate_rep(sys2, reversed_._replace(ti=9))
 
 
 def test_invalid_successor_is_caught_where_it_is_discovered(
