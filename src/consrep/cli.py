@@ -52,13 +52,11 @@ def _parse_args(argv):
 
     def add_max_states(p):
         p.add_argument("--max-states", type=int, dest="max_states",
-                       help="state bound (default 5000000)")
+                       help=f"state bound (default {verifier.DEFAULT_MAX_STATES})")
 
     p_explore = sub.add_parser("explore", help="explore the state space")
     add_common(p_explore)
     add_max_states(p_explore)
-    p_explore.add_argument("--mode", choices=["calculus", "representative", "both"],
-                           help="successor semantics (default representative)")
     p_explore.add_argument("--format", choices=["json", "dot", "text"],
                            help="output format (default text)")
 
@@ -79,7 +77,6 @@ _DEFAULTS = {
     "n": None,
     "values": None,
     "budget": None,
-    "mode": "representative",
     "max_states": verifier.DEFAULT_MAX_STATES,
     "format": None,
     "output": None,
@@ -134,34 +131,21 @@ def _dump_json(payload) -> str:
 
 def cmd_explore(cfg) -> int:
     sys_ = _build_system(cfg)
-    modes = ["representative", "calculus"] if cfg["mode"] == "both" else [cfg["mode"]]
     code = EXIT_OK
-    graphs = []
-    for mode in modes:
-        try:
-            graphs.append(verifier.explore(sys_, mode, cfg["max_states"]))
-        except BoundExceeded as exc:
-            graphs.append(exc.graph)
-            code = EXIT_BOUND
-    stats = [verifier.graph_stats(g) for g in graphs]
-    if len(graphs) == 2 and not any(g.truncated for g in graphs):
-        stats.append({
-            "modes_agree": set(graphs[0].nodes) == set(graphs[1].nodes)
-            and {t[:3] for t in graphs[0].edges} == {t[:3] for t in graphs[1].edges}
-        })
+    try:
+        graph = verifier.explore(sys_, "representative", cfg["max_states"])
+    except BoundExceeded as exc:
+        graph = exc.graph
+        code = EXIT_BOUND
+    stats = verifier.graph_stats(graph)
     fmt = cfg["format"] or "text"
-    graph = graphs[0]
     if fmt == "dot":
         _emit(verifier.export_dot(graph), cfg["output"])
     elif fmt == "json":
-        payload = {"stats": stats, "graph": verifier.graph_jsonable(graph)}
+        payload = {"stats": [stats], "graph": verifier.graph_jsonable(graph)}
         _emit(_dump_json(payload), cfg["output"])
     else:
-        lines = []
-        for s in stats:
-            lines.extend(f"{k}: {v}" for k, v in s.items())
-            lines.append("")
-        _emit("\n".join(lines).rstrip(), cfg["output"])
+        _emit("\n".join(f"{k}: {v}" for k, v in stats.items()), cfg["output"])
     return code
 
 
@@ -240,7 +224,7 @@ def cmd_trace(cfg, schedule) -> int:
     lines.append(f"-- {first}")
     lines.append(repsem.rep_str(rep))
     for step in schedule[1:]:
-        enabled = {tr.rule: tr for tr in lts.successors(sys_, rep, "representative")}
+        enabled = {tr.rule: tr for tr in lts.successors(sys_, rep)}
         if step not in enabled:
             raise StepNotEnabled(step, sorted(enabled))
         rep = enabled[step].target
@@ -248,7 +232,7 @@ def cmd_trace(cfg, schedule) -> int:
         lines.append(f"-- {step}")
         lines.append(repsem.rep_str(rep))
     try:
-        enabled = sorted(tr.rule for tr in lts.successors(sys_, rep, "representative"))
+        enabled = sorted(tr.rule for tr in lts.successors(sys_, rep))
     except EmptyKnowledge as exc:
         # The algorithm is undefined here (mutations only): the schedule
         # still replayed, so print where it led.

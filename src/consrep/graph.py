@@ -55,25 +55,6 @@ class Edges:
         self.label_ids = label_ids
         self.labels = labels
 
-    @classmethod
-    def from_transitions(cls, node_ids: dict, transitions) -> Edges:
-        """The columns of ``transitions``, which must come grouped by
-        source in the id order of ``node_ids`` and end at its nodes."""
-        nodes = list(node_ids)
-        offsets = array("I", [0])
-        targets = array("I")
-        label_ids = array("I")
-        labels: dict = {}
-        for source, action, target, rule in transitions:
-            s = node_ids[source]
-            if s < len(offsets) - 1:
-                raise ValueError("transitions are not grouped by source in id order")
-            offsets.extend([len(targets)] * (s + 1 - len(offsets)))
-            targets.append(node_ids[target])
-            label_ids.append(labels.setdefault((action, rule), len(labels)))
-        offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
-        return cls(nodes, offsets, targets, label_ids, tuple(labels))
-
     def __len__(self) -> int:
         return len(self.targets)
 
@@ -125,7 +106,6 @@ class Edges:
 
 @dataclass
 class LtsGraph:
-    mode: str
     initials: tuple
     node_ids: dict                 # Representative -> discovery index
     edges: Edges                   # over the stored nodes, by node id

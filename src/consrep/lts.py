@@ -1,6 +1,6 @@
 """Labelled transitions over canonical representatives.
 
-Calculus mode derives every transition from the expanded normal form,
+The calculus semantics derives every step from the expanded normal form,
 taken as its list of (slot, located component) pairs
 (``repsem.expansion``): communication pairs an output in transit with the
 matching collector (or the observer), suspicion fires the right branch of
@@ -21,18 +21,18 @@ received-leaf memo below holds.  What a component offers a step (its
 output, its silent leaves and its inputs) is read off its guard leaves
 once per slot, and the leaf a Com step leaves behind is substituted once
 per (input slot, guard leaf index, received value), since a slot
-determines its component.  Targets are not validated here; the explorers
-validate each state when they first discover it.  ``calculus_targets`` gives the τ-targets alone, for the
-correspondence check, from the same step records as ``successors``: it
-builds no ``Transition`` and never hashes the shared source, and every
-step's target is still built, so an undefined one raises just as it does
-in ``successors``.  Full extraction of the raw successor configurations
-(``calculus_raw_successors``, which composes each step's components into
-a term) stays the definition the tests compare against.
+determines its component.  Targets are not validated here; the callers
+validate each state when they first discover it.  ``calculus_targets``
+gives the τ-target set and the visible (action, target) pairs, for the
+correspondence check: it builds no ``Transition`` and never hashes the
+shared source, and every step's target is still built, so an undefined
+one raises where it stands.  Full extraction of the raw successor
+configurations (``calculus_raw_successors``, which composes each step's
+components into a term) stays the definition the tests compare against.
 
-Representative mode takes the successors straight from the rule set on
-representatives.  Both modes expose the same observable: the `ok` send,
-which leaves the representative fixed.
+The representative semantics takes the successors straight from the rule
+set on representatives.  Both expose the same observable: the `ok` send,
+which leaves the representative fixed, enabled where ``emits_ok`` says.
 
 ``labelled_targets`` gives a state's transitions as (action, target,
 rule) triples in canonical order; every transition shares its source, so
@@ -102,8 +102,15 @@ def initial_reps(sys: cm.System) -> list:
     return [repsem.sf(sys, c) for c in select_ti(sys, cfg)]
 
 
+def emits_ok(rep: repsem.Representative) -> bool:
+    """Whether the observer of ``rep`` is at `ok` and accepting, the one
+    state of the representative semantics with a visible step."""
+    wj, _, wb = rep.wrap
+    return wj == 0 and wb == 1
+
+
 # ---------------------------------------------------------------------------
-# Calculus-mode successors.
+# Calculus steps.
 
 def _guard_leaves(p) -> list:
     leaves = []
@@ -248,30 +255,28 @@ def _step_targets(sys: cm.System, rep: repsem.Representative):
         yield step, repsem.sf_step(sys, rep, comps, step)
 
 
-def calculus_targets(sys: cm.System, rep: repsem.Representative) -> set:
-    """The targets of the internal calculus steps of ``rep``: the τ-targets
-    of its calculus-mode ``successors``, with no ``Transition`` built and
-    the shared source never hashed."""
-    return {target for step, target in _step_targets(sys, rep)
-            if step.action == TAU}
+def calculus_targets(sys: cm.System, rep: repsem.Representative) -> tuple:
+    """The steps of ``rep`` in the calculus semantics, as the set of the
+    targets of its internal steps and the set of (action, target) pairs of
+    its visible ones, with no ``Transition`` built and the shared source
+    never hashed."""
+    taus, visible = set(), set()
+    for step, target in _step_targets(sys, rep):
+        if step.action == TAU:
+            taus.add(target)
+        else:
+            visible.add((step.action, target))
+    return taus, visible
 
 
-def labelled_targets(sys: cm.System, rep: repsem.Representative,
-                     mode: str = "representative") -> list:
+def labelled_targets(sys: cm.System, rep: repsem.Representative) -> list:
     """Every transition from a representative as an (action, target, rule)
     triple, in the canonical order of ``successors``: every transition
     shares its source, so sorting the triples orders the transitions."""
-    if mode == "calculus":
-        # Two steps may reach one target under one rule; keep it once.
-        return sorted({(step.action, target, step.rule)
-                       for step, target in _step_targets(sys, rep)})
-    if mode != "representative":
-        raise ValueError(f"unknown mode {mode!r}")
     # rep_successors returns distinct pairs, so the triples are distinct.
     triples = [(TAU, target, rule)
                for rule, target in repsem.rep_successors(sys, rep)]
-    wj, _, wb = rep.wrap
-    if wj == 0 and wb == 1:
+    if emits_ok(rep):
         # Emitting ok consumes the observer; extraction restores it, so the
         # observable loops on the representative.
         triples.append((OK, rep, "Snd ok"))
@@ -279,9 +284,7 @@ def labelled_targets(sys: cm.System, rep: repsem.Representative,
     return triples
 
 
-def successors(sys: cm.System, rep: repsem.Representative,
-               mode: str = "representative") -> list:
+def successors(sys: cm.System, rep: repsem.Representative) -> list:
     """Every transition from a representative, canonically sorted."""
     return [Transition(rep, action, target, rule)
-            for action, target, rule in labelled_targets(sys, rep, mode)]
-
+            for action, target, rule in labelled_targets(sys, rep)]

@@ -32,10 +32,11 @@ from .lts import OK, TAU, action_str
 DEFAULT_MAX_STATES = 5_000_000
 
 
-def explore(sys: cm.System, mode: str = "representative",
+def explore(sys: cm.System, semantics: str = "representative",
             max_states: int = DEFAULT_MAX_STATES) -> LtsGraph:
-    """Breadth-first closure of the instance under the chosen successor
-    function, starting from one representative per trusted immortal.
+    """Breadth-first closure of the instance under the representative
+    semantics (the only ``semantics`` accepted), starting from one
+    representative per trusted immortal.
     Each state is validated once, when it is first discovered.  A state's
     transitions come as sorted (action, target, rule) triples
     (``lts.labelled_targets``), so exploring builds no ``Transition``.
@@ -58,6 +59,8 @@ def explore(sys: cm.System, mode: str = "representative",
     partial graph keeps the edges the overflowing source had so far, and
     every node after it has none.
     """
+    if semantics != "representative":
+        raise ValueError(f"unknown semantics {semantics!r}")
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
     nodes: list = []               # node id -> stored node; the BFS queue
@@ -72,7 +75,7 @@ def explore(sys: cm.System, mode: str = "representative",
     defects: list = []
     for rep in nodes:
         try:
-            succs = lts.labelled_targets(sys, rep, mode)
+            succs = lts.labelled_targets(sys, rep)
         except EmptyKnowledge as exc:
             defects.append((rep, str(exc)))
             succs = ()
@@ -84,8 +87,8 @@ def explore(sys: cm.System, mode: str = "representative",
                     del node_ids[target]    # never admitted
                     offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
                     edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
-                    graph = LtsGraph(mode, initials, node_ids, edges,
-                                     truncated=True, defects=tuple(defects))
+                    graph = LtsGraph(initials, node_ids, edges, truncated=True,
+                                     defects=tuple(defects))
                     raise BoundExceeded(graph, max_states)
                 nodes.append(target)
             label = labels.get((action, rule))
@@ -96,7 +99,7 @@ def explore(sys: cm.System, mode: str = "representative",
             label_ids.append(label)
         offsets.append(len(targets))
     edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
-    return LtsGraph(mode, initials, node_ids, edges, defects=tuple(defects))
+    return LtsGraph(initials, node_ids, edges, defects=tuple(defects))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +124,10 @@ class CheckReport:
 @dataclass
 class CorrespondenceReport:
     checked: int
-    sound_failures: list           # (state, extra representative-step target)
-    complete_failures: list        # (state, unmatched calculus-step target)
+    # (state, target) per internal step, (state, target, action) per
+    # visible one; the target is None where only one side is undefined.
+    sound_failures: list           # extra representative steps
+    complete_failures: list        # unmatched calculus steps
     truncated: bool
     defects: list = field(default_factory=list)
 
@@ -131,12 +136,15 @@ class CorrespondenceReport:
         return not self.sound_failures and not self.complete_failures
 
     def to_jsonable(self) -> dict:
-        def fmt(pairs):
-            return [
-                {"state": repsem.rep_digest(s),
-                 "target": repsem.rep_digest(t) if t is not None else None}
-                for s, t in pairs[:20]
-            ]
+        def fmt(entries):
+            out = []
+            for s, t, *action in entries[:20]:
+                entry = {"state": repsem.rep_digest(s),
+                         "target": repsem.rep_digest(t) if t is not None else None}
+                if action:
+                    entry["action"] = action_str(action[0])
+                out.append(entry)
+            return out
 
         return {
             "check": "correspondence",
@@ -339,17 +347,21 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
 
 def check_correspondence(sys: cm.System,
                          max_states: int = DEFAULT_MAX_STATES) -> CorrespondenceReport:
-    """Per reachable representative, the internal successor sets of the two
-    semantics must be equal.  Explores the union so a divergence on either
-    side still gets visited and reported; each target is validated when it
-    is first discovered, in sorted order.
+    """Per reachable representative, the (action, target) successor sets of
+    the two semantics must be equal, internal and visible steps alike; rule
+    names differ by design and are left out.  So ``sf`` is checked to be a
+    strong bisimulation between the two, up to rule names, and with
+    ``weak_bisim`` the calculus too is weakly bisimilar to the `ok`
+    specification.  Explores the union so a divergence on either side still
+    gets visited and reported; each target is validated when it is first
+    discovered, in sorted order.
 
     Each target is hashed once per side, when its side's set is built
     (``repsem.rep_successors``, looked up as a module attribute on every
-    call, and ``lts.calculus_targets``).  The comparison, the union and the
-    new targets (``targets - visited``) are set operations that reuse the
-    hashes the sets store; the sorted differences are taken only when the
-    two sides differ."""
+    call, with ``lts.emits_ok``, and ``lts.calculus_targets``).  The
+    comparison, the union and the new targets (``targets - visited``) are
+    set operations that reuse the hashes the sets store; the sorted
+    differences are taken only when the two sides differ."""
     visited: set = set()           # every state met, admitted or not
     admitted = 0                   # states queued for checking
     queue: deque = deque()
@@ -370,8 +382,9 @@ def check_correspondence(sys: cm.System,
             rep_targets = {t for _, t in repsem.rep_successors(sys, rep)}
         except EmptyKnowledge:
             rep_targets = None
+        rep_visible = {(OK, rep)} if lts.emits_ok(rep) else set()
         try:
-            calc_targets = lts.calculus_targets(sys, rep)
+            calc_targets, calc_visible = lts.calculus_targets(sys, rep)
         except EmptyKnowledge as exc:
             calc_targets = None
             defect = str(exc)
@@ -390,6 +403,10 @@ def check_correspondence(sys: cm.System,
             sound.extend((rep, t) for t in sorted(rep_targets - calc_targets))
             complete.extend((rep, t) for t in sorted(calc_targets - rep_targets))
             targets = rep_targets | calc_targets
+        if rep_visible != calc_visible:
+            sound.extend((rep, t, a) for a, t in sorted(rep_visible - calc_visible))
+            complete.extend((rep, t, a) for a, t in sorted(calc_visible - rep_visible))
+            targets = targets | {t for _, t in rep_visible | calc_visible}
         fresh = targets - visited
         visited |= fresh
         for t in sorted(fresh):
@@ -619,13 +636,9 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
         )
     stuck = 0
     for s, rep in enumerate(nodes):
-        if not edges.tau_targets(s):
-            wj, _, wb = rep.wrap
-            if wj != 0 or wb != 1:
-                stuck += 1
-                failures.append(
-                    f"maximal run ends undecided at {repsem.rep_digest(rep)}"
-                )
+        if not edges.tau_targets(s) and not lts.emits_ok(rep):
+            stuck += 1
+            failures.append(f"maximal run ends undecided at {repsem.rep_digest(rep)}")
     return CheckReport(
         name="properties",
         passed=not failures,
@@ -780,7 +793,7 @@ def graph_stats(graph: LtsGraph) -> dict:
     terminal = sum(1 for s, (lo, hi) in enumerate(pairwise(edges.offsets))
                    if all(edges.targets[i] == s for i in range(lo, hi)))
     return {
-        "mode": graph.mode,
+        "mode": "representative",  # the only one explored; kept for stable output
         "states": len(graph.node_ids),
         "transitions": len(graph.edges),
         "initial_states": len(graph.initials),
@@ -811,7 +824,7 @@ def export_dot(graph: LtsGraph) -> str:
 def graph_jsonable(graph: LtsGraph) -> dict:
     nodes = sorted(graph.node_ids.items(), key=lambda kv: kv[1])
     return {
-        "mode": graph.mode,
+        "mode": "representative",
         "truncated": graph.truncated,
         "initials": [graph.node_ids[r] for r in graph.initials],
         "nodes": [dict(id=ident, **repsem.rep_jsonable(rep)) for rep, ident in nodes],

@@ -1,9 +1,12 @@
+from array import array
+
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import repsem, verifier
+from consrep import lts, repsem, verifier
 from consrep.calculus_ast import npar, res
 from consrep.evaluation import flatten_components, split_restriction
+from consrep.graph import Edges
 
 
 def shuffle_config(rng, cfg):
@@ -26,6 +29,35 @@ def congruent(sys, c1, c2) -> bool:
     """Structural congruence on reachable configurations, decided through
     equality of standard-form representatives."""
     return repsem.sf(sys, c1) == repsem.sf(sys, c2)
+
+
+def calculus_successors(sys, rep) -> list:
+    """Every transition of ``rep`` in the calculus semantics: the sorted set
+    of (action, target, rule) of its steps, each wrapped in a
+    ``Transition`` (two steps may reach one target under one rule)."""
+    return [lts.Transition(rep, action, target, rule)
+            for action, target, rule in sorted(
+                {(step.action, target, step.rule)
+                 for step, target in lts._step_targets(sys, rep)})]
+
+
+def edges_from_transitions(node_ids: dict, transitions) -> Edges:
+    """The columns of ``transitions``, which must come grouped by source in
+    the id order of ``node_ids`` and end at its nodes."""
+    nodes = list(node_ids)
+    offsets = array("I", [0])
+    targets = array("I")
+    label_ids = array("I")
+    labels: dict = {}
+    for source, action, target, rule in transitions:
+        s = node_ids[source]
+        if s < len(offsets) - 1:
+            raise ValueError("transitions are not grouped by source in id order")
+        offsets.extend([len(targets)] * (s + 1 - len(offsets)))
+        targets.append(node_ids[target])
+        label_ids.append(labels.setdefault((action, rule), len(labels)))
+    offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
+    return Edges(nodes, offsets, targets, label_ids, tuple(labels))
 
 
 @pytest.fixture(scope="session")

@@ -21,8 +21,9 @@ from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
 from consrep.calculus_ast import BOT, chan_c, nat
 from consrep.errors import GraphTruncated
-from consrep.graph import Edges, LtsGraph
+from consrep.graph import LtsGraph
 from consrep.lts import TAU, action_str
+from conftest import edges_from_transitions
 from test_acceptance import INSTANCES_1, INSTANCES_2
 
 
@@ -37,9 +38,8 @@ def ok_spec_graph(sys: cm.System) -> LtsGraph:
         wrap=(0, BOT, 1),
     )
     node_ids = {spec_rep: 0}
-    edges = Edges.from_transitions(
-        node_ids, lts.successors(sys, spec_rep, "representative"))
-    return LtsGraph("representative", (spec_rep,), node_ids, edges)
+    edges = edges_from_transitions(node_ids, lts.successors(sys, spec_rep))
+    return LtsGraph((spec_rep,), node_ids, edges)
 
 
 def reference_weak_bisim(g1: LtsGraph, g2: LtsGraph):
@@ -165,8 +165,8 @@ def reference_weak_bisim(g1: LtsGraph, g2: LtsGraph):
 def graph_from(graph, transitions):
     """A graph over the nodes of ``graph`` with other transitions."""
     order = sorted(transitions, key=lambda tr: graph.node_ids[tr.source])
-    return LtsGraph(graph.mode, graph.initials, graph.node_ids,
-                    Edges.from_transitions(graph.node_ids, order))
+    return LtsGraph(graph.initials, graph.node_ids,
+                    edges_from_transitions(graph.node_ids, order))
 
 
 def replayed(graph, evidence):
@@ -261,7 +261,6 @@ def test_check_agrees_with_the_reference_on_built_graphs(sys1, graph1):
 
 def test_truncated_graph_is_refused(sys2):
     graph = verifier.explore(sys2, "representative")
-    truncated = LtsGraph(graph.mode, graph.initials, graph.node_ids, graph.edges,
-                         truncated=True)
+    truncated = LtsGraph(graph.initials, graph.node_ids, graph.edges, truncated=True)
     with pytest.raises(GraphTruncated):
         verifier.weak_bisim(truncated)

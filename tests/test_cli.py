@@ -47,13 +47,6 @@ def test_explore_dot_output(capsys):
     assert out.count("->") == 3
 
 
-def test_explore_both_modes_agree(capsys):
-    code, out, _ = run(capsys, "explore", "--n", "2", "--values", "5,7",
-                       "--mode", "both")
-    assert code == 0
-    assert "modes_agree: True" in out
-
-
 def test_budget_above_limit_is_a_config_error(capsys):
     code, _, err = run(capsys, "explore", "--n", "2", "--values", "5,7",
                        "--budget", "2")
@@ -74,6 +67,8 @@ def test_missing_instance_is_a_usage_error(capsys):
     # Flags a command would accept and then ignore are not offered.
     ["verify", "--n", "1", "--values", "4", "--format", "dot"],
     ["trace", "--n", "1", "--values", "4", "--max-states", "10"],
+    # explore follows the representative semantics only.
+    ["explore", "--n", "1", "--values", "4", "--mode", "calculus"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -189,9 +184,7 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, key, value", [
     ("verify", "format", "dot"),
-    ("verify", "mode", "calculus"),
     ("trace", "max_states", 1),
-    ("trace", "mode", "calculus"),
     ("trace", "format", "json"),
 ])
 def test_config_file_rejects_keys_the_command_has_no_flag_for(
@@ -201,6 +194,18 @@ def test_config_file_rejects_keys_the_command_has_no_flag_for(
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 1
     assert repr(key) in err and command in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["explore", "verify", "trace"])
+def test_config_file_rejects_the_retired_mode_key(capsys, tmp_path, command):
+    # Only the representative semantics is explored; the calculus one is
+    # compared with it inside verify's correspondence check.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 1, "values": [4], "mode": "calculus"}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert "unknown config keys: ['mode']" in err
     assert out == ""
 
 

@@ -23,7 +23,9 @@ from consrep import evaluation, lts, repsem, verifier
 from consrep.calculus_ast import Config, substitute
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.evaluation import evaluate, flatten_components, split_restriction
+from conftest import calculus_successors
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+from test_explore_oracle import reference_explore
 
 
 def _alone(location, net) -> Config:
@@ -86,14 +88,14 @@ def test_memos_match_recomputation_on_n12(mutation):
     mutations = [mutation] if mutation else []
     for inst in INSTANCES_1 + INSTANCES_2:
         sys_ = cm.build_system(inst, mutations)
-        graph = verifier.explore(sys_, "calculus")
+        graph = reference_explore(sys_, calculus_successors)
         _assert_memos_match_recomputation(sys_)
         # An undefined decision is never stored: every state that reaches
         # it raises again, on a warm System as on a fresh one.
         for rep, _ in graph.defects:
             for system in (sys_, cm.build_system(inst, mutations)):
                 with pytest.raises(EmptyKnowledge):
-                    lts.successors(system, rep, "calculus")
+                    calculus_successors(system, rep)
 
 
 def test_expansion_lays_out_sfi_on_n12():
@@ -119,7 +121,7 @@ def warm_n3():
     graph = exc.value.graph
     nodes = sorted(graph.nodes, key=graph.node_ids.get)
     sample = random.Random(20261019).sample(nodes, 500)
-    warm = [lts.successors(sys3, rep, "calculus") for rep in sample]
+    warm = [calculus_successors(sys3, rep) for rep in sample]
     return sys3, sample, warm
 
 
@@ -133,9 +135,9 @@ def test_warm_calculus_successors_equal_fresh_on_sampled_n3(warm_n3):
     for rep, successors in zip(sample, warm):
         # Recompute on the warm System too, now that its memos hold the
         # entries of every other sampled state.
-        assert lts.successors(sys3, rep, "calculus") == successors
+        assert calculus_successors(sys3, rep) == successors
         fresh = cm.build_system(INSTANCE_3)
-        assert lts.successors(fresh, rep, "calculus") == successors
+        assert calculus_successors(fresh, rep) == successors
 
 
 def test_a_warm_system_evaluates_only_the_initial_states(monkeypatch):

@@ -1,15 +1,22 @@
 """``verifier.check_correspondence`` against the loop that compares the
-τ-targets of calculus-mode ``lts.successors`` with those of the
-representative semantics, and admits the union's new targets one by one.
+τ-targets of the calculus semantics (``conftest.calculus_successors``)
+with those of the representative semantics, and admits the union's new
+targets one by one.
 
-``reference_correspondence`` is that loop.  The check must give the same
-report, field by field and in order, and must validate the same states in
-the same order: the sequence of ``repsem.validate_rep`` arguments is
-recorded on both sides.  ``lts.calculus_targets``, the calculus side of the
-check, must equal the τ-targets of ``lts.successors`` in calculus mode on
-every state the check meets, and raise ``EmptyKnowledge`` on exactly the
-same states; calculus-mode ``successors`` must be the sorted set of the
-``Transition`` of every step.
+``reference_correspondence`` is that loop.  No run below has a visible
+step on one side only, so the check must give the same report, field by
+field and in order, and must validate the same states in the same order:
+the sequence of ``repsem.validate_rep`` arguments is recorded on both
+sides.  ``lts.calculus_targets``, the calculus side of the check, must
+equal the τ-targets and the visible (action, target) pairs of
+``calculus_successors`` on every state the check meets, and raise
+``EmptyKnowledge`` on exactly the same states; ``calculus_successors``
+must be the sorted set of the ``Transition`` of every step.
+
+The check also compares the visible steps, which the reference does not:
+three faults in when `ok` fires, each passed by the reference, must each
+fail it and name the action in the list of the side that has the extra
+step.
 """
 
 from collections import deque
@@ -19,7 +26,8 @@ import pytest
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
 from consrep.errors import EmptyKnowledge
-from consrep.lts import TAU
+from consrep.lts import OK, TAU
+from conftest import calculus_successors
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_BOUND = 300
@@ -47,7 +55,7 @@ def reference_correspondence(sys, max_states=verifier.DEFAULT_MAX_STATES):
         except EmptyKnowledge:
             rep_targets = None
         try:
-            calc_targets = {tr.target for tr in lts.successors(sys, rep, "calculus")
+            calc_targets = {tr.target for tr in calculus_successors(sys, rep)
                             if tr.action == TAU}
         except EmptyKnowledge as exc:
             calc_targets = None
@@ -151,7 +159,7 @@ def test_calculus_targets_are_the_tau_targets_of_successors(compared):
     for _, sys_, _, (_, validated) in compared:
         for rep in lts.initial_reps(sys_) + validated:
             try:
-                succs = lts.successors(sys_, rep, "calculus")
+                succs = calculus_successors(sys_, rep)
             except EmptyKnowledge:
                 for undefined_on in (reference_calculus_successors,
                                      lts.calculus_targets):
@@ -160,7 +168,46 @@ def test_calculus_targets_are_the_tau_targets_of_successors(compared):
                 undefined += 1
                 continue
             assert succs == reference_calculus_successors(sys_, rep)
-            assert lts.calculus_targets(sys_, rep) == {
-                tr.target for tr in succs if tr.action == TAU}
+            assert lts.calculus_targets(sys_, rep) == (
+                {tr.target for tr in succs if tr.action == TAU},
+                {(tr.action, tr.target) for tr in succs if tr.action != TAU})
             states += 1
     assert states > N3_BOUND and undefined > 0
+
+
+def _ok_also_at_an_inert_observer(m):
+    original = lts.emits_ok
+    m.setattr(lts, "emits_ok", lambda rep: rep.wrap[2] == 0 or original(rep))
+
+
+def _calculus_drops_ok(m):
+    original = lts._step_targets
+    m.setattr(lts, "_step_targets", lambda sys_, rep: (
+        (step, target) for step, target in original(sys_, rep)
+        if step.action != OK))
+
+
+def _representative_drops_ok(m):
+    m.setattr(lts, "emits_ok", lambda rep: False)
+
+
+@pytest.mark.parametrize("fault, mutation, side", [
+    # skip-correct lets an observer go inert; the calculus emits nothing there.
+    (_ok_also_at_an_inert_observer, "skip-correct", "sound"),
+    # A representative step the calculus lacks is a sound failure too.
+    (_calculus_drops_ok, None, "sound"),
+    (_representative_drops_ok, None, "complete"),
+], ids=["ok-at-an-inert-observer", "calculus-drops-ok", "representative-drops-ok"])
+def test_visible_faults_are_caught_by_the_check_only(fault, mutation, side):
+    sys_ = cm.build_system(INSTANCES_2[0], [mutation] if mutation else [])
+    with pytest.MonkeyPatch.context() as m:
+        fault(m)
+        assert reference_correspondence(sys_).passed
+        report = verifier.check_correspondence(sys_)
+    assert not report.passed
+    found = report.to_jsonable()
+    other = "complete" if side == "sound" else "sound"
+    assert found[f"{other}_failures"] == []
+    failures = found[f"{side}_failures"]
+    # Only the visible step differs: every entry names its action.
+    assert failures and all(entry["action"] == "ok!_" for entry in failures)

@@ -1,6 +1,6 @@
 """The int columns of an explored graph's edges (``consrep.graph.Edges``).
 
-Representative-mode ``explore`` builds the columns from (action, target,
+``explore`` builds the columns from (action, target,
 rule) triples.  ``len``, ``hash`` and ``==`` on ``graph.edges`` read the
 columns, and so do the checks that walk the edges (``check_properties``,
 ``weak_bisim`` passing and failing, ``graph_stats``) and
@@ -20,7 +20,7 @@ import pytest
 from consrep import consensus_model as cm
 from consrep import lts, verifier
 from consrep.errors import BoundExceeded
-from consrep.graph import Edges
+from conftest import edges_from_transitions
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
@@ -56,18 +56,18 @@ def test_columns_hash_and_compare_like_the_transitions():
         transitions = list(graph.edges)
         assert len(graph.edges) == len(transitions)
         assert hash(graph.edges) == hash(tuple(transitions))
-        rebuilt = Edges.from_transitions(graph.node_ids, transitions)
+        rebuilt = edges_from_transitions(graph.node_ids, transitions)
         assert rebuilt == graph.edges and list(rebuilt) == transitions
         # Other node lists, same transitions: equal, and equal hashes.
         padded = dict(graph.node_ids)
         padded[graph.initials[0]._replace(budget=99)] = len(padded)
-        wider = Edges.from_transitions(padded, transitions)
+        wider = edges_from_transitions(padded, transitions)
         assert wider == graph.edges and hash(wider) == hash(graph.edges)
         if len(transitions) > 1:
-            shorter = Edges.from_transitions(graph.node_ids, transitions[:-1])
+            shorter = edges_from_transitions(graph.node_ids, transitions[:-1])
             assert shorter != graph.edges
             with pytest.raises(ValueError):
-                Edges.from_transitions(graph.node_ids, transitions[::-1])
+                edges_from_transitions(graph.node_ids, transitions[::-1])
 
 
 def test_len_hash_eq_and_the_checks_build_no_transition(transitions_built):
@@ -116,7 +116,7 @@ def test_bound_exceeded_graph_keeps_the_partial_source(inst, bound):
     # Every node before the overflowing source is fully expanded.
     s = 0
     while True:
-        succs = lts.successors(sys_, nodes[s], "representative")
+        succs = lts.successors(sys_, nodes[s])
         if not all(tr.target in graph.node_ids for tr in succs):
             break
         assert out_edges(s) == succs

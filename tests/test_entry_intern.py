@@ -2,18 +2,19 @@
 
 Each distinct out1/out2/out3/in1/in2 entry is one ``Entry`` per System,
 made where a memo entry is filled or by ``sf``, and every state reuses
-those objects.  On every state that ``explore`` (both modes) and
-``check_correspondence`` meet - the n<=2 instances, unmutated and under
-each mutation, and an n=3 (1,2,3) prefix - each entry must be an
-``Entry``, be the System's object for its value and hash as the plain
-tuple of that value.  So a representative built by hand from plain tuples
-must find an explored one in a dict, and the reverse.  An ``Entry``
+those objects.  On every state that ``explore``, a test-side exploration
+of the calculus semantics and ``check_correspondence`` meet - the n<=2
+instances, unmutated and under each mutation, and an n=3 (1,2,3) prefix -
+each entry must be an ``Entry``, be the System's object for its value and
+hash as the plain tuple of that value.  So a representative built by hand
+from plain tuples must find an explored one in a dict, and the reverse.  An ``Entry``
 pickles and copies as a plain ``tuple``, so no cached hash leaves the
 process.
 """
 
 import copy
 import pickle
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,9 @@ from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
 from consrep.errors import BoundExceeded
 from consrep.repsem import Entry, Representative
+from conftest import calculus_successors
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+from test_explore_oracle import reference_explore
 
 N3_PREFIX = 1000
 MUTATIONS = [None, *sorted(cm.MUTATIONS)]
@@ -36,12 +39,13 @@ def plain(rep: Representative) -> Representative:
 
 
 def explored_states(sys_, max_states=verifier.DEFAULT_MAX_STATES) -> list:
-    """Every state that ``explore`` in both modes and
+    """Every state that ``explore`` under both semantics and
     ``check_correspondence`` meet on ``sys_``, in meeting order."""
     states = []
-    for mode in ("representative", "calculus"):
+    for explorer in (partial(verifier.explore, sys_, "representative"),
+                     partial(reference_explore, sys_, calculus_successors)):
         try:
-            graph = verifier.explore(sys_, mode, max_states)
+            graph = explorer(max_states)
         except BoundExceeded as exc:
             graph = exc.graph
         states += graph.nodes

@@ -1,14 +1,17 @@
 """``verifier.explore`` against the breadth-first loop that stores every
 transition as the successor function returns it.
 
-``reference_explore`` is that loop; its graph stores the transitions
-through ``Edges.from_transitions``.  ``verifier.explore`` must
+``reference_explore`` is that loop, over a given successor function; its
+graph stores the transitions through ``conftest.edges_from_transitions``.
+Over ``lts.successors`` it is the oracle of ``verifier.explore``, which must
 give the same nodes in the same order, the same edges (as columns and as
 ``Transition``s, edge by edge), truncation flag and defects, while
 holding one object per state, per rule and per action: every edge's
 source and target are the stored nodes.  The same states
 back the fact that lets ``repsem.rep_successors`` skip deduplication:
-within one state its rule instances are pairwise distinct.
+within one state its rule instances are pairwise distinct.  Over
+``conftest.calculus_successors`` it explores the calculus semantics, which
+no code under ``src`` explores as a graph.
 """
 
 from collections import deque
@@ -17,15 +20,16 @@ import pytest
 
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
-from consrep.graph import Edges
 from consrep.errors import BoundExceeded, EmptyKnowledge
+from conftest import edges_from_transitions
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_PREFIX = 3000
-MODES = ("representative", "calculus")
 
 
-def reference_explore(sys, mode, max_states=verifier.DEFAULT_MAX_STATES):
+def reference_explore(sys, successors, max_states=verifier.DEFAULT_MAX_STATES):
+    """The graph of the states reachable under ``successors`` (a function
+    of a System and a state, returning its sorted ``Transition``s)."""
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
     edges: list = []
@@ -38,7 +42,7 @@ def reference_explore(sys, mode, max_states=verifier.DEFAULT_MAX_STATES):
     while queue:
         rep = queue.popleft()
         try:
-            succs = lts.successors(sys, rep, mode)
+            succs = successors(sys, rep)
         except EmptyKnowledge as exc:
             defects.append((rep, str(exc)))
             continue
@@ -47,15 +51,14 @@ def reference_explore(sys, mode, max_states=verifier.DEFAULT_MAX_STATES):
                 repsem.validate_rep(sys, tr.target)
                 if len(node_ids) >= max_states:
                     graph = verifier.LtsGraph(
-                        mode, initials, node_ids,
-                        Edges.from_transitions(node_ids, edges),
+                        initials, node_ids, edges_from_transitions(node_ids, edges),
                         truncated=True, defects=tuple(defects))
                     raise BoundExceeded(graph, max_states)
                 node_ids[tr.target] = len(node_ids)
                 queue.append(tr.target)
             edges.append(tr)
-    return verifier.LtsGraph(mode, initials, node_ids,
-                             Edges.from_transitions(node_ids, edges),
+    return verifier.LtsGraph(initials, node_ids,
+                             edges_from_transitions(node_ids, edges),
                              defects=tuple(defects))
 
 
@@ -75,15 +78,16 @@ def n12_systems():
 @pytest.fixture(scope="module")
 def explored():
     """(system, explored graph, reference graph) for every n<=2 instance
-    under every mutation in both modes, then the n=3 (1,2,3) prefix."""
-    runs = [(sys_, mode) for sys_ in n12_systems() for mode in MODES]
-    runs.append((cm.build_system(INSTANCE_3), "representative", N3_PREFIX))
-    return [(args[0], bounded(verifier.explore, *args),
-             bounded(reference_explore, *args)) for args in runs]
+    under every mutation, then the n=3 (1,2,3) prefix."""
+    runs = [(sys_, verifier.DEFAULT_MAX_STATES) for sys_ in n12_systems()]
+    runs.append((cm.build_system(INSTANCE_3), N3_PREFIX))
+    return [(sys_, bounded(verifier.explore, sys_, "representative", bound),
+             bounded(reference_explore, sys_, lts.successors, bound))
+            for sys_, bound in runs]
 
 
 def test_explore_agrees_and_shares(explored):
-    assert len(explored) == 2 * 5 * 7 + 1
+    assert len(explored) == 5 * 7 + 1
     assert any(graph.defects for _, graph, _ in explored)
     assert explored[-1][1].truncated
     for _, fast, slow in explored:
@@ -104,8 +108,6 @@ def test_explore_agrees_and_shares(explored):
 def test_rep_successor_rules_are_distinct(explored):
     states = 0
     for sys_, graph, _ in explored:
-        if graph.mode != "representative":
-            continue
         defective = {rep for rep, _ in graph.defects}
         for rep in graph.nodes:
             if rep in defective:

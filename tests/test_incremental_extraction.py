@@ -1,6 +1,6 @@
 """Incremental extraction of calculus-step targets against full extraction.
 
-Calculus-mode successors patch the source representative with what a step
+Calculus-semantics successors patch the source representative with what a step
 changes (``repsem.sf_step``), evaluating and classifying only the leaves
 the step leaves behind.  Full extraction, ``repsem.sf`` applied to the raw
 configuration of every step, stays the definition; the two must agree on
@@ -20,6 +20,7 @@ from consrep.errors import (
     EmptyKnowledge,
     NotReachableShape,
 )
+from conftest import calculus_successors
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
@@ -31,7 +32,7 @@ def _full(sys_, rep) -> list:
 
 
 def _incremental(sys_, rep) -> list:
-    return lts.successors(sys_, rep, "calculus")
+    return calculus_successors(sys_, rep)
 
 
 def _outcome(successors, sys_, rep):

@@ -17,7 +17,8 @@ from consrep import consensus_model as cm
 from consrep import repsem, verifier
 from consrep.errors import BoundExceeded
 from consrep.evaluation import evaluate
-from consrep.graph import Edges, LtsGraph
+from consrep.graph import LtsGraph
+from conftest import edges_from_transitions
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_BOUND = 3000
@@ -52,8 +53,7 @@ def assert_same(sys_, graph):
 
 def one_node_graph(rep):
     node_ids = {rep: 0}
-    return LtsGraph("representative", (rep,), node_ids,
-                    Edges.from_transitions(node_ids, []))
+    return LtsGraph((rep,), node_ids, edges_from_transitions(node_ids, []))
 
 
 @pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])

@@ -8,6 +8,8 @@ from consrep.calculus_ast import BOT, nat, npar, res
 from consrep.errors import InvariantViolation, NotReachableShape
 from consrep.evaluation import evaluate, split_restriction, flatten_components
 from consrep.repsem import Representative, rep_key, rep_successors, sf, sfi
+from conftest import calculus_successors
+from test_explore_oracle import reference_explore
 
 V1 = cm.know_vec([(1, nat(4), 0)])
 
@@ -169,7 +171,7 @@ def test_invalid_calculus_target_is_caught_where_it_is_discovered(
     with pytest.raises(InvariantViolation, match="duplicate decision message"):
         verifier.check_correspondence(sys1)
     with pytest.raises(InvariantViolation, match="duplicate decision message"):
-        verifier.explore(sys1, "calculus")
+        reference_explore(sys1, calculus_successors)
 
 
 def test_extraction_rejects_foreign_terms(sys2):
@@ -218,11 +220,11 @@ def test_observer_conflict_goes_inert_in_both_semantics(sys2):
     assert succ.out3 == ()
     from consrep import lts
 
-    calc = [tr.target for tr in lts.successors(sys2, rep, "calculus")]
+    calc = [tr.target for tr in calculus_successors(sys2, rep)]
     assert calc == [succ]
     # The inert observer takes no further part.
     assert rep_successors(sys2, succ) == []
-    assert lts.successors(sys2, succ, "calculus") == []
+    assert calculus_successors(sys2, succ) == []
     assert sf(sys2, sfi(sys2, succ)) == succ
 
 
