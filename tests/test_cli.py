@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from consrep import consensus_model as cm
 from consrep import verifier
 from consrep.cli import main
+from consrep.lts import action_str
+from conftest import calculus_successors
+from test_explore_oracle import reference_explore
 
 
 def run(capsys, *argv):
@@ -45,6 +49,27 @@ def test_explore_dot_output(capsys):
     assert out.startswith("digraph")
     assert out.rstrip().endswith("}")
     assert out.count("->") == 3
+
+
+def test_explore_both_modes_agree(capsys, tmp_path):
+    # explore prints the representative graph only; the calculus graph of
+    # the same instance, explored in tests, has the same node ids, initials
+    # and (source, action, target) edges.
+    target = tmp_path / "graph.json"
+    code, _, _ = run(capsys, "explore", "--n", "2", "--values", "5,7",
+                     "--format", "json", "--output", str(target))
+    assert code == 0
+    printed = json.loads(target.read_text())["graph"]
+    calculus = reference_explore(cm.build_system(cm.make_instance(2, [5, 7])),
+                                 calculus_successors)
+    assert not printed["truncated"] and not calculus.truncated
+    assert printed["initials"] == [calculus.node_ids[r]
+                                   for r in calculus.initials]
+    assert len(printed["nodes"]) == len(calculus.node_ids)
+    assert {(e["source"], e["action"], e["target"])
+            for e in printed["edges"]} == {
+        (calculus.node_ids[t.source], action_str(t.action),
+         calculus.node_ids[t.target]) for t in calculus.edges}
 
 
 def test_budget_above_limit_is_a_config_error(capsys):
