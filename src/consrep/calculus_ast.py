@@ -189,10 +189,6 @@ def cond(e, p, q):
     return ("if", e, p, q)
 
 
-def tau(cont):
-    return ("tau", cont)
-
-
 def const(name, arg):
     assert isinstance(name, str), name
     return ("const", name, arg)

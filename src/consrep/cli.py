@@ -152,46 +152,43 @@ def cmd_explore(cfg) -> int:
 def cmd_verify(cfg) -> int:
     sys_ = _build_system(cfg)
     max_states = cfg["max_states"]
-    reports = []
-    bound_hit = False
 
     corr = verifier.check_correspondence(sys_, max_states)
-    reports.append(corr.to_jsonable())
-    bound_hit |= corr.truncated
+    reports = [corr.to_jsonable()]
+    bound_hit = corr.truncated
 
-    # One representative graph serves every check after correspondence.
-    try:
-        graph = verifier.explore(sys_, "representative", max_states)
-    except BoundExceeded as exc:
-        bound_hit = True
-        graph = exc.graph
+    # One representative graph serves every check after correspondence:
+    # the one it explored, or a fresh exploration where it has none.
+    graph = corr.graph
+    if graph is None:
+        try:
+            graph = verifier.explore(sys_, "representative", max_states)
+        except BoundExceeded as exc:
+            bound_hit = True
+            graph = exc.graph
 
     def skipped(check, bound):
         return {"check": check, "status": "skipped",
                 "details": {"reason": f"{bound} bound exceeded"}}
 
-    for check in ("confluence", "normal-forms", "properties", "bisimulation"):
-        if graph.truncated:
-            reports.append(skipped(check, "state"))
-            continue
-        if check == "confluence":
-            try:
-                reports.append(verifier.check_confluence(sys_, graph).to_jsonable())
-            except BoundExceeded:
-                bound_hit = True
-                reports.append(skipped(check, "configuration"))
-        elif check == "normal-forms":
-            reports.append(verifier.check_normal_forms(sys_, graph).to_jsonable())
-        elif check == "properties":
-            reports.append(verifier.check_properties(sys_, graph).to_jsonable())
-        else:
-            ok, evidence = verifier.weak_bisim(graph)
-            reports.append({
-                "check": "bisimulation",
-                "status": "pass" if ok else "fail",
-                "details": {"relation_pairs": len(evidence)} if ok
-                else {"distinguishing": evidence},
-            })
+    if graph.truncated:
+        reports += [skipped(check, "state") for check in
+                    ("confluence", "normal-forms", "properties", "bisimulation")]
+    else:
+        try:
+            reports.append(verifier.check_confluence(sys_, graph).to_jsonable())
+        except BoundExceeded:
+            bound_hit = True
+            reports.append(skipped("confluence", "configuration"))
+        reports.append(verifier.check_normal_forms(sys_, graph).to_jsonable())
+        reports.append(verifier.check_properties(sys_, graph).to_jsonable())
+        ok, evidence = verifier.weak_bisim(graph)
+        reports.append({
+            "check": "bisimulation",
+            "status": "pass" if ok else "fail",
+            "details": {"relation_pairs": len(evidence)} if ok
+            else {"distinguishing": evidence},
+        })
 
     payload = {"instance": {"n": sys_.n, "values": list(sys_.u),
                             "budget": sys_.inst.budget,

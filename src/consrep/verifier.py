@@ -12,10 +12,9 @@ and weak bisimilarity with the one-state specification that just emits on
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cmp_to_key, partial
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 
 from . import consensus_model as cm
 from . import lts, repsem
@@ -32,14 +31,22 @@ from .lts import OK, TAU, action_str
 DEFAULT_MAX_STATES = 5_000_000
 
 
-def explore(sys: cm.System, semantics: str = "representative",
-            max_states: int = DEFAULT_MAX_STATES) -> LtsGraph:
-    """Breadth-first closure of the instance under the representative
-    semantics (the only ``semantics`` accepted), starting from one
-    representative per trusted immortal.
-    Each state is validated once, when it is first discovered.  A state's
-    transitions come as sorted (action, target, rule) triples
+def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
+    """The breadth-first loop behind ``explore`` and ``check_correspondence``:
+    the closure of the instance under the representative semantics,
+    starting from one representative per trusted immortal.
+
+    A state's transitions come as sorted (action, target, rule) triples
     (``lts.labelled_targets``), so exploring builds no ``Transition``.
+    ``compare(state, triples)`` sees each state before its edges are
+    stored, with ``triples`` None where the algorithm itself is undefined
+    (an empty decision, reachable only under fault-injection mutations;
+    such a state is kept as a node with no successors and recorded as a
+    defect).  It returns the targets to admit before the edges, or None to
+    follow none of the state's steps.  Each state is validated once, when
+    it is first discovered, and numbered in discovery order; since the
+    `ok` loop's target is its source, a state's new targets are met in
+    sorted order.
 
     The graph holds one object per state, in the ``nodes`` list that is
     also the BFS queue, and its edges as int columns (``Edges``): a
@@ -53,44 +60,57 @@ def explore(sys: cm.System, semantics: str = "representative",
     someone iterates ``graph.edges``.  Looking a target up in ``node_ids``
     hashes it through the hashes its ``repsem.Entry`` objects cache.
 
-    A state on which the algorithm itself is undefined (an empty decision,
-    reachable only under fault-injection mutations) is kept as a node with
-    no successors and recorded as a defect.  When the bound is hit, the
-    partial graph keeps the edges the overflowing source had so far, and
-    every node after it has none.
-    """
-    if semantics != "representative":
-        raise ValueError(f"unknown semantics {semantics!r}")
+    Every initial is expanded, and ``max_states`` states in all where
+    there are more.  The first target past the bound raises
+    ``BoundExceeded``, whose partial graph keeps the edges the overflowing
+    source had so far and none for the nodes after it; with ``truncate``
+    such targets are numbered instead, never expanded, and the graph is
+    marked truncated."""
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
     nodes: list = []               # node id -> stored node; the BFS queue
     for rep in initials:
         if node_ids.setdefault(rep, len(nodes)) == len(nodes):
             nodes.append(rep)
+    limit = max(max_states, len(nodes))
     offsets = array("I", [0])
     targets = array("I")
     label_ids = array("I")
     labels: dict = {}              # (action, rule) -> label id
     firsts: dict = {}              # rule or action -> its first equal object
     defects: list = []
-    for rep in nodes:
+
+    def graph(truncated: bool) -> LtsGraph:
+        offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
+        edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
+        return LtsGraph(initials, node_ids, edges, truncated=truncated,
+                        defects=tuple(defects))
+
+    def admit(target) -> None:
+        # ``target`` has just been given the next id.
+        repsem.validate_rep(sys, target)
+        if len(nodes) >= limit and not truncate:
+            del node_ids[target]
+            raise BoundExceeded(graph(True), max_states)
+        nodes.append(target)
+
+    for rep in islice(nodes, limit):
         try:
             succs = lts.labelled_targets(sys, rep)
         except EmptyKnowledge as exc:
             defects.append((rep, str(exc)))
-            succs = ()
-        for action, target, rule in succs:
+            succs = None
+        first = compare(rep, succs)
+        if first is None:
+            succs = None
+        else:
+            for target in first:
+                if node_ids.setdefault(target, len(nodes)) == len(nodes):
+                    admit(target)
+        for action, target, rule in succs or ():
             ident = node_ids.setdefault(target, len(nodes))
             if ident == len(nodes):
-                repsem.validate_rep(sys, target)
-                if ident >= max_states:
-                    del node_ids[target]    # never admitted
-                    offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
-                    edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
-                    graph = LtsGraph(initials, node_ids, edges, truncated=True,
-                                     defects=tuple(defects))
-                    raise BoundExceeded(graph, max_states)
-                nodes.append(target)
+                admit(target)
             label = labels.get((action, rule))
             if label is None:
                 label = labels[firsts.setdefault(action, action),
@@ -98,8 +118,21 @@ def explore(sys: cm.System, semantics: str = "representative",
             targets.append(ident)
             label_ids.append(label)
         offsets.append(len(targets))
-    edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
-    return LtsGraph(initials, node_ids, edges, defects=tuple(defects))
+    return graph(len(nodes) > limit)
+
+
+def _follow_every_step(rep, succs) -> tuple:
+    return ()
+
+
+def explore(sys: cm.System, semantics: str = "representative",
+            max_states: int = DEFAULT_MAX_STATES) -> LtsGraph:
+    """The representative graph of the instance (the only ``semantics``
+    accepted), every step followed; ``BoundExceeded`` carries the partial
+    graph when a target lies past ``max_states`` (see ``_bfs``)."""
+    if semantics != "representative":
+        raise ValueError(f"unknown semantics {semantics!r}")
+    return _bfs(sys, max_states, _follow_every_step, truncate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +163,8 @@ class CorrespondenceReport:
     complete_failures: list        # unmatched calculus steps
     truncated: bool
     defects: list = field(default_factory=list)
+    # The representative graph, where the report passed and is not truncated.
+    graph: LtsGraph | None = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -352,71 +387,56 @@ def check_correspondence(sys: cm.System,
     names differ by design and are left out.  So ``sf`` is checked to be a
     strong bisimulation between the two, up to rule names, and with
     ``weak_bisim`` the calculus too is weakly bisimilar to the `ok`
-    specification.  Explores the union so a divergence on either side still
-    gets visited and reported; each target is validated when it is first
-    discovered, in sorted order.
+    specification.
 
-    Each target is hashed once per side, when its side's set is built
-    (``repsem.rep_successors``, looked up as a module attribute on every
-    call, with ``lts.emits_ok``, and ``lts.calculus_targets``).  The
-    comparison, the union and the new targets (``targets - visited``) are
-    set operations that reuse the hashes the sets store; the sorted
-    differences are taken only when the two sides differ."""
-    visited: set = set()           # every state met, admitted or not
-    admitted = 0                   # states queued for checking
-    queue: deque = deque()
-    truncated = False
+    Runs the exploration loop (``_bfs``), comparing each state's
+    representative steps (``lts.labelled_targets``, which looks up
+    ``repsem.rep_successors`` on the module on every call) with
+    ``lts.calculus_targets``.  It explores the union of the two, so a
+    divergence on either side still gets visited and reported: where the
+    sides differ, the union's new targets are admitted in sorted order
+    before the state's edges; where only one side is undefined, neither
+    side's steps are followed.  Targets past ``max_states`` are validated
+    once and not checked, and the report is marked truncated.  Where the
+    sides agree the union is the representative steps, so a report that
+    passes and is not truncated carries the graph ``explore`` builds."""
     sound: list = []
     complete: list = []
     defects: list = []
     checked = 0
-    for rep in lts.initial_reps(sys):
-        if rep not in visited:
-            visited.add(rep)
-            admitted += 1
-            queue.append(rep)
-    while queue:
-        rep = queue.popleft()
+
+    def compare(rep, succs):
+        nonlocal checked
         checked += 1
-        try:
-            rep_targets = {t for _, t in repsem.rep_successors(sys, rep)}
-        except EmptyKnowledge:
-            rep_targets = None
-        rep_visible = {(OK, rep)} if lts.emits_ok(rep) else set()
         try:
             calc_targets, calc_visible = lts.calculus_targets(sys, rep)
         except EmptyKnowledge as exc:
-            calc_targets = None
-            defect = str(exc)
-        if rep_targets is None or calc_targets is None:
             # The algorithm itself is undefined here (empty decision); the
             # two semantics must at least be undefined on the same states.
-            if rep_targets is not None:
-                complete.append((rep, None))
-            elif calc_targets is not None:
-                sound.append((rep, None))
+            if succs is None:
+                defects.append((rep, str(exc)))
             else:
-                defects.append((rep, defect))
-            continue
-        targets = rep_targets
-        if rep_targets != calc_targets:
-            sound.extend((rep, t) for t in sorted(rep_targets - calc_targets))
-            complete.extend((rep, t) for t in sorted(calc_targets - rep_targets))
-            targets = rep_targets | calc_targets
-        if rep_visible != calc_visible:
-            sound.extend((rep, t, a) for a, t in sorted(rep_visible - calc_visible))
-            complete.extend((rep, t, a) for a, t in sorted(calc_visible - rep_visible))
-            targets = targets | {t for _, t in rep_visible | calc_visible}
-        fresh = targets - visited
-        visited |= fresh
-        for t in sorted(fresh):
-            repsem.validate_rep(sys, t)
-            if admitted >= max_states:
-                truncated = True
-                continue
-            admitted += 1
-            queue.append(t)
-    return CorrespondenceReport(checked, sound, complete, truncated, defects)
+                complete.append((rep, None))
+            return None
+        if succs is None:
+            sound.append((rep, None))
+            return None
+        rep_targets = {t for a, t, _ in succs if a == TAU}
+        rep_visible = {(a, t) for a, t, _ in succs if a != TAU}
+        if rep_targets == calc_targets and rep_visible == calc_visible:
+            return ()
+        sound.extend((rep, t) for t in sorted(rep_targets - calc_targets))
+        complete.extend((rep, t) for t in sorted(calc_targets - rep_targets))
+        sound.extend((rep, t, a) for a, t in sorted(rep_visible - calc_visible))
+        complete.extend((rep, t, a) for a, t in sorted(calc_visible - rep_visible))
+        return sorted(rep_targets | calc_targets
+                      | {t for _, t in rep_visible | calc_visible})
+
+    graph = _bfs(sys, max_states, compare, truncate=True)
+    report = CorrespondenceReport(checked, sound, complete, graph.truncated, defects)
+    if report.passed and not graph.truncated:
+        report.graph = graph
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import verifier
+from consrep import repsem, verifier
 from consrep.cli import main
 from consrep.lts import action_str
 from conftest import calculus_successors
@@ -137,6 +137,37 @@ def test_verify_reports_the_confluence_configuration_bound(capsys, monkeypatch):
         "reason": "configuration bound exceeded"}
     assert all(r["status"] == "pass" for check, r in reports.items()
                if check != "confluence")
+
+
+@pytest.mark.parametrize("mutation, explorations", [(None, 0),
+                                                     ("sr1-deletes-in1", 1)])
+def test_verify_explores_the_state_space_once(capsys, monkeypatch, mutation,
+                                              explorations):
+    # The correspondence check hands its graph to the later checks; only a
+    # check that fails (here a mutation that breaks the correspondence)
+    # leaves them to a fresh exploration.
+    calls = {"rep_successors": 0, "explore": 0}
+    for module, name in ((repsem, "rep_successors"), (verifier, "explore")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    argv = ["verify", "--n", "2", "--values", "5,7", "--budget", "1"]
+    code, out, _ = run(capsys, *argv, *(["--mutate", mutation] if mutation else []))
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    checked = reports["correspondence"]["details"]["states_checked"]
+    assert calls["explore"] == explorations
+    if mutation is None:
+        assert code == 0
+        assert calls["rep_successors"] == checked
+        assert checked == reports["properties"]["details"]["states"]
+    else:
+        assert code == 3 and reports["correspondence"]["status"] == "fail"
+        assert calls["rep_successors"] == (
+            checked + reports["properties"]["details"]["states"])
 
 
 def test_verify_single_agent(capsys):

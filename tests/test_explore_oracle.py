@@ -12,6 +12,10 @@ back the fact that lets ``repsem.rep_successors`` skip deduplication:
 within one state its rule instances are pairwise distinct.  Over
 ``conftest.calculus_successors`` it explores the calculus semantics, which
 no code under ``src`` explores as a graph.
+
+``verifier.check_correspondence`` runs the same loop, and a report that
+passes and is not truncated carries the graph ``explore`` builds; on
+every other run it carries none.
 """
 
 from collections import deque
@@ -118,3 +122,28 @@ def test_rep_successor_rules_are_distinct(explored):
             assert succs == sorted(set(succs))
             states += 1
     assert states > N3_PREFIX
+
+
+def test_correspondence_carries_the_explored_graph(explored):
+    handed = with_defects = 0
+    for sys_, graph, _ in explored:
+        bound = N3_PREFIX if sys_.n == 3 else verifier.DEFAULT_MAX_STATES
+        report = verifier.check_correspondence(sys_, bound)
+        if not report.passed or report.truncated:
+            assert report.graph is None
+            continue
+        carried = report.graph
+        assert list(carried.node_ids.items()) == list(graph.node_ids.items())
+        assert carried.initials == graph.initials
+        edges, expected = carried.edges, graph.edges
+        assert edges.nodes == expected.nodes and edges.labels == expected.labels
+        assert (edges.offsets, edges.targets, edges.label_ids) == (
+            expected.offsets, expected.targets, expected.label_ids)
+        assert (carried.truncated, carried.defects) == (False, graph.defects)
+        handed += 1
+        with_defects += bool(graph.defects)
+    # Every unmutated run hands its graph over, and so does a run where both
+    # semantics are undefined on the same states; the two mutations that
+    # break the correspondence do not, on any n=2 instance.
+    assert handed == len(explored) - 1 - 2 * 6
+    assert with_defects > 0
