@@ -1,7 +1,8 @@
 """Command-line front end: explore, verify, trace.
 
 Configuration comes from flags, falling back to a JSON config file, then
-defaults; the file may set only what the command has a flag for.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
+defaults; the file may set only what the command has a flag for, to a value
+the flag could give.  Exit codes: 0 pass, 1 usage or configuration error, 2 state
 or configuration bound exceeded, 3 check failure (a failed report, a state that breaks
 the representative invariants or matches no shape of the encoding, or a
 replayed schedule that ends where the algorithm is undefined: faults of
@@ -73,19 +74,26 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-_DEFAULTS = {
-    "n": None,
-    "values": None,
-    "budget": None,
-    "max_states": verifier.DEFAULT_MAX_STATES,
-    "format": None,
-    "output": None,
-    "mutate": [],
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Per config key: its default, and what its flag could give, with the test.
+_KEYS = {
+    "n": (None, "an integer", _is_int),
+    "values": (None, "a list of integers or a comma-separated string", lambda v:
+               isinstance(v, str) or isinstance(v, list) and all(map(_is_int, v))),
+    "budget": (None, "an integer", _is_int),
+    "max_states": (verifier.DEFAULT_MAX_STATES, "an integer", _is_int),
+    "format": (None, "one of dot, json, text", ["dot", "json", "text"].__contains__),
+    "output": (None, "a path", lambda v: isinstance(v, str)),
+    "mutate": ([], f"a list of names from {sorted(cm.MUTATIONS)}", lambda v:
+               isinstance(v, list) and all(m in sorted(cm.MUTATIONS) for m in v)),
 }
 
 
 def _load_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in _KEYS.items()}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
@@ -98,6 +106,10 @@ def _load_config(args) -> dict:
         if foreign:
             raise ValueError(f"config keys not taken by {args.command}: "
                              f"{sorted(foreign)}")
+        for key, value in file_cfg.items():
+            _, what, valid = _KEYS[key]
+            if not valid(value):
+                raise ValueError(f"config key {key!r} must be {what}, not {value!r}")
         cfg.update(file_cfg)
     for key in cfg:
         flag = getattr(args, key, None)
@@ -204,12 +216,10 @@ def cmd_verify(cfg) -> int:
 
 def cmd_trace(cfg, schedule) -> int:
     sys_ = _build_system(cfg)
-    initial = cm.make_initial(sys_.inst)
-    choices = {f"ti={c.ti}": c for c in lts.select_ti(sys_, initial)}
+    choices = {f"ti={rep.ti}": rep for rep in lts.initial_reps(sys_)}
     lines = []
     if not schedule:
-        for name, chosen in choices.items():
-            rep = repsem.sf(sys_, chosen)
+        for name, rep in choices.items():
             lines.append(f"-- initial after {name}")
             lines.append(repsem.rep_str(rep))
         _emit("\n".join(lines), cfg["output"])
@@ -217,19 +227,21 @@ def cmd_trace(cfg, schedule) -> int:
     first = schedule[0]
     if first not in choices:
         raise StepNotEnabled(first, sorted(choices))
-    rep = repsem.sf(sys_, choices[first])
+    rep = choices[first]
     lines.append(f"-- {first}")
     lines.append(repsem.rep_str(rep))
     for step in schedule[1:]:
-        enabled = {tr.rule: tr for tr in lts.successors(sys_, rep)}
+        # Rule names are distinct among a state's transitions.
+        enabled = {rule: target
+                   for _, target, rule in lts.labelled_targets(sys_, rep)}
         if step not in enabled:
             raise StepNotEnabled(step, sorted(enabled))
-        rep = enabled[step].target
+        rep = enabled[step]
         repsem.validate_rep(sys_, rep)
         lines.append(f"-- {step}")
         lines.append(repsem.rep_str(rep))
     try:
-        enabled = sorted(tr.rule for tr in lts.successors(sys_, rep))
+        enabled = sorted(rule for _, _, rule in lts.labelled_targets(sys_, rep))
     except EmptyKnowledge as exc:
         # The algorithm is undefined here (mutations only): the schedule
         # still replayed, so print where it led.
@@ -256,10 +268,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         return cmd_trace(cfg, args.schedule)
-    except StepNotEnabled as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except GraphTruncated as exc:

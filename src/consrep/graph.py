@@ -1,8 +1,8 @@
 """The explored graph: one object per state and the edges as int columns.
 
 ``verifier.explore`` builds an ``LtsGraph``; the checks in ``verifier``
-read its ``Edges`` columns by node id, and only the API edge (DOT/JSON
-export, the command line) iterates them as ``lts.Transition``s.
+read its ``Edges`` columns by node id, and only the DOT/JSON export
+iterates them as ``lts.Transition``s.
 """
 
 from __future__ import annotations

@@ -26,9 +26,9 @@ validate each state when they first discover it.  ``calculus_targets``
 gives the τ-target set and the visible (action, target) pairs, for the
 correspondence check: it builds no ``Transition`` and never hashes the
 shared source, and every step's target is still built, so an undefined
-one raises where it stands.  Full extraction of the raw successor
-configurations (``calculus_raw_successors``, which composes each step's
-components into a term) stays the definition the tests compare against.
+one raises where it stands.  ``step_starts`` gives what each step leaves,
+for the confluence check; ``calculus_raw_successors`` composes it into raw
+configurations, the definition the tests compare against.
 
 The representative semantics takes the successors straight from the rule
 set on representatives.  Both expose the same observable: the `ok` send,
@@ -50,6 +50,7 @@ from . import repsem
 from .calculus_ast import (
     BOT,
     CHAN_OK,
+    NNIL,
     STAR,
     Config,
     chan_str,
@@ -226,16 +227,23 @@ def _calculus_steps(sys: cm.System, rep: repsem.Representative,
     return steps
 
 
-def _raw_config(sys: cm.System, rep: repsem.Representative, comps: list,
-                step: Step) -> Config:
-    """The configuration a step reaches, before evaluation."""
-    leaves = [step.replaced.get(idx, comp) for idx, (_, comp) in enumerate(comps)]
-    net = res_chain(npar_chain([leaf for leaf in leaves if leaf is not None]),
-                    sys.restriction)
+def _step_start(rep: repsem.Representative, comps: list, step: Step) -> tuple:
+    """What a step of the expansion ``comps`` of ``rep`` leaves before
+    evaluation: its context (live, budget, ti) and its components, those
+    it consumes left out, or ``(NNIL,)`` where none is left."""
+    leaves = (step.replaced.get(idx, comp) for idx, (_, comp) in enumerate(comps))
+    left = tuple(leaf for leaf in leaves if leaf is not None) or (NNIL,)
     live, budget = frozenset(rep.live), rep.budget
     if step.crashed is not None:
         live, budget = live - {step.crashed}, budget - 1
-    return Config(live=live, budget=budget, ti=rep.ti, net=net)
+    return (live, budget, rep.ti), left
+
+
+def _raw_config(sys: cm.System, rep: repsem.Representative, comps: list,
+                step: Step) -> Config:
+    """The configuration a step reaches, before evaluation."""
+    context, left = _step_start(rep, comps, step)
+    return Config(*context, net=res_chain(npar_chain(left), sys.restriction))
 
 
 def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
@@ -243,6 +251,14 @@ def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
     (rule, action, raw configuration) with the target not yet evaluated."""
     comps = repsem.expansion(sys, rep)
     return [(step.rule, step.action, _raw_config(sys, rep, comps, step))
+            for step in _calculus_steps(sys, rep, comps)]
+
+
+def step_starts(sys: cm.System, rep: repsem.Representative) -> list:
+    """``_step_start`` of each calculus step of ``rep``, in step order:
+    ``calculus_raw_successors`` with no term built."""
+    comps = repsem.expansion(sys, rep)
+    return [_step_start(rep, comps, step)
             for step in _calculus_steps(sys, rep, comps)]
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cmp_to_key, partial
 from itertools import accumulate, chain, islice, pairwise, repeat
 
 from . import consensus_model as cm
 from . import lts, repsem
-from .calculus_ast import BOT, NNIL, STAR, npar_chain, res_chain, value_str
+from .calculus_ast import BOT, NNIL, STAR, Config, npar_chain, value_str
 from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
 from .evaluation import eval_steps, evaluate, split_restriction
 from .graph import Edges, LtsGraph
@@ -197,76 +196,64 @@ class CorrespondenceReport:
 # ---------------------------------------------------------------------------
 # Confluence.
 
-def _raw_configs(sys: cm.System, graph: LtsGraph):
-    """The freshly chosen-immortal initials, then the raw targets of the
-    calculus transitions of every node of ``graph`` in id order."""
-    yield from lts.select_ti(sys, cm.make_initial(sys.inst))
+def _spine(net) -> tuple:
+    """The components along the right spine of a parallel composition."""
+    comps = []
+    while net[0] == "npar":
+        comps.append(net[1])
+        net = net[2]
+    comps.append(net)
+    return tuple(comps)
+
+
+def _confluence_starts(sys: cm.System, graph: LtsGraph):
+    """The freshly chosen-immortal initials, then what each calculus step
+    of every node of ``graph`` leaves (``lts.step_starts``), in id order,
+    each as its context (live, budget, ti) and its components."""
+    initials = lts.select_ti(sys, cm.make_initial(sys.inst))
+    comps = _spine(split_restriction(initials[0].net)[1])
+    for cfg in initials:
+        yield (cfg.live, cfg.budget, cfg.ti), comps
     for rep in graph.nodes:
-        for _, _, raw in lts.calculus_raw_successors(sys, rep):
-            yield raw
-
-
-def _branch_cmp(terms: list, a: tuple, b: tuple) -> int:
-    """Compare two distinct component tuples as the terms they compose,
-    without building the terms: -1 or 1.  Keys of one diamond share everything
-    around the tuple, and each spine ``npar`` holds its left component and
-    the rest, so two spines first differ where their components first
-    differ, or where the shorter one ends (its last component, never an
-    ``npar``, stands alone where the other holds an ``npar``).  Only the
-    terms at that position are compared."""
-    last_a, last_b = len(a) - 1, len(b) - 1
-    i = 0
-    while a[i] == b[i] and i < last_a and i < last_b:
-        i += 1
-    x = terms[a[i]] if i == last_a else ("npar", terms[a[i]])
-    y = terms[b[i]] if i == last_b else ("npar", terms[b[i]])
-    return -1 if x < y else 1
+        yield from lts.step_starts(sys, rep)
 
 
 def check_confluence(sys: cm.System, graph: LtsGraph,
                      max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
     """Every single-step evaluation diamond joins on equal fixed points.
 
-    Unevaluated configurations arise as the raw targets of the transitions
-    of every state of ``graph`` (and as the freshly chosen-immortal
-    initials); the check closes each under single evaluation steps and
-    compares the fixed points of every branching.
-
-    The closure keys a configuration by its context and its component
-    ids.  The context (live, budget, ti, restriction chain) is peeled and
-    interned once per raw configuration and keeps the seen set of its
-    component tuples; no evaluation step changes it, so a closure stays in
-    one context and probes only int tuples.  The right spine of the
-    parallel composition below the chain becomes a tuple of components,
-    each interned to an int for the run of the check.  Restrictions sit
-    only on top (raw targets are built so and no evaluation step makes
-    one), so the key determines the term and one term has one key.
-    Evaluation steps act on one component, whose steps are computed once
-    per (live set, component) in the live set's step table; a component
-    with no steps that is not ``nnil`` is passed over, and E4/E5 drop an
-    ``nnil`` from the tuple.  A diamond's branches are visited in the order
-    of their terms (``_branch_cmp``), so the counts and counterexamples are
-    those of the closure over whole terms.
+    The check closes each configuration of ``_confluence_starts``, read off
+    the step records, under single evaluation steps and compares the fixed
+    points of every branching.  A configuration is keyed by its context
+    (live, budget, ti) and the components along the right spine of its
+    parallel composition, each interned to an int for the run of the
+    check, so one term has one key.  The system's restriction, over every
+    configuration, is left out: no evaluation step reads or changes it,
+    nor the context, so a closure stays in one context and probes only its
+    seen set of int tuples.  Evaluation steps act on one component, whose
+    steps are computed once per (live set, component) in the live set's
+    step table; a component with no steps that is not ``nnil`` is passed
+    over, and E4/E5 drop an ``nnil`` from the tuple.  The counts and the
+    verdict do not depend on the order of visits; the counterexamples come
+    in that order.
 
     A branch's fixed point is that of the same key with every component
     replaced by its own fixed point (the lemma in ``evaluation``), and a
     component's fixed point is computed once per (live set, component) in
     the live set's fixed-point table.  ``evaluate`` then runs on the whole
-    configuration once per distinct normalised key, the only place a
-    configuration is built; evaluation keeps the context, so a fixed point
-    is kept as its component tuple.  A branch whose evaluation raises
-    raises on every visit, since no memo stores an exception:
-    ``EmptyKnowledge`` when some component's does (counted as undefined),
-    and ``NonTermination`` when some component diverges, which is the only
-    way a branch diverges."""
+    composition once per distinct normalised key, the only place one is
+    built, and a fixed point is kept as its component tuple.  A branch
+    whose evaluation raises raises on every visit, since no memo stores an
+    exception: ``EmptyKnowledge`` when some component's does (counted as
+    undefined), and ``NonTermination`` when some component diverges, which
+    is the only way a branch diverges."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
     terms: list = []                # component id -> term
     ids: dict = {}                  # term -> component id
     spines: dict = {}               # component id -> ids along its right spine
     tables: dict = {}               # live -> (step table, fixed-point table)
-    contexts: dict = {}             # context -> (seen, fixed) + its live set's tables
-    by_term = cmp_to_key(partial(_branch_cmp, terms))
+    contexts: dict = {}             # context -> (seen, fixed, config) + tables
 
     def intern(term) -> int:
         cid = ids.get(term)
@@ -275,21 +262,13 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
             terms.append(term)
         return cid
 
-    def flatten(net) -> tuple:
-        comps = []
-        while net[0] == "npar":
-            comps.append(intern(net[1]))
-            net = net[2]
-        comps.append(intern(net))
-        return tuple(comps)
-
     def spine(cid) -> tuple:
         s = spines.get(cid)
         if s is None:
-            s = spines[cid] = flatten(terms[cid])
+            s = spines[cid] = tuple(map(intern, _spine(terms[cid])))
         return s
 
-    def successors(comps, steps_of, raw) -> set:
+    def successors(comps, steps_of, cfg) -> set:
         last = len(comps) - 1
         succs = set()
         for i, cid in enumerate(comps):
@@ -297,7 +276,7 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
             if steps is None:
                 steps = steps_of[cid] = tuple(
                     intern(c.net)
-                    for _, c in eval_steps(raw._replace(net=terms[cid]), sys.defs))
+                    for _, c in eval_steps(cfg._replace(net=terms[cid]), sys.defs))
             if not steps and cid != nnil:
                 continue
             head, tail = comps[:i], comps[i + 1:]
@@ -313,11 +292,11 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
             succs.add(comps[:last - 1] + spine(comps[last - 1]))
         return succs
 
-    def normalised(comps, fixed_of, raw) -> tuple:
+    def normalised(comps, fixed_of, cfg) -> tuple:
         for cid in comps:
             if cid not in fixed_of:
                 fixed_of[cid] = intern(
-                    evaluate(raw._replace(net=terms[cid]), sys.defs).net)
+                    evaluate(cfg._replace(net=terms[cid]), sys.defs).net)
         return tuple(map(fixed_of.__getitem__, comps))
 
     nnil = intern(NNIL)
@@ -325,17 +304,13 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     diamonds = 0
     undefined = 0
     failures: list = []
-    for cfg in _raw_configs(sys, graph):
-        chans, core = split_restriction(cfg.net)
-        context = (cfg.live, cfg.budget, cfg.ti, chans)
+    for context, start in _confluence_starts(sys, graph):
         known = contexts.get(context)
         if known is None:
-            tabs = tables.get(cfg.live)
-            if tabs is None:
-                tabs = tables[cfg.live] = ({}, {})
-            known = contexts[context] = (set(), {}) + tabs
-        seen, fixed, steps_of, fixed_of = known
-        frontier = [flatten(core)]
+            tabs = tables.setdefault(context[0], ({}, {}))
+            known = contexts[context] = (set(), {}, Config(*context, net=NNIL)) + tabs
+        seen, fixed, cfg, steps_of, fixed_of = known
+        frontier = [tuple(map(intern, start))]
         while frontier:
             c = frontier.pop()
             if c in seen:
@@ -348,15 +323,13 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
                 succs = successors(c, steps_of, cfg)
                 if len(succs) > 1:
                     diamonds += 1
-                    succs = sorted(succs, key=by_term)
                     fixes = set()
-                    for n in dict.fromkeys(normalised(s, fixed_of, cfg)
-                                           for s in succs):
+                    for n in {normalised(s, fixed_of, cfg) for s in succs}:
                         f = fixed.get(n)
                         if f is None:
-                            whole = res_chain(npar_chain([terms[k] for k in n]), chans)
+                            whole = npar_chain([terms[k] for k in n])
                             net = evaluate(cfg._replace(net=whole), sys.defs).net
-                            f = fixed[n] = flatten(split_restriction(net)[1])
+                            f = fixed[n] = tuple(map(intern, _spine(net)))
                         fixes.add(f)
                     if len(fixes) != 1:
                         failures.append(

@@ -265,6 +265,31 @@ def test_config_file_rejects_the_retired_mode_key(capsys, tmp_path, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("values", [True, 2]),
+    ("values", 57),
+    ("max_states", "10"),
+    ("max_states", True),
+    ("format", "xml"),
+    ("output", 7),
+    ("n", True),
+    ("budget", False),
+    ("mutate", "skip-correct"),
+    ("mutate", [["skip-correct"]]),
+])
+def test_config_file_values_are_checked_as_their_flags(capsys, tmp_path, key,
+                                                       value):
+    # Each value is one no flag could give: the run stops before exploring,
+    # where it would otherwise mistake True for 1, 7 for a file descriptor
+    # or ignore an unknown format.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "values": [5, 7], key: value}))
+    code, out, err = run(capsys, "explore", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith(f"error: config key {key!r} must be ")
+    assert out == ""
+
+
 def test_config_file_keys_follow_the_command_flags(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 1, "values": [4], "max_states": 100}))

@@ -1,23 +1,24 @@
 """The confluence check against a closure over whole terms.
 
 ``brute_force_confluence`` is the reference: it closes each raw
-configuration under single evaluation steps of the whole term and keys
-every configuration by the term itself.  ``verifier.check_confluence``
-must agree with it on the verdict, the counts and the counterexample
-list, in order; the order it visits a diamond's branches in, taken from
-their component tuples, must be the order of their terms.  The fixed point
-of every configuration the reference visits must be that of its
-components' fixed points, the lemma by which the check evaluates each
-component once per live set.
+configuration (the chosen-immortal initials and the configurations of
+``lts.calculus_raw_successors``) under single evaluation steps of the
+whole term and keys every configuration by the term itself.
+``verifier.check_confluence`` starts from the same configurations taken
+apart, each as its context and components (``_confluence_starts``), and
+must agree with it on the verdict and the counts.  Counterexamples are
+compared as multisets: each names only how many fixed points a diamond
+joins on, and the order the two closures visit diamonds in is their own
+(the check's follows sets of component ids).  The fixed point of every
+configuration the reference visits must be that of its components' fixed
+points, the lemma by which the check evaluates each component once per
+live set.
 """
-
-from functools import cmp_to_key
-from itertools import product
 
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import verifier
+from consrep import lts, verifier
 from consrep.calculus_ast import (
     NIL,
     NNIL,
@@ -37,12 +38,36 @@ from consrep.evaluation import evaluate, split_restriction
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
-def brute_force_confluence(sys, graph):
+def raw_configs(sys, graph) -> list:
+    """The freshly chosen-immortal initials, then the raw targets of the
+    calculus transitions of every node of ``graph`` in id order."""
+    return lts.select_ti(sys, cm.make_initial(sys.inst)) + [
+        raw for rep in graph.nodes
+        for _, _, raw in lts.calculus_raw_successors(sys, rep)]
+
+
+def components(cfg) -> tuple:
+    """The components along the right spine below the restriction chain."""
+    _, net = split_restriction(cfg.net)
+    comps = []
+    while net[0] == "npar":
+        comps.append(net[1])
+        net = net[2]
+    comps.append(net)
+    return tuple(comps)
+
+
+def start(cfg) -> tuple:
+    """``cfg`` as ``verifier._confluence_starts`` yields it."""
+    return (cfg.live, cfg.budget, cfg.ti), components(cfg)
+
+
+def brute_force_confluence(sys, graph, configs=None):
     seen: set = set()
     diamonds = 0
     undefined = 0
     failures: list = []
-    for cfg in verifier._raw_configs(sys, graph):
+    for cfg in raw_configs(sys, graph) if configs is None else configs:
         frontier = [cfg]
         while frontier:
             c = frontier.pop()
@@ -72,12 +97,29 @@ def brute_force_confluence(sys, graph):
     )
 
 
-def assert_agrees(sys_, graph):
+def assert_agrees(sys_, graph, configs=None):
     fast = verifier.check_confluence(sys_, graph)
-    slow = brute_force_confluence(sys_, graph)
+    slow = brute_force_confluence(sys_, graph, configs)
     assert (fast.passed, fast.details) == (slow.passed, slow.details)
-    assert fast.counterexamples == slow.counterexamples
+    assert sorted(fast.counterexamples) == sorted(slow.counterexamples)
     return fast
+
+
+def assert_agrees_from(configs, sys_, graph, monkeypatch):
+    """``assert_agrees`` with both checks started from ``configs`` alone:
+    the reference takes them whole, the check taken apart."""
+    monkeypatch.setattr(verifier, "_confluence_starts",
+                        lambda sys, graph: map(start, configs))
+    return assert_agrees(sys_, graph, configs)
+
+
+def assert_starts_are_the_raw_configurations(sys_, graph):
+    # The check's starts are the reference's raw configurations taken
+    # apart, in order; dropping the restriction loses nothing, since every
+    # raw configuration carries the system's own.
+    raws = raw_configs(sys_, graph)
+    assert all(split_restriction(c.net)[0] == sys_.restriction for c in raws)
+    assert list(verifier._confluence_starts(sys_, graph)) == list(map(start, raws))
 
 
 @pytest.mark.parametrize("mutation", [None] + sorted(cm.MUTATIONS))
@@ -86,6 +128,22 @@ def test_agrees_on_n12(mutation):
     for inst in INSTANCES_1 + INSTANCES_2:
         sys_ = cm.build_system(inst, mutations)
         assert_agrees(sys_, verifier.explore(sys_, "representative"))
+
+
+@pytest.mark.parametrize("mutation", [None] + sorted(cm.MUTATIONS))
+def test_starts_are_the_raw_configurations_on_n12(mutation):
+    mutations = [mutation] if mutation else []
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst, mutations)
+        assert_starts_are_the_raw_configurations(
+            sys_, verifier.explore(sys_, "representative"))
+
+
+def test_starts_are_the_raw_configurations_on_n3_prefix():
+    sys3 = cm.build_system(INSTANCE_3)
+    with pytest.raises(BoundExceeded) as exc:
+        verifier.explore(sys3, "representative", max_states=300)
+    assert_starts_are_the_raw_configurations(sys3, exc.value.graph)
 
 
 # Confluence details (configurations, diamonds, undefined) of the n<=2
@@ -118,14 +176,9 @@ def _with_component_fixed_points(cfg, defs):
     """``cfg`` with each component of the right spine below its restriction
     chain replaced by that component's own fixed point, evaluated alone
     under ``cfg.live``."""
-    chain, net = split_restriction(cfg.net)
-    comps = []
-    while net[0] == "npar":
-        comps.append(net[1])
-        net = net[2]
-    comps.append(net)
-    fixed = [evaluate(cfg._replace(net=c), defs).net for c in comps]
-    return cfg._replace(net=res_chain(npar_chain(fixed), chain))
+    fixed = [evaluate(cfg._replace(net=c), defs).net for c in components(cfg)]
+    return cfg._replace(net=res_chain(npar_chain(fixed),
+                                      split_restriction(cfg.net)[0]))
 
 
 def _evaluated(thunk):
@@ -200,8 +253,7 @@ def test_agrees_where_the_spine_end_steps(sys2, graph2, monkeypatch):
     configs = [Config(frozenset({1}), 0, 1,
                       res_chain(npar_chain(head + end), (c, d)))
                for end in ends]
-    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
-    report = assert_agrees(sys2, graph2)
+    report = assert_agrees_from(configs, sys2, graph2, monkeypatch)
     assert report.passed and report.details["diamonds"] > 0
 
 
@@ -220,8 +272,7 @@ def test_agrees_where_a_component_first_meets_a_dead_location(sys2, graph2,
     configs = [Config(frozenset(live), 0, 1,
                       res_chain(npar_chain([y, x]), (c, d)))
                for live in ({1}, {1, 2})]
-    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
-    report = assert_agrees(sys2, graph2)
+    report = assert_agrees_from(configs, sys2, graph2, monkeypatch)
     assert report.passed and report.details["diamonds"] > 0
 
 
@@ -230,15 +281,14 @@ def test_agrees_where_adjacent_nnils_drop_to_one_configuration(sys2, graph2,
     # Both nnils between the two inert outputs drop (E4) to the same
     # configuration, so the first configuration has one successor and the
     # closure meets no diamond; the inert components are passed over.  The
-    # same components under a second restriction chain are a second
-    # context, whose three configurations count again.
-    c, d = chan_b(1, 2), chan_b(2, 1)
+    # same components with a second budget are a second context, whose
+    # three configurations count again.
+    c = chan_b(1, 2)
     x, y = located(1, out_atom(c, lit(nat(2)))), located(2, out_atom(c, lit(nat(3))))
-    configs = [Config(frozenset({1, 2}), 0, 1,
-                      res_chain(npar_chain([x, NNIL, NNIL, y]), chans))
-               for chans in ((c,), (c, d))]
-    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
-    report = assert_agrees(sys2, graph2)
+    configs = [Config(frozenset({1, 2}), budget, 1,
+                      res_chain(npar_chain([x, NNIL, NNIL, y]), (c,)))
+               for budget in (0, 1)]
+    report = assert_agrees_from(configs, sys2, graph2, monkeypatch)
     assert report.details == {"configurations": 6, "diamonds": 0, "undefined": 0}
 
 
@@ -252,68 +302,9 @@ def test_agrees_where_an_nnil_ends_the_spine_after_an_inert_component(
     y = located(2, out_atom(d, lit(nat(3))))
     configs = [Config(frozenset({1, 2}), 0, 1,
                       res_chain(npar_chain([z, y, NNIL]), (c, d)))]
-    monkeypatch.setattr(verifier, "_raw_configs", lambda sys, graph: configs)
-    report = assert_agrees(sys2, graph2)
+    report = assert_agrees_from(configs, sys2, graph2, monkeypatch)
     assert report.passed
     assert report.details == {"configurations": 4, "diamonds": 1, "undefined": 0}
-
-
-def test_branch_cmp_orders_tuples_as_their_terms():
-    # Every tuple of one to three components orders as the spine built
-    # from it, prefixes included: where the shorter tuple ends, its last
-    # component stands alone against the other's ``npar``.  The ids are
-    # numbered against the terms' own order, so comparing ids would fail.
-    c = chan_b(1, 2)
-    terms = [NNIL, located(1, out_atom(c, lit(nat(2)))),
-             located(2, cond(lit(nat(1)), NIL, NIL))]
-    tuples = [t for n in (1, 2, 3) for t in product(range(len(terms)), repeat=n)]
-    by_terms = sorted(tuples, key=lambda t: npar_chain([terms[k] for k in t]))
-    assert by_terms != sorted(tuples)
-    assert sorted(tuples, key=cmp_to_key(
-        lambda a, b: verifier._branch_cmp(terms, a, b))) == by_terms
-
-
-def test_term_order_agrees_on_every_diamond(monkeypatch):
-    # The whole-term closure meets every diamond in one call of
-    # eval_steps; there, ordering the successors by ``_branch_cmp`` on
-    # their component tuples must give their order as terms.
-    terms: list = []
-    ids: dict = {}
-
-    def comps(cfg) -> tuple:
-        _, net = split_restriction(cfg.net)
-        out = []
-        while net[0] == "npar":
-            out.append(net[1])
-            net = net[2]
-        out.append(net)
-        for term in out:
-            if term not in ids:
-                ids[term] = len(terms)
-                terms.append(term)
-        return tuple(ids[term] for term in out)
-
-    real_eval_steps = verifier.eval_steps
-    checked = 0
-
-    def checking_eval_steps(cfg, defs):
-        nonlocal checked
-        steps = real_eval_steps(cfg, defs)
-        succs = sorted({target for _, target in steps})
-        if len(succs) > 1:
-            order = sorted(succs, key=cmp_to_key(
-                lambda a, b: verifier._branch_cmp(terms, comps(a), comps(b))))
-            assert order == succs
-            checked += 1
-        return steps
-
-    monkeypatch.setattr(verifier, "eval_steps", checking_eval_steps)
-    diamonds = 0
-    for inst in INSTANCES_1 + INSTANCES_2:
-        sys_ = cm.build_system(inst)
-        graph = verifier.explore(sys_, "representative")
-        diamonds += brute_force_confluence(sys_, graph).details["diamonds"]
-    assert checked == diamonds > 0
 
 
 def test_bound_is_on_distinct_configurations(sys2, graph2):

@@ -1,18 +1,32 @@
-"""The bytes of ``consrep verify``'s JSON report under each fault-injection
-mutation.
+"""The bytes of ``consrep verify``'s JSON report on the seven n<=2
+instances, unmutated and under each fault-injection mutation.
 
-``perfbench/digests.json`` pins the reports of the seven unmutated n<=2
-instances.  These are the other 28 runs: each instance under each
-mutation, with its exit code and the sha256 of the report it writes.  A
-change to how ``verify`` explores (which graph the later checks get, in
-what order states are numbered and validated) must leave them as they are.
+The unmutated reports are pinned in ``perfbench/digests.json``, which
+stays their one record: the benchmark checks them too, and a change that
+re-records them there changes them here.  The other 28 runs are pinned
+below: each instance under each mutation, with its exit code and the
+sha256 of the report it writes.  A change to how ``verify`` explores
+(which graph the later checks get, in what order states are numbered and
+validated) must leave them as they are.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from consrep.cli import main
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+def _unmutated_reports() -> list:
+    """(n, values, budget, sha256) per key "n=N values=V budget=B"."""
+    reports = json.loads(DIGESTS.read_text(encoding="utf-8"))["verify-n12"]
+    return [pytest.param(*(field.split("=", 1)[1] for field in key.split()),
+                         sha, id=key)
+            for key, sha in sorted(reports.items())]
 
 # (mutation, n, values, budget, exit code, sha256 of the report)
 REPORTS = [
@@ -86,4 +100,16 @@ def test_mutated_verify_report_bytes(tmp_path, mutation, n, values, budget,
     out = tmp_path / "report.json"
     assert main(["verify", "--n", str(n), "--values", values, "--budget",
                  str(budget), "--mutate", mutation, "--output", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+def test_every_unmutated_run_is_pinned():
+    assert len(_unmutated_reports()) == 7
+
+
+@pytest.mark.parametrize("n, values, budget, sha", _unmutated_reports())
+def test_unmutated_verify_report_bytes(tmp_path, n, values, budget, sha):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", n, "--values", values, "--budget", budget,
+                 "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
