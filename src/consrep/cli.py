@@ -52,8 +52,9 @@ def _parse_args(argv):
         p.add_argument("--output", help="write the result to this path")
 
     def add_max_states(p):
-        p.add_argument("--max-states", type=int, dest="max_states",
-                       help=f"state bound (default {verifier.DEFAULT_MAX_STATES})")
+        p.add_argument("--max-states", type=_state_bound, dest="max_states",
+                       help=f"state bound, at least 1 "
+                            f"(default {verifier.DEFAULT_MAX_STATES})")
 
     p_explore = sub.add_parser("explore", help="explore the state space")
     add_common(p_explore)
@@ -78,13 +79,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_state_bound(value) -> bool:
+    # A bound below 1 cannot hold a single state.
+    return _is_int(value) and value >= 1
+
+
+def _state_bound(text: str) -> int:
+    value = int(text)
+    if not _is_state_bound(value):
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 # Per config key: its default, and what its flag could give, with the test.
 _KEYS = {
     "n": (None, "an integer", _is_int),
     "values": (None, "a list of integers or a comma-separated string", lambda v:
                isinstance(v, str) or isinstance(v, list) and all(map(_is_int, v))),
     "budget": (None, "an integer", _is_int),
-    "max_states": (verifier.DEFAULT_MAX_STATES, "an integer", _is_int),
+    "max_states": (verifier.DEFAULT_MAX_STATES, "an integer of at least 1",
+                   _is_state_bound),
     "format": (None, "one of dot, json, text", ["dot", "json", "text"].__contains__),
     "output": (None, "a path", lambda v: isinstance(v, str)),
     "mutate": ([], f"a list of names from {sorted(cm.MUTATIONS)}", lambda v:
@@ -165,14 +179,19 @@ def cmd_verify(cfg) -> int:
     sys_ = _build_system(cfg)
     max_states = cfg["max_states"]
 
-    corr = verifier.check_correspondence(sys_, max_states)
+    # The correspondence check feeds the confluence closure the starts of
+    # every state it checks, from the steps it builds anyway.
+    confluence = verifier.ConfluenceClosure(sys_)
+    corr = verifier.check_correspondence(sys_, max_states, confluence)
     reports = [corr.to_jsonable()]
     bound_hit = corr.truncated
 
     # One representative graph serves every check after correspondence:
-    # the one it explored, or a fresh exploration where it has none.
+    # the one it explored, or a fresh exploration where it has none.  The
+    # closure serves only the former; the latter walks the fresh graph.
     graph = corr.graph
     if graph is None:
+        confluence = None
         try:
             graph = verifier.explore(sys_, "representative", max_states)
         except BoundExceeded as exc:
@@ -188,7 +207,9 @@ def cmd_verify(cfg) -> int:
                     ("confluence", "normal-forms", "properties", "bisimulation")]
     else:
         try:
-            reports.append(verifier.check_confluence(sys_, graph).to_jsonable())
+            report = (verifier.check_confluence(sys_, graph) if confluence is None
+                      else confluence.report())
+            reports.append(report.to_jsonable())
         except BoundExceeded:
             bound_hit = True
             reports.append(skipped("confluence", "configuration"))

@@ -491,6 +491,9 @@ class System:
     # caches its hash; filled where the memos above are filled and by
     # ``repsem.sf``.
     _entries: dict = field(default_factory=dict, compare=False, repr=False)
+    # Per entry field (out1 .. in2), by the identity of each entry, what
+    # the validity check says of it (see verifier.check_safety_subset).
+    _validity: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ from itertools import accumulate, chain, islice, pairwise, repeat
 from . import consensus_model as cm
 from . import lts, repsem
 from .calculus_ast import BOT, NNIL, STAR, Config, npar_chain, value_str
-from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
+from .errors import BoundExceeded, ConsrepError, EmptyKnowledge, GraphTruncated
 from .evaluation import eval_steps, evaluate, split_restriction
 from .graph import Edges, LtsGraph
 from .lts import OK, TAU, action_str
@@ -206,36 +206,51 @@ def _spine(net) -> tuple:
     return tuple(comps)
 
 
-def _confluence_starts(sys: cm.System, graph: LtsGraph):
-    """The freshly chosen-immortal initials, then what each calculus step
-    of every node of ``graph`` leaves (``lts.step_starts``), in id order,
-    each as its context (live, budget, ti) and its components."""
+def _initial_starts(sys: cm.System) -> list:
+    """The freshly chosen-immortal initials, each as its context (live,
+    budget, ti) and its components."""
     initials = lts.select_ti(sys, cm.make_initial(sys.inst))
     comps = _spine(split_restriction(initials[0].net)[1])
-    for cfg in initials:
-        yield (cfg.live, cfg.budget, cfg.ti), comps
+    return [((cfg.live, cfg.budget, cfg.ti), comps) for cfg in initials]
+
+
+def _confluence_starts(sys: cm.System, graph: LtsGraph):
+    """The starts of the walk over ``graph``: ``_initial_starts``, then
+    what each calculus step of every node leaves (``lts.step_starts``), in
+    id order.  A correspondence check fed a closure hands it the same
+    starts in the same order, from the steps it builds anyway."""
+    yield from _initial_starts(sys)
     for rep in graph.nodes:
         yield from lts.step_starts(sys, rep)
 
 
-def check_confluence(sys: cm.System, graph: LtsGraph,
-                     max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
-    """Every single-step evaluation diamond joins on equal fixed points.
+class ConfluenceClosure:
+    """Every single-step evaluation diamond joins on equal fixed points:
+    the closure behind the confluence check, fed one start at a time.
 
-    The check closes each configuration of ``_confluence_starts``, read off
-    the step records, under single evaluation steps and compares the fixed
-    points of every branching.  A configuration is keyed by its context
-    (live, budget, ti) and the components along the right spine of its
-    parallel composition, each interned to an int for the run of the
-    check, so one term has one key.  The system's restriction, over every
-    configuration, is left out: no evaluation step reads or changes it,
-    nor the context, so a closure stays in one context and probes only its
-    seen set of int tuples.  Evaluation steps act on one component, whose
-    steps are computed once per (live set, component) in the live set's
-    step table; a component with no steps that is not ``nnil`` is passed
-    over, and E4/E5 drop an ``nnil`` from the tuple.  The counts and the
-    verdict do not depend on the order of visits; the counterexamples come
-    in that order.
+    ``add(context, start)`` closes one configuration, its context (live,
+    budget, ti) and the components along the right spine of its parallel
+    composition, under single evaluation steps, and compares the fixed
+    points of every branching; ``report()`` gives the verdict.  Two callers
+    feed it the same starts in the same order (``_confluence_starts``):
+    ``check_confluence`` walks a graph, and ``check_correspondence`` hands
+    over what each step of each state it checks leaves, as it builds the
+    step.
+
+    A configuration is keyed by its context and its components, each
+    interned to an int for the life of the closure, so one term has one
+    key.  A start's components are the slot-memo and leaf-memo objects,
+    which recur across states, so they are looked up by identity first
+    (each held alive, so its id is not reused) and hashed as terms only
+    once per object.  The system's restriction, over every configuration,
+    is left out: no evaluation step reads or changes it, nor the context,
+    so a closure stays in one context and probes only its seen set of int
+    tuples.  Evaluation steps act on one component, whose steps are
+    computed once per (live set, component) in the live set's step table;
+    a component with no steps that is not ``nnil`` is passed over, and
+    E4/E5 drop an ``nnil`` from the tuple.  The counts and the verdict do
+    not depend on the order of visits; the counterexamples come in that
+    order.
 
     A branch's fixed point is that of the same key with every component
     replaced by its own fixed point (the lemma in ``evaluation``), and a
@@ -246,29 +261,57 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     whose evaluation raises raises on every visit, since no memo stores an
     exception: ``EmptyKnowledge`` when some component's does (counted as
     undefined), and ``NonTermination`` when some component diverges, which
-    is the only way a branch diverges."""
-    if graph.truncated:
-        raise GraphTruncated("confluence needs a fully explored graph")
-    terms: list = []                # component id -> term
-    ids: dict = {}                  # term -> component id
-    spines: dict = {}               # component id -> ids along its right spine
-    tables: dict = {}               # live -> (step table, fixed-point table)
-    contexts: dict = {}             # context -> (seen, fixed, config) + tables
+    is the only way a branch diverges.
 
-    def intern(term) -> int:
-        cid = ids.get(term)
+    Past ``max_configs`` distinct configurations, or on any other error of
+    evaluation, the closure keeps the error, drops its tables and ignores
+    later starts; ``report()`` raises the error (``BoundExceeded``, with no
+    graph, past the bound).  So a fed closure never stops the check that
+    feeds it, and raises where a walk over that check's graph would."""
+
+    def __init__(self, sys: cm.System, max_configs: int = DEFAULT_MAX_STATES):
+        self.sys = sys
+        self.max_configs = max_configs
+        self.terms: list = []       # component id -> term
+        self.ids: dict = {}         # term -> component id
+        self.by_object: dict = {}   # id of a start component -> component id
+        self.held: list = []        # the start components, kept alive
+        self.spines: dict = {}      # component id -> ids along its right spine
+        self.tables: dict = {}      # live -> (step table, fixed-point table)
+        self.contexts: dict = {}    # context -> (seen, fixed, config) + tables
+        self.nnil = self._intern(NNIL)
+        self.configurations = 0
+        self.diamonds = 0
+        self.undefined = 0
+        self.failures: list = []
+        self.error: ConsrepError | None = None
+
+    def _intern(self, term) -> int:
+        cid = self.ids.get(term)
         if cid is None:
-            cid = ids[term] = len(terms)
-            terms.append(term)
+            cid = self.ids[term] = len(self.terms)
+            self.terms.append(term)
         return cid
 
-    def spine(cid) -> tuple:
-        s = spines.get(cid)
+    def _start_key(self, start) -> tuple:
+        by_object = self.by_object
+        key = tuple(map(by_object.get, map(id, start)))
+        if None in key:
+            for term in start:
+                if id(term) not in by_object:
+                    by_object[id(term)] = self._intern(term)
+                    self.held.append(term)
+            key = tuple(map(by_object.__getitem__, map(id, start)))
+        return key
+
+    def _spine(self, cid) -> tuple:
+        s = self.spines.get(cid)
         if s is None:
-            s = spines[cid] = tuple(map(intern, _spine(terms[cid])))
+            s = self.spines[cid] = tuple(map(self._intern, _spine(self.terms[cid])))
         return s
 
-    def successors(comps, steps_of, cfg) -> set:
+    def _successors(self, comps, steps_of, cfg) -> set:
+        terms, intern, nnil = self.terms, self._intern, self.nnil
         last = len(comps) - 1
         succs = set()
         for i, cid in enumerate(comps):
@@ -276,85 +319,124 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
             if steps is None:
                 steps = steps_of[cid] = tuple(
                     intern(c.net)
-                    for _, c in eval_steps(cfg._replace(net=terms[cid]), sys.defs))
+                    for _, c in eval_steps(cfg._replace(net=terms[cid]),
+                                           self.sys.defs))
             if not steps and cid != nnil:
                 continue
             head, tail = comps[:i], comps[i + 1:]
             if i < last:
-                succs.update(head + (r,) + tail for r in steps)
+                for r in steps:
+                    succs.add(head + (r,) + tail)
                 if cid == nnil:                                       # E4
                     succs.add(head + tail)
             else:
                 # The spine's end may step to a parallel composition:
                 # re-flatten it, so that one term keeps one key.
-                succs.update(head + spine(r) for r in steps)
+                for r in steps:
+                    succs.add(head + self._spine(r))
         if last and comps[last] == nnil:                              # E5
-            succs.add(comps[:last - 1] + spine(comps[last - 1]))
+            succs.add(comps[:last - 1] + self._spine(comps[last - 1]))
         return succs
 
-    def normalised(comps, fixed_of, cfg) -> tuple:
+    def _normalised(self, comps, fixed_of, cfg) -> tuple:
         for cid in comps:
             if cid not in fixed_of:
-                fixed_of[cid] = intern(
-                    evaluate(cfg._replace(net=terms[cid]), sys.defs).net)
+                fixed_of[cid] = self._intern(
+                    evaluate(cfg._replace(net=self.terms[cid]), self.sys.defs).net)
         return tuple(map(fixed_of.__getitem__, comps))
 
-    nnil = intern(NNIL)
-    configurations = 0
-    diamonds = 0
-    undefined = 0
-    failures: list = []
-    for context, start in _confluence_starts(sys, graph):
-        known = contexts.get(context)
+    def add(self, context, start) -> None:
+        """Close the configuration of ``context`` and the components
+        ``start``; after an error, do nothing."""
+        if self.error is not None:
+            return
+        try:
+            self._close(context, start)
+        except ConsrepError as exc:
+            self.error = exc
+            self.terms = self.ids = self.by_object = self.held = None
+            self.spines = self.tables = self.contexts = None
+
+    def _close(self, context, start) -> None:
+        known = self.contexts.get(context)
         if known is None:
-            tabs = tables.setdefault(context[0], ({}, {}))
-            known = contexts[context] = (set(), {}, Config(*context, net=NNIL)) + tabs
+            tabs = self.tables.setdefault(context[0], ({}, {}))
+            known = self.contexts[context] = (
+                (set(), {}, Config(*context, net=NNIL)) + tabs)
         seen, fixed, cfg, steps_of, fixed_of = known
-        frontier = [tuple(map(intern, start))]
+        successors, normalised = self._successors, self._normalised
+        frontier = [self._start_key(start)]
         while frontier:
             c = frontier.pop()
             if c in seen:
                 continue
             seen.add(c)
-            configurations += 1
-            if configurations > max_configs:
-                raise BoundExceeded(graph, max_configs)
+            self.configurations += 1
+            if self.configurations > self.max_configs:
+                raise BoundExceeded(None, self.max_configs)
             try:
                 succs = successors(c, steps_of, cfg)
                 if len(succs) > 1:
-                    diamonds += 1
+                    self.diamonds += 1
                     fixes = set()
                     for n in {normalised(s, fixed_of, cfg) for s in succs}:
                         f = fixed.get(n)
                         if f is None:
-                            whole = npar_chain([terms[k] for k in n])
-                            net = evaluate(cfg._replace(net=whole), sys.defs).net
-                            f = fixed[n] = tuple(map(intern, _spine(net)))
+                            whole = npar_chain([self.terms[k] for k in n])
+                            net = evaluate(cfg._replace(net=whole), self.sys.defs).net
+                            f = fixed[n] = tuple(map(self._intern, _spine(net)))
                         fixes.add(f)
                     if len(fixes) != 1:
-                        failures.append(
+                        self.failures.append(
                             f"a diamond joins on {len(fixes)} distinct fixed points"
                         )
             except EmptyKnowledge:
                 # The algorithm is undefined here (mutations only); nothing
                 # to join.
-                undefined += 1
+                self.undefined += 1
                 continue
-            frontier.extend(s for s in succs if s not in seen)
-    return CheckReport(
-        name="confluence",
-        passed=not failures,
-        details={"configurations": configurations, "diamonds": diamonds,
-                 "undefined": undefined},
-        counterexamples=failures,
-    )
+            # A successor seen by the time it is popped is skipped there.
+            frontier.extend(succs)
+
+    def report(self) -> CheckReport:
+        """The confluence report of every start added, or the error that
+        stopped the closure."""
+        if self.error is not None:
+            raise self.error
+        return CheckReport(
+            name="confluence",
+            passed=not self.failures,
+            details={"configurations": self.configurations,
+                     "diamonds": self.diamonds, "undefined": self.undefined},
+            counterexamples=self.failures,
+        )
+
+
+def check_confluence(sys: cm.System, graph: LtsGraph,
+                     max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
+    """Every single-step evaluation diamond joins on equal fixed points, on
+    the starts read off the step records of ``graph``
+    (``_confluence_starts``): a ``ConfluenceClosure`` fed by a walk over
+    the graph.  ``verify`` runs it only where the correspondence check
+    left no graph, and otherwise takes the report of the closure that
+    check fed.  Raises ``BoundExceeded`` past ``max_configs`` distinct
+    configurations."""
+    if graph.truncated:
+        raise GraphTruncated("confluence needs a fully explored graph")
+    closure = ConfluenceClosure(sys, max_configs)
+    for context, start in _confluence_starts(sys, graph):
+        closure.add(context, start)
+        if closure.error is not None:
+            break
+    return closure.report()
 
 
 # ---------------------------------------------------------------------------
 # Correspondence.
 
-def check_correspondence(sys: cm.System,
-                         max_states: int = DEFAULT_MAX_STATES) -> CorrespondenceReport:
+def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
+                         confluence: ConfluenceClosure | None = None,
+                         ) -> CorrespondenceReport:
     """Per reachable representative, the (action, target) successor sets of
     the two semantics must be equal, internal and visible steps alike; rule
     names differ by design and are left out.  So ``sf`` is checked to be a
@@ -372,17 +454,28 @@ def check_correspondence(sys: cm.System,
     side's steps are followed.  Targets past ``max_states`` are validated
     once and not checked, and the report is marked truncated.  Where the
     sides agree the union is the representative steps, so a report that
-    passes and is not truncated carries the graph ``explore`` builds."""
+    passes and is not truncated carries the graph ``explore`` builds.
+
+    Given a ``confluence`` closure, the check feeds it the initial starts
+    and then, per checked state and before any of its calculus targets is
+    built, what each step leaves (``lts.calculus_targets``): the starts of
+    ``check_confluence`` on the carried graph, in the same order.  Without
+    one, no start is built."""
     sound: list = []
     complete: list = []
     defects: list = []
     checked = 0
+    starts = None
+    if confluence is not None:
+        for context, start in _initial_starts(sys):
+            confluence.add(context, start)
+        starts = confluence.add
 
     def compare(rep, succs):
         nonlocal checked
         checked += 1
         try:
-            calc_targets, calc_visible = lts.calculus_targets(sys, rep)
+            calc_targets, calc_visible = lts.calculus_targets(sys, rep, starts)
         except EmptyKnowledge as exc:
             # The algorithm itself is undefined here (empty decision); the
             # two semantics must at least be undefined on the same states.
@@ -475,20 +568,22 @@ _PERFECT_FAMILIES = {"SRW2", "PSusp"}
 _CRASH_FAMILIES = {"SR7", "Stop"}
 
 
-def _label_checks(action, rule: str) -> tuple:
-    """What the trace invariants read of one (action, rule) label, parsed
-    once per label: (action, rule, whether the action is an observable
-    other than ok, the agent a suspicion suspects, the agent a perfect
-    suspicion names, whether the rule crashes an agent)."""
+def _label_invariants(action, rule: str) -> tuple:
+    """What the properties read of one (action, rule) label, parsed once
+    per label: whether the step is internal, whether the action is an
+    observable other than ok, the agent a suspicion suspects (None if
+    none), the agent a perfect suspicion names (0 if none), and whether
+    the rule crashes an agent."""
     family = _rule_family(rule)
     params = _rule_params(rule)
-    suspected = perfect = None
+    suspected = None
+    perfect = 0
     if family in _SUSPICION_FAMILIES:
         suspected = int(params.get("p") or params.get("k"))
     if family in _PERFECT_FAMILIES:
         perfect = int(params.get("j") or params.get("k"))
     foreign = action != TAU and action != OK
-    return action, rule, foreign, suspected, perfect, family in _CRASH_FAMILIES
+    return action == TAU, foreign, suspected, perfect, family in _CRASH_FAMILIES
 
 
 def _valid_relay(sys, dv) -> bool:
@@ -523,28 +618,44 @@ def _valid_msgs(sys, msgs) -> bool:
     return True
 
 
-def _node_validity_violations(sys, rep) -> list:
-    uvals = {("nat", v) for v in sys.u}
-    bad = []
-    for p, i, r, dv in rep.out1:
-        if not _valid_relay(sys, dv):
-            bad.append(f"round message {p}->{i} r{r} carries an invalid vector")
-    for p, i, vv in rep.out2:
-        if not _valid_know(sys, vv):
-            bad.append(f"sync message {p}->{i} carries an invalid vector")
-    for p, v in rep.out3:
-        if v not in uvals:
-            bad.append(f"agent {p} decided unproposed value {value_str(v)}")
-    for p, r, vv, msgs, _ in rep.in1:
-        if not _valid_know(sys, vv) or not _valid_msgs(sys, msgs):
-            bad.append(f"collector {p} r{r} holds invalid state")
-    for p, vv, msgs, _ in rep.in2:
-        if not _valid_know(sys, vv) or not _valid_msgs(sys, msgs):
-            bad.append(f"collector {p} holds invalid state")
-    ww = rep.wrap[1]
-    if ww != BOT and ww not in uvals:
-        bad.append(f"observer remembers unproposed value {value_str(ww)}")
-    return bad
+def _invalid_out1(sys, entry) -> str:
+    p, i, r, dv = entry
+    return "" if _valid_relay(sys, dv) else (
+        f"round message {p}->{i} r{r} carries an invalid vector")
+
+
+def _invalid_out2(sys, entry) -> str:
+    p, i, vv = entry
+    return "" if _valid_know(sys, vv) else (
+        f"sync message {p}->{i} carries an invalid vector")
+
+
+def _invalid_out3(sys, entry) -> str:
+    p, v = entry
+    return "" if v in _proposed(sys) else (
+        f"agent {p} decided unproposed value {value_str(v)}")
+
+
+def _invalid_in1(sys, entry) -> str:
+    p, r, vv, msgs, _ = entry
+    return "" if _valid_know(sys, vv) and _valid_msgs(sys, msgs) else (
+        f"collector {p} r{r} holds invalid state")
+
+
+def _invalid_in2(sys, entry) -> str:
+    p, vv, msgs, _ = entry
+    return "" if _valid_know(sys, vv) and _valid_msgs(sys, msgs) else (
+        f"collector {p} holds invalid state")
+
+
+# Per entry field of a representative (out1 .. in2): the message validity
+# gives one of its entries, or "" where the entry is valid.
+_ENTRY_VALIDITY = (_invalid_out1, _invalid_out2, _invalid_out3, _invalid_in1,
+                   _invalid_in2)
+
+
+def _proposed(sys) -> set:
+    return {("nat", v) for v in sys.u}
 
 
 def _tau_cycle(edges: Edges):
@@ -590,7 +701,15 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
     """Validity, agreement, termination, plus the transition-level trace
     invariants (only `ok` is observable, suspicion spares the trusted
     immortal, perfect suspicion only hits crashed agents, crashes are
-    monotone)."""
+    monotone).
+
+    Validity and agreement come from ``check_safety_subset``, which judges
+    each entry once.  The trace invariants read, per edge, its label's
+    ``_label_invariants`` and int columns built in one pass over the nodes:
+    each node's live set as a bitmask, its budget and its ti.  The same
+    edge loop notes the nodes with no internal step, the ends of maximal
+    runs.  ``tests/test_properties_oracle.py`` keeps the per-state,
+    per-edge check over the representatives as the oracle."""
     if graph.truncated:
         raise GraphTruncated("properties need a fully explored graph")
     failures: list = []
@@ -603,23 +722,41 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
 
     edges = graph.edges
     nodes, targets, label_ids = edges.nodes, edges.targets, edges.label_ids
-    checks = [_label_checks(action, rule) for action, rule in edges.labels]
-    for source, (lo, hi) in zip(nodes, pairwise(edges.offsets)):
+    masks, budgets, tis = array("q"), array("q"), array("q")
+    bits: dict = {}                 # live set -> its bitmask
+    for rep in nodes:
+        mask = bits.get(rep.live)
+        if mask is None:
+            mask = bits[rep.live] = sum(1 << p for p in rep.live)
+        masks.append(mask)
+        budgets.append(rep.budget)
+        tis.append(rep.ti)
+    checks = [_label_invariants(action, rule) for action, rule in edges.labels]
+    ends: list = []                 # ids of the nodes with no internal step
+    for s, (lo, hi) in enumerate(pairwise(edges.offsets)):
+        mask, budget, ti = masks[s], budgets[s], tis[s]
+        internal = False
         for i in range(lo, hi):
-            target = nodes[targets[i]]
-            action, rule, foreign, suspected, perfect, crash = checks[label_ids[i]]
+            t, label = targets[i], label_ids[i]
+            tau, foreign, suspected, perfect, crash = checks[label]
+            internal = internal or tau
             if foreign:
+                action = edges.labels[label][0]
                 failures.append(f"observable other than ok: {action_str(action)}")
-            if suspected == source.ti:
-                failures.append(f"trusted immortal suspected via {rule}")
-            if perfect in source.live:
+            if suspected == ti:
+                failures.append(
+                    f"trusted immortal suspected via {edges.labels[label][1]}")
+            if perfect and mask >> perfect & 1:
                 failures.append(f"live agent {perfect} perfectly suspected")
-            if target.live != source.live and not set(target.live) <= set(source.live):
-                failures.append(f"live set grew across {rule}")
-            if target.budget > source.budget:
-                failures.append(f"crash budget grew across {rule}")
-            if (target.budget < source.budget) != crash:
-                failures.append(f"budget change does not match rule {rule}")
+            if masks[t] & ~mask:
+                failures.append(f"live set grew across {edges.labels[label][1]}")
+            if budgets[t] > budget:
+                failures.append(f"crash budget grew across {edges.labels[label][1]}")
+            if (budgets[t] < budget) != crash:
+                failures.append(
+                    f"budget change does not match rule {edges.labels[label][1]}")
+        if not internal:
+            ends.append(s)
 
     cycle = _tau_cycle(edges)
     if cycle is not None:
@@ -628,10 +765,11 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
             + " -> ".join(repsem.rep_digest(nodes[s]) for s in cycle)
         )
     stuck = 0
-    for s, rep in enumerate(nodes):
-        if not edges.tau_targets(s) and not lts.emits_ok(rep):
+    for s in ends:
+        if not lts.emits_ok(nodes[s]):
             stuck += 1
-            failures.append(f"maximal run ends undecided at {repsem.rep_digest(rep)}")
+            failures.append(
+                f"maximal run ends undecided at {repsem.rep_digest(nodes[s])}")
     return CheckReport(
         name="properties",
         passed=not failures,
@@ -647,12 +785,29 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
 
 def check_safety_subset(sys: cm.System, reps) -> CheckReport:
     """Validity and agreement over a set of states, for bounded runs where
-    the full graph (and with it termination) is out of reach."""
+    the full graph (and with it termination) is out of reach.
+
+    Validity is judged once per entry object (``_ENTRY_VALIDITY``),
+    memoised per field on the System by the entry's identity (each entry
+    held alive, so its id is not reused); entries are interned, so that is
+    once per distinct entry.  A state then gets the message of each of
+    its invalid entries in field order, then the observer's."""
+    memos = [sys._validity.setdefault(k, {}) for k in range(len(_ENTRY_VALIDITY))]
+    proposed = _proposed(sys)
     failures: list = []
     count = 0
     for rep in reps:
         count += 1
-        failures.extend(_node_validity_violations(sys, rep))
+        for memo, judge, entries in zip(memos, _ENTRY_VALIDITY, rep[3:8]):
+            for entry in entries:
+                known = memo.get(id(entry))
+                if known is None:
+                    known = memo[id(entry)] = (entry, judge(sys, entry))
+                if known[1]:
+                    failures.append(known[1])
+        ww = rep.wrap[1]
+        if ww != BOT and ww not in proposed:
+            failures.append(f"observer remembers unproposed value {value_str(ww)}")
         if rep.wrap[2] == 0:
             failures.append(
                 f"agreement broken: observer went inert at {repsem.rep_digest(rep)}"

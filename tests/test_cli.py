@@ -3,7 +3,7 @@ import json
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import repsem, verifier
+from consrep import lts, repsem, verifier
 from consrep.cli import main
 from consrep.lts import action_str
 from conftest import calculus_successors
@@ -94,6 +94,9 @@ def test_missing_instance_is_a_usage_error(capsys):
     ["trace", "--n", "1", "--values", "4", "--max-states", "10"],
     # explore follows the representative semantics only.
     ["explore", "--n", "1", "--values", "4", "--mode", "calculus"],
+    # A state bound below 1 cannot hold one state.
+    ["verify", "--n", "1", "--values", "4", "--max-states=-1"],
+    ["explore", "--n", "1", "--values", "4", "--max-states", "0"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -125,10 +128,11 @@ def test_verify_skips_whole_graph_checks_past_the_bound(capsys):
 
 def test_verify_reports_the_confluence_configuration_bound(capsys, monkeypatch):
     # The graph is complete, so only confluence's own bound on distinct
-    # configurations stops it; the report names that bound.
-    real = verifier.check_confluence
-    monkeypatch.setattr(verifier, "check_confluence",
-                        lambda sys_, graph: real(sys_, graph, max_configs=10))
+    # configurations stops it; the report names that bound.  The closure
+    # the correspondence check feeds carries the bound.
+    real = verifier.ConfluenceClosure
+    monkeypatch.setattr(verifier, "ConfluenceClosure",
+                        lambda sys_, max_configs=10: real(sys_, max_configs=10))
     code, out, _ = run(capsys, "verify", "--n", "1", "--values", "4")
     assert code == 2
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
@@ -168,6 +172,35 @@ def test_verify_explores_the_state_space_once(capsys, monkeypatch, mutation,
         assert code == 3 and reports["correspondence"]["status"] == "fail"
         assert calls["rep_successors"] == (
             checked + reports["properties"]["details"]["states"])
+
+
+@pytest.mark.parametrize("mutation", [None, "sr1-deletes-in1"])
+def test_verify_builds_each_state_s_calculus_steps_once(capsys, monkeypatch,
+                                                        mutation):
+    # The correspondence check feeds the confluence closure from the steps
+    # it builds, so confluence walks no graph of its own; a check that
+    # fails leaves a fresh graph, which the walk steps through once more.
+    calls = {"_calculus_steps": 0, "check_confluence": 0}
+    for module, name in ((lts, "_calculus_steps"), (verifier, "check_confluence")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    argv = ["verify", "--n", "2", "--values", "5,7", "--budget", "1"]
+    code, out, _ = run(capsys, *argv, *(["--mutate", mutation] if mutation else []))
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    checked = reports["correspondence"]["details"]["states_checked"]
+    if mutation is None:
+        assert code == 0
+        assert calls == {"_calculus_steps": checked, "check_confluence": 0}
+    else:
+        assert code == 3 and reports["correspondence"]["status"] == "fail"
+        assert calls == {"_calculus_steps": (
+            checked + reports["properties"]["details"]["states"]),
+            "check_confluence": 1}
 
 
 def test_verify_single_agent(capsys):
@@ -276,6 +309,9 @@ def test_config_file_rejects_the_retired_mode_key(capsys, tmp_path, command):
     ("budget", False),
     ("mutate", "skip-correct"),
     ("mutate", [["skip-correct"]]),
+    # A state bound below 1 cannot hold one state.
+    ("max_states", 0),
+    ("max_states", -1),
 ])
 def test_config_file_values_are_checked_as_their_flags(capsys, tmp_path, key,
                                                        value):
