@@ -471,9 +471,11 @@ class System:
     mutations: frozenset = field(default_factory=frozenset)
     # Waiting-shape builder results; state components recur constantly.
     _wait_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    # Collector-local steps of the representative semantics (see repsem);
-    # a collector's entry and the payload it receives recur across states.
-    _local_steps: dict = field(default_factory=dict, compare=False, repr=False)
+    # One ``repsem.Move`` per collector move of the representative
+    # semantics, keyed by the identities of the collector entry and of the
+    # transit entry it consumes (None for the suspicion twin); each record
+    # holds both objects alive.  Collector moves recur across states.
+    _moves: dict = field(default_factory=dict, compare=False, repr=False)
     # Calculus-side canonicalisation per component (see repsem): the
     # round-trip-checked component of each representative slot, and, by
     # the identity of each replacement leaf, the leaf and the slots it

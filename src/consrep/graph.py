@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 from . import lts
-from .lts import TAU
 
 
 class Edges:
@@ -62,13 +61,6 @@ class Edges:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    def tau_targets(self, node: int) -> list:
-        """The target ids of the internal edges of node ``node``, in edge
-        order."""
-        labels, label_ids, targets = self.labels, self.label_ids, self.targets
-        return [targets[i] for i in range(self.offsets[node], self.offsets[node + 1])
-                if labels[label_ids[i]][0] == TAU]
 
 
 @dataclass

@@ -21,11 +21,18 @@ checked against the calculus semantics state by state - see the verifier.
 
 A collector's local state lives in the parameters of its process
 constant, so its step is a function of its own entry and the payload it
-receives alone.  That local part (the new entry and the messages sent) is
-memoised per System and shared by every global state; only the global
-assembly runs per state.  An undefined decision raises before anything is
-stored.  ``rep_successors`` does not validate what it returns: its
-consumers validate each state once, when they first discover it.
+receives alone.  So each collector move - a collector entry with the
+transit entry it consumes, or with None for its suspicion twin - has one
+``Move`` record per System, shared by every global state, keyed by the
+identities of those two objects and holding them alive: its rule
+instance rendered once, and the local part of the step (the new entry
+and the messages sent) as the entries it adds to each field, with the
+sr1-deletes-in1 mutation already applied.  A state pays only for the
+global assembly: one lookup by identity per move, and a rebuild of just
+the fields the move changes (an entry dropped, a sorted merge).  An
+undefined decision raises before anything is stored.  ``rep_successors``
+does not validate what it returns: its consumers validate each state
+once, when they first discover it.
 
 Calculus-side canonicalisation works per component for the same reason.
 ``expansion`` lists a representative's normal form as (slot, located
@@ -54,7 +61,7 @@ Representatives are the keys the explorers hash and compare on every
 edge, so their entries are hash-consed.  Each distinct out1/out2/out3/
 in1/in2 entry is one ``Entry`` per System (``System._entries``), a tuple
 that computes its tuple hash once, when it is made.  Entries are interned
-only where a memo entry is filled (a collector-local step, a leaf's
+only where a memo entry is filled (a collector move, a leaf's
 slots) and in ``sf``; the rules, ``sf_step`` and the crash rule reuse
 those objects, so no state pays for interning, and the entries of the two
 semantics compare by identity.  A representative's value, order, hash,
@@ -75,6 +82,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from typing import NamedTuple
 
 from . import consensus_model as cm
@@ -152,6 +160,10 @@ class Representative(NamedTuple):
 
 # The fields held in strictly increasing order: live and out1 .. in2.
 _CANONICAL_FIELDS = ("live", *Representative._fields[3:8])
+
+# Successors are built positionally, ``_new(Representative, fields)``, past
+# the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
 
 
 def validate_rep(sys: cm.System, rep: Representative) -> None:
@@ -441,7 +453,7 @@ def sf_step(sys: cm.System, rep: Representative, comps: list,
         fields[k] = tuple(sorted(fields[k]))
     if fields[5] is None:
         fields[5] = (0, BOT, 1)  # the observer was consumed after emitting ok
-    return Representative(live, budget, rep.ti, *fields)
+    return _new(Representative, (live, budget, rep.ti, *fields))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +466,8 @@ def _drop(entries: tuple, entry) -> tuple:
     return entries[:i] + entries[i + 1:]
 
 
-def _merge(entries: tuple, new: tuple) -> tuple:
-    return tuple(sorted(entries + new)) if new else entries
+# The id that stands for the absent transit entry in a move key.
+_NONE = id(None)
 
 
 class LocalStep(NamedTuple):
@@ -471,160 +483,198 @@ class LocalStep(NamedTuple):
 
 def _phase1_local(sys, entry, delta) -> LocalStep:
     """The local step of a round collector that receives ``delta`` (a relay
-    vector, or bot for a suspicion), memoised on the System."""
-    key = (entry, delta)    # five-field entry: never a sync-collector key
-    step = sys._local_steps.get(key)
-    if step is None:
-        n = sys.n
-        q, r, vv, msgs, i = entry
-        msgs2 = cm.msg_add1(msgs, delta, r, i)
-        if i < n:
-            step = LocalStep(in1=(_intern(sys, (q, r, vv, msgs2, i + 1)),))
-        elif r < n - 1:
-            vv2 = cm.updatek(r, msgs2, vv)
-            dd2 = cm.updater(r, msgs2, vv)
-            step = LocalStep(
-                in1=(_intern(sys, (q, r + 1, vv2, msgs2, 1)),),
-                out1=tuple(_intern(sys, (q, j, r + 1, dd2))
-                           for j in range(1, n + 1)))
-        else:
-            vv2 = cm.updatek(r, msgs2, vv)
-            step = LocalStep(
-                in2=(_intern(sys, (q, vv2, msgs2, 1)),),
-                out2=tuple(_intern(sys, (q, j, vv2)) for j in range(1, n + 1)))
-        sys._local_steps[key] = step
-    return step
+    vector, or bot for a suspicion), its entries interned."""
+    n = sys.n
+    q, r, vv, msgs, i = entry
+    msgs2 = cm.msg_add1(msgs, delta, r, i)
+    if i < n:
+        return LocalStep(in1=(_intern(sys, (q, r, vv, msgs2, i + 1)),))
+    vv2 = cm.updatek(r, msgs2, vv)
+    if r < n - 1:
+        dd2 = cm.updater(r, msgs2, vv)
+        return LocalStep(
+            in1=(_intern(sys, (q, r + 1, vv2, msgs2, 1)),),
+            out1=tuple(_intern(sys, (q, j, r + 1, dd2)) for j in range(1, n + 1)))
+    return LocalStep(
+        in2=(_intern(sys, (q, vv2, msgs2, 1)),),
+        out2=tuple(_intern(sys, (q, j, vv2)) for j in range(1, n + 1)))
 
 
 def _phase2_local(sys, entry, payload) -> LocalStep:
     """The local step of a sync collector that receives ``payload`` (a
-    knowledge vector, or bot for a suspicion), memoised on the System."""
-    key = (entry, payload)  # four-field entry: never a round-collector key
-    step = sys._local_steps.get(key)
-    if step is None:
-        n = sys.n
-        q, vv, msgs, i = entry
-        msgs2 = cm.msg_add2(msgs, payload, i)
-        if i < n:
-            step = LocalStep(in2=(_intern(sys, (q, vv, msgs2, i + 1)),))
-        else:
-            vv2 = vv if "skip-correct" in sys.mutations else cm.correct_fn(msgs2, vv)
-            # getfst raises EmptyKnowledge before anything is stored, so an
-            # undefined decision raises again on every state that reaches it.
-            step = LocalStep(out3=(_intern(sys, (q, cm.getfst(vv2))),))
-        sys._local_steps[key] = step
-    return step
+    knowledge vector, or bot for a suspicion), its entries interned.  An
+    undefined decision raises ``EmptyKnowledge`` (from ``getfst``)."""
+    q, vv, msgs, i = entry
+    msgs2 = cm.msg_add2(msgs, payload, i)
+    if i < sys.n:
+        return LocalStep(in2=(_intern(sys, (q, vv, msgs2, i + 1)),))
+    vv2 = vv if "skip-correct" in sys.mutations else cm.correct_fn(msgs2, vv)
+    return LocalStep(out3=(_intern(sys, (q, cm.getfst(vv2))),))
 
 
-def _phase1_step(sys, rep, entry, delta, consumed, rule, out):
-    """Advance a round collector on ``delta``.  ``consumed`` is the transit
-    entry to remove, if any."""
+class Move(NamedTuple):
+    """One collector move, whatever the rest of the state: a collector
+    entry receiving the transit entry it consumes, or its suspicion twin,
+    which consumes nothing and receives bot.  Memoised per System in
+    ``System._moves`` by the identities of ``entry`` and ``consumed``,
+    which the record holds alive, so neither id is reused while it
+    exists."""
+    rule: str                # the rule instance, rendered once
+    entry: tuple             # the collector entry that steps
+    consumed: tuple | None   # the transit entry received; None: suspicion
+    # The entries the move adds per field: the collector's local step, with
+    # in1 emptied where the sr1-deletes-in1 mutation drops the collector.
+    adds: LocalStep
+
+
+def _phase1_move(sys, entry, consumed) -> Move:
+    """The move of round collector ``entry`` receiving ``consumed``, or
+    suspecting its awaited sender where ``consumed`` is None; stored in
+    ``System._moves`` once its local step is defined."""
+    n = sys.n
     q, r, _, _, i = entry
-    step = _phase1_local(sys, entry, delta)
-    out1 = _drop(rep.out1, consumed) if consumed else rep.out1
-    in1 = _drop(rep.in1, entry)
-    if rule != "SR1" or "sr1-deletes-in1" not in sys.mutations:
-        in1 = _merge(in1, step.in1)
-    out.append((f"{rule} q={q} p={i} r={r}", Representative(
-        rep.live, rep.budget, rep.ti,
-        _merge(out1, step.out1),
-        _merge(rep.out2, step.out2),
-        rep.out3,
-        in1,
-        _merge(rep.in2, step.in2),
-        rep.wrap,
-    )))
+    if consumed is None:
+        family = "SR4" if i < n else ("SR5" if r < n - 1 else "SR6")
+        adds = _phase1_local(sys, entry, BOT)
+    else:
+        family = "SR1" if i < n else ("SR2" if r < n - 1 else "SR3")
+        adds = _phase1_local(sys, entry, consumed[3])
+        if family == "SR1" and "sr1-deletes-in1" in sys.mutations:
+            adds = adds._replace(in1=())
+    move = Move(f"{family} q={q} p={i} r={r}", entry, consumed, adds)
+    sys._moves[id(entry), id(consumed)] = move
+    return move
 
 
-def _phase2_step(sys, rep, entry, payload, consumed, rule, out):
+def _phase2_move(sys, entry, consumed) -> Move:
+    """The move of sync collector ``entry``, as ``_phase1_move``.  An
+    undefined decision raises before anything is stored."""
     q, _, _, i = entry
-    step = _phase2_local(sys, entry, payload)
-    out2 = _drop(rep.out2, consumed) if consumed else rep.out2
-    out.append((f"{rule} q={q} p={i}", Representative(
-        rep.live, rep.budget, rep.ti, rep.out1,
-        out2,
-        _merge(rep.out3, step.out3),
-        rep.in1,
-        _merge(_drop(rep.in2, entry), step.in2),
-        rep.wrap,
-    )))
+    if consumed is None:
+        family = "SR4'" if i < sys.n else "SR5'"
+        adds = _phase2_local(sys, entry, BOT)
+    else:
+        family = "SR1'" if i < sys.n else "SR2'"
+        adds = _phase2_local(sys, entry, consumed[2])
+    move = Move(f"{family} q={q} p={i}", entry, consumed, adds)
+    sys._moves[id(entry), id(consumed)] = move
+    return move
 
 
-def _may_suspect(sys, rep, suspected: int, at: int) -> bool:
-    if suspected == at:
-        return False
-    if suspected == rep.ti and "no-ti-protection" not in sys.mutations:
-        return False
-    return True
+def _phase1_target(rep, k: int, move: Move) -> Representative:
+    """The successor of ``rep`` under ``move`` of its ``k``-th round
+    collector: only the fields the move changes are rebuilt."""
+    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
+    _, _, consumed, (add_in1, add_in2, add_out1, add_out2, _) = move
+    if consumed is not None:
+        out1 = _drop(out1, consumed)
+    if add_out1:
+        out1 = tuple(sorted(out1 + add_out1))
+    if add_out2:
+        out2 = tuple(sorted(out2 + add_out2))
+    in1 = in1[:k] + in1[k + 1:]
+    if add_in1:
+        in1 = tuple(sorted(in1 + add_in1))
+    if add_in2:
+        in2 = tuple(sorted(in2 + add_in2))
+    return _new(Representative,
+                (live, budget, ti, out1, out2, out3, in1, in2, wrap))
+
+
+def _phase2_target(rep, k: int, move: Move) -> Representative:
+    """The successor of ``rep`` under ``move`` of its ``k``-th sync
+    collector."""
+    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
+    _, _, consumed, (_, add_in2, _, _, add_out3) = move
+    if consumed is not None:
+        out2 = _drop(out2, consumed)
+    if add_out3:
+        out3 = tuple(sorted(out3 + add_out3))
+    in2 = in2[:k] + in2[k + 1:]
+    if add_in2:
+        in2 = tuple(sorted(in2 + add_in2))
+    return _new(Representative,
+                (live, budget, ti, out1, out2, out3, in1, in2, wrap))
 
 
 def rep_successors(sys: cm.System, rep: Representative) -> list:
     """All internal steps of the representative semantics, as
     (rule instance, successor) pairs, canonically sorted.
 
-    Within a validated state the rule instances are pairwise distinct
-    (each agent holds one role, and the SRW1/SRW2/SR7 instances carry
-    distinct parameters), so the list needs no deduplication and the sort
-    orders by rule alone.  Successors are built with the positional
-    constructor: ``_replace`` goes through a dict of all nine fields."""
+    Each collector move comes from its ``Move`` record, looked up by the
+    identities of the collector entry and the transit entry, so a state
+    pays for no rule text and no local step; only the fields the move
+    changes are rebuilt, and successors are built positionally with
+    ``tuple.__new__``, past ``Representative``'s Python-level
+    constructor.  Within a validated state the rule instances are
+    pairwise distinct (each agent holds one role, and the SRW1/SRW2/SR7
+    instances carry distinct parameters), so the list needs no
+    deduplication and the sort orders by rule alone."""
     n = sys.n
+    moves = sys._moves
+    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
+    # The agent suspicion spares: the ti, or none (0) under no-ti-protection.
+    spared = ti if "no-ti-protection" not in sys.mutations else 0
+    phase1_susp = "no-phase1-susp" not in sys.mutations
     out: list = []
 
-    out1_by_key = {e[:3]: e for e in rep.out1}
-    for entry in rep.in1:
+    # A collector's awaited message is the transit entry that starts with
+    # (awaited sender, collector[, round]); the fields are strictly
+    # increasing, so bisection finds it.
+    for k, entry in enumerate(in1):
         q, r, _, _, i = entry
-        transit = out1_by_key.get((i, q, r))
+        key = (i, q, r)
+        j = bisect_left(out1, key)
+        transit = out1[j] if j < len(out1) and out1[j][:3] == key else None
         if transit is not None:
-            sr = "SR1" if i < n else ("SR2" if r < n - 1 else "SR3")
-            _phase1_step(sys, rep, entry, transit[3], transit, sr, out)
-        if _may_suspect(sys, rep, i, q) and "no-phase1-susp" not in sys.mutations:
-            sr = "SR4" if i < n else ("SR5" if r < n - 1 else "SR6")
-            _phase1_step(sys, rep, entry, BOT, None, sr, out)
+            move = (moves.get((id(entry), id(transit)))
+                    or _phase1_move(sys, entry, transit))
+            out.append((move.rule, _phase1_target(rep, k, move)))
+        if i != q and i != spared and phase1_susp:
+            move = (moves.get((id(entry), _NONE))
+                    or _phase1_move(sys, entry, None))
+            out.append((move.rule, _phase1_target(rep, k, move)))
 
-    out2_by_key = {e[:2]: e for e in rep.out2}
-    for entry in rep.in2:
+    for k, entry in enumerate(in2):
         q, _, _, i = entry
-        transit = out2_by_key.get((i, q))
+        key = (i, q)
+        j = bisect_left(out2, key)
+        transit = out2[j] if j < len(out2) and out2[j][:2] == key else None
         if transit is not None:
-            _phase2_step(sys, rep, entry, transit[2], transit,
-                         "SR1'" if i < n else "SR2'", out)
-        if _may_suspect(sys, rep, i, q):
-            _phase2_step(sys, rep, entry, BOT, None,
-                         "SR4'" if i < n else "SR5'", out)
+            move = (moves.get((id(entry), id(transit)))
+                    or _phase2_move(sys, entry, transit))
+            out.append((move.rule, _phase2_target(rep, k, move)))
+        if i != q and i != spared:
+            move = (moves.get((id(entry), _NONE))
+                    or _phase2_move(sys, entry, None))
+            out.append((move.rule, _phase2_target(rep, k, move)))
 
-    wj, ww, wb = rep.wrap
+    wj, ww, wb = wrap
     if wb == 1 and 1 <= wj <= n:
-        decision = next((e for e in rep.out3 if e[0] == wj), None)
+        decision = next((e for e in out3 if e[0] == wj), None)
         if decision is not None:
             v = decision[1]
             if (ww == BOT and v != BOT) or ww == v:
                 wrap2 = (wj + 1, v, 1) if wj + 1 <= n else (0, BOT, 1)
             else:
                 wrap2 = (wj, ww, 0)
-            out.append((f"SRW1 j={wj} v={value_str(v)}", Representative(
-                rep.live, rep.budget, rep.ti, rep.out1, rep.out2,
-                _drop(rep.out3, decision), rep.in1, rep.in2, wrap2)))
-        if wj not in rep.live:
+            out.append((f"SRW1 j={wj} v={value_str(v)}", _new(Representative, (
+                live, budget, ti, out1, out2, _drop(out3, decision), in1, in2,
+                wrap2))))
+        if wj not in live:
             wrap2 = (wj + 1, ww, 1) if wj + 1 <= n else (0, BOT, 1)
-            out.append((f"SRW2 j={wj}", Representative(
-                rep.live, rep.budget, rep.ti, rep.out1, rep.out2, rep.out3,
-                rep.in1, rep.in2, wrap2)))
+            out.append((f"SRW2 j={wj}", _new(Representative, (
+                live, budget, ti, out1, out2, out3, in1, in2, wrap2))))
 
-    if rep.budget > 0:
-        for p in rep.live:
-            if p == rep.ti:
-                continue
-            out.append((f"SR7 p={p}", Representative(
-                tuple(x for x in rep.live if x != p),
-                rep.budget - 1,
-                rep.ti,
-                tuple(e for e in rep.out1 if e[0] != p),
-                tuple(e for e in rep.out2 if e[0] != p),
-                tuple(e for e in rep.out3 if e[0] != p),
-                tuple(e for e in rep.in1 if e[0] != p),
-                tuple(e for e in rep.in2 if e[0] != p),
-                rep.wrap,
-            )))
+    if budget > 0:
+        owned = (out1, out2, out3, in1, in2)
+        for k, p in enumerate(live):
+            if p != ti:
+                # An entry's first field is its owner; empty fields stay.
+                kept = [tuple([e for e in f if e[0] != p]) if f else f
+                        for f in owned]
+                out.append((f"SR7 p={p}", _new(Representative, (
+                    live[:k] + live[k + 1:], budget - 1, ti, *kept, wrap))))
 
     out.sort()
     return out

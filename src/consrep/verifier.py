@@ -24,9 +24,9 @@ from .graph import Edges, LtsGraph
 from .lts import OK, TAU, action_str
 
 # The full n=3 (1,2,3) ``explore``, 1,060,526 states and 4,179,558 edges,
-# peaks at about 460 MiB RSS on CPython 3.11: about 455 bytes per state,
-# edges, interpreter and memos included.  At that rate this bound would
-# need about 2.3 GB.
+# peaked at 446 MiB RSS on CPython 3.11 (2-core x86-64 Linux, one run):
+# about 440 bytes per state, edges, interpreter and memos included.  At
+# that rate this bound would need about 2.2 GB.
 DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -57,7 +57,8 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     expanded in id order.  So an edge costs two 4-byte ints (target and
     label id) and a node one offset, and a ``Transition`` exists only while
     someone iterates ``graph.edges``.  Looking a target up in ``node_ids``
-    hashes it through the hashes its ``repsem.Entry`` objects cache.
+    hashes it through the hashes its ``repsem.Entry`` objects cache; a τ
+    edge's label id is looked up by its rule alone.
 
     Every initial is expanded, and ``max_states`` states in all where
     there are more.  The first target past the bound raises
@@ -93,6 +94,16 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
             raise BoundExceeded(graph(True), max_states)
         nodes.append(target)
 
+    def label_of(action, rule) -> int:
+        label = labels.get((action, rule))
+        if label is None:
+            label = labels[firsts.setdefault(action, action),
+                           firsts.setdefault(rule, rule)] = len(labels)
+        return label
+
+    setdefault = node_ids.setdefault
+    add_target, add_label = targets.append, label_ids.append
+    tau_labels: dict = {}          # rule -> label id of (TAU, rule)
     for rep in islice(nodes, limit):
         try:
             succs = lts.labelled_targets(sys, rep)
@@ -104,18 +115,21 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
             succs = None
         else:
             for target in first:
-                if node_ids.setdefault(target, len(nodes)) == len(nodes):
+                if setdefault(target, len(nodes)) == len(nodes):
                     admit(target)
         for action, target, rule in succs or ():
-            ident = node_ids.setdefault(target, len(nodes))
-            if ident == len(nodes):
+            count = len(nodes)
+            ident = setdefault(target, count)
+            if ident == count:
                 admit(target)
-            label = labels.get((action, rule))
-            if label is None:
-                label = labels[firsts.setdefault(action, action),
-                               firsts.setdefault(rule, rule)] = len(labels)
-            targets.append(ident)
-            label_ids.append(label)
+            if action is TAU:
+                label = tau_labels.get(rule)
+                if label is None:
+                    label = tau_labels[rule] = label_of(action, rule)
+            else:
+                label = label_of(action, rule)
+            add_target(ident)
+            add_label(label)
         offsets.append(len(targets))
     return graph(len(nodes) > limit)
 
@@ -660,27 +674,39 @@ def _proposed(sys) -> set:
 
 def _tau_cycle(edges: Edges):
     """Return one internal-step cycle as node ids if the graph has any,
-    else None."""
+    else None.
+
+    A depth-first search over the CSR columns that follows the τ-edges
+    only, told apart by a per-label τ flag table as in ``weak_bisim``; each
+    node on the grey trail keeps the index of its next edge to try."""
     WHITE, GREY, BLACK = 0, 1, 2
+    offsets, targets, label_ids = edges.offsets, edges.targets, edges.label_ids
+    tau = bytes(action == TAU for action, _ in edges.labels)
     colour = bytearray(len(edges.nodes))
     for root in range(len(colour)):
         if colour[root] != WHITE:
             continue
         colour[root] = GREY
         trail = [root]
-        stack = [iter(edges.tau_targets(root))]
-        while stack:
-            for child in stack[-1]:
-                if colour[child] == GREY:
-                    return trail[trail.index(child):] + [child]
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    trail.append(child)
-                    stack.append(iter(edges.tau_targets(child)))
-                    break
+        nexts = [offsets[root]]
+        while trail:
+            i, hi = nexts[-1], offsets[trail[-1] + 1]
+            while i < hi:
+                if tau[label_ids[i]]:
+                    child = targets[i]
+                    if colour[child] == GREY:
+                        return trail[trail.index(child):] + [child]
+                    if colour[child] == WHITE:
+                        break
+                i += 1
+            if i < hi:
+                nexts[-1] = i + 1
+                colour[child] = GREY
+                trail.append(child)
+                nexts.append(offsets[child])
             else:
                 colour[trail.pop()] = BLACK
-                stack.pop()
+                nexts.pop()
     return None
 
 

@@ -60,6 +60,14 @@ def edges_from_transitions(node_ids: dict, transitions) -> Edges:
     return Edges(nodes, offsets, targets, label_ids, tuple(labels))
 
 
+def tau_targets(edges: Edges, node: int) -> list:
+    """The target ids of the internal edges of node ``node``, in edge
+    order."""
+    labels, label_ids, targets = edges.labels, edges.label_ids, edges.targets
+    return [targets[i] for i in range(edges.offsets[node], edges.offsets[node + 1])
+            if labels[label_ids[i]][0] == lts.TAU]
+
+
 @pytest.fixture(scope="session")
 def sys1():
     return cm.build_system(cm.make_instance(1, [4]))

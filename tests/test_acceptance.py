@@ -21,7 +21,7 @@ import pytest
 from consrep import consensus_model as cm
 from consrep import cli, repsem, verifier
 from consrep.errors import BoundExceeded
-from conftest import congruent, shuffle_config
+from conftest import congruent, shuffle_config, tau_targets
 
 N3_BOUND = int(os.environ.get("CONSREP_ACCEPT_N3", "4000"))
 
@@ -207,7 +207,7 @@ def test_criterion_6_mutation_sensitivity(tmp_path):
     # and its position names the conflicting agent, while the rest of the
     # system still runs.
     assert {r.wrap for r in conflicted} == {(2, cm.nat(5), 0)}
-    assert any(graph_c.edges.tau_targets(graph_c.node_ids[r]) for r in conflicted)
+    assert any(tau_targets(graph_c.edges, graph_c.node_ids[r]) for r in conflicted)
     assert any("agreement broken" in c for c in report_c.counterexamples)
     assert verifier.check_correspondence(sys_c).passed
     ok_c, evidence = verifier.weak_bisim(graph_c)

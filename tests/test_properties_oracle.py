@@ -9,9 +9,13 @@ bitmask, budget, ti) per edge, and must give the same report,
 counterexamples in order, on the seven n<=2 acceptance instances,
 unmutated and under each mutation, and on a BFS prefix of the n=3
 instance.  Hand-built states and edges break each validity message and
-each trace invariant.
+each trace invariant.  ``reference_tau_cycle`` is the internal-step cycle
+search over per-node lists of τ-targets; ``verifier._tau_cycle`` walks
+the edge columns and must find the same cycle on seeded random graphs.
 """
 
+import random
+from array import array
 from itertools import pairwise
 
 import pytest
@@ -20,9 +24,9 @@ from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
 from consrep.calculus_ast import BOT, CHAN_OK, nat, value_str
 from consrep.errors import BoundExceeded, GraphTruncated
-from consrep.graph import LtsGraph
+from consrep.graph import Edges, LtsGraph
 from consrep.lts import OK, TAU, action_str
-from conftest import edges_from_transitions
+from conftest import edges_from_transitions, tau_targets
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_BOUND = 3000
@@ -82,6 +86,32 @@ def reference_safety_subset(sys, reps) -> verifier.CheckReport:
     )
 
 
+def reference_tau_cycle(edges):
+    """One internal-step cycle as node ids, or None: a depth-first search
+    over each node's list of τ-targets."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = bytearray(len(edges.nodes))
+    for root in range(len(colour)):
+        if colour[root] != WHITE:
+            continue
+        colour[root] = GREY
+        trail = [root]
+        stack = [iter(tau_targets(edges, root))]
+        while stack:
+            for child in stack[-1]:
+                if colour[child] == GREY:
+                    return trail[trail.index(child):] + [child]
+                if colour[child] == WHITE:
+                    colour[child] = GREY
+                    trail.append(child)
+                    stack.append(iter(tau_targets(edges, child)))
+                    break
+            else:
+                colour[trail.pop()] = BLACK
+                stack.pop()
+    return None
+
+
 def reference_properties(sys, graph) -> verifier.CheckReport:
     if graph.truncated:
         raise GraphTruncated("properties need a fully explored graph")
@@ -113,7 +143,7 @@ def reference_properties(sys, graph) -> verifier.CheckReport:
             if (target.budget < source.budget) != crash:
                 failures.append(f"budget change does not match rule {rule}")
 
-    cycle = verifier._tau_cycle(edges)
+    cycle = reference_tau_cycle(edges)
     if cycle is not None:
         failures.append(
             "internal-step cycle through "
@@ -121,7 +151,7 @@ def reference_properties(sys, graph) -> verifier.CheckReport:
         )
     stuck = 0
     for s, rep in enumerate(nodes):
-        if not edges.tau_targets(s) and not lts.emits_ok(rep):
+        if not tau_targets(edges, s) and not lts.emits_ok(rep):
             stuck += 1
             failures.append(f"maximal run ends undecided at {repsem.rep_digest(rep)}")
     return verifier.CheckReport(
@@ -185,6 +215,28 @@ def test_check_agrees_with_the_reference_on_an_n3_prefix():
     graph.truncated = False
     report = assert_same(sys3, graph)
     assert report.details["undecided_maximal_states"] > 0
+
+
+def test_tau_cycle_agrees_with_the_reference_on_random_graphs():
+    """The same cycle, or none, on seeded random graphs whose edges mix τ,
+    ok and another action, with self-loops and parallel edges."""
+    rng = random.Random(20261019)
+    labels = ((TAU, "a"), (TAU, "b"), (OK, "Snd ok"),
+              (lts.act_send(CHAN_OK, nat(1)), "Snd x"))
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        offsets, targets, label_ids = array("I", [0]), array("I"), array("I")
+        for _ in range(n):
+            for _ in range(rng.randint(0, 3)):
+                targets.append(rng.randrange(n))
+                label_ids.append(rng.randrange(len(labels)))
+            offsets.append(len(targets))
+        edges = Edges(list(range(n)), offsets, targets, label_ids, labels)
+        cycle = verifier._tau_cycle(edges)
+        assert cycle == reference_tau_cycle(edges)
+        found += cycle is not None
+    assert 0 < found < 400
 
 
 def _states(graph2):

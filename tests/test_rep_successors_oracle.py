@@ -1,0 +1,226 @@
+"""``repsem.rep_successors`` against the successor function it replaced.
+
+``reference_rep_successors`` below is the earlier ``rep_successors``, with
+its ``_phase1_step`` and ``_phase2_step``, kept verbatim: per state it
+computes each collector's local step, formats each rule instance afresh
+and merges every collector field, looking no move record up.  It calls
+the same ``_phase1_local``/``_phase2_local`` (which
+``tests/test_local_step_memo.py`` checks against the model's helpers), so
+what it checks is the assembly: the rule text, the transit lookup and the
+rebuilt fields.  The per-System move records
+that ``rep_successors`` reads must give the same (rule, target) list on
+every state of the seven n<=2 instances, unmutated and under each of the
+four mutations (where a decision is undefined, both raise), and on seeded
+samples of an n=3 (1,2,3) prefix.  A representative rebuilt from plain
+tuples must get the same successors as its interned twin, and every move
+record must hold the objects its key names, so no id in a key is reused
+while the record exists.
+"""
+
+import random
+
+import pytest
+
+from consrep import consensus_model as cm
+from consrep import repsem, verifier
+from consrep.calculus_ast import BOT, value_str
+from consrep.errors import BoundExceeded, EmptyKnowledge
+from consrep.repsem import Representative, _drop, _phase1_local, _phase2_local
+from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+from test_entry_intern import plain
+
+N3_PREFIX = 3000
+N3_SAMPLES = 500
+
+
+def _merge(entries: tuple, new: tuple) -> tuple:
+    return tuple(sorted(entries + new)) if new else entries
+
+
+def _phase1_step(sys, rep, entry, delta, consumed, rule, out):
+    """Advance a round collector on ``delta``.  ``consumed`` is the transit
+    entry to remove, if any."""
+    q, r, _, _, i = entry
+    step = _phase1_local(sys, entry, delta)
+    out1 = _drop(rep.out1, consumed) if consumed else rep.out1
+    in1 = _drop(rep.in1, entry)
+    if rule != "SR1" or "sr1-deletes-in1" not in sys.mutations:
+        in1 = _merge(in1, step.in1)
+    out.append((f"{rule} q={q} p={i} r={r}", Representative(
+        rep.live, rep.budget, rep.ti,
+        _merge(out1, step.out1),
+        _merge(rep.out2, step.out2),
+        rep.out3,
+        in1,
+        _merge(rep.in2, step.in2),
+        rep.wrap,
+    )))
+
+
+def _phase2_step(sys, rep, entry, payload, consumed, rule, out):
+    q, _, _, i = entry
+    step = _phase2_local(sys, entry, payload)
+    out2 = _drop(rep.out2, consumed) if consumed else rep.out2
+    out.append((f"{rule} q={q} p={i}", Representative(
+        rep.live, rep.budget, rep.ti, rep.out1,
+        out2,
+        _merge(rep.out3, step.out3),
+        rep.in1,
+        _merge(_drop(rep.in2, entry), step.in2),
+        rep.wrap,
+    )))
+
+
+def _may_suspect(sys, rep, suspected: int, at: int) -> bool:
+    if suspected == at:
+        return False
+    if suspected == rep.ti and "no-ti-protection" not in sys.mutations:
+        return False
+    return True
+
+
+def reference_rep_successors(sys: cm.System, rep: Representative) -> list:
+    """All internal steps of the representative semantics, as
+    (rule instance, successor) pairs, canonically sorted.
+
+    Within a validated state the rule instances are pairwise distinct
+    (each agent holds one role, and the SRW1/SRW2/SR7 instances carry
+    distinct parameters), so the list needs no deduplication and the sort
+    orders by rule alone.  Successors are built with the positional
+    constructor: ``_replace`` goes through a dict of all nine fields."""
+    n = sys.n
+    out: list = []
+
+    out1_by_key = {e[:3]: e for e in rep.out1}
+    for entry in rep.in1:
+        q, r, _, _, i = entry
+        transit = out1_by_key.get((i, q, r))
+        if transit is not None:
+            sr = "SR1" if i < n else ("SR2" if r < n - 1 else "SR3")
+            _phase1_step(sys, rep, entry, transit[3], transit, sr, out)
+        if _may_suspect(sys, rep, i, q) and "no-phase1-susp" not in sys.mutations:
+            sr = "SR4" if i < n else ("SR5" if r < n - 1 else "SR6")
+            _phase1_step(sys, rep, entry, BOT, None, sr, out)
+
+    out2_by_key = {e[:2]: e for e in rep.out2}
+    for entry in rep.in2:
+        q, _, _, i = entry
+        transit = out2_by_key.get((i, q))
+        if transit is not None:
+            _phase2_step(sys, rep, entry, transit[2], transit,
+                         "SR1'" if i < n else "SR2'", out)
+        if _may_suspect(sys, rep, i, q):
+            _phase2_step(sys, rep, entry, BOT, None,
+                         "SR4'" if i < n else "SR5'", out)
+
+    wj, ww, wb = rep.wrap
+    if wb == 1 and 1 <= wj <= n:
+        decision = next((e for e in rep.out3 if e[0] == wj), None)
+        if decision is not None:
+            v = decision[1]
+            if (ww == BOT and v != BOT) or ww == v:
+                wrap2 = (wj + 1, v, 1) if wj + 1 <= n else (0, BOT, 1)
+            else:
+                wrap2 = (wj, ww, 0)
+            out.append((f"SRW1 j={wj} v={value_str(v)}", Representative(
+                rep.live, rep.budget, rep.ti, rep.out1, rep.out2,
+                _drop(rep.out3, decision), rep.in1, rep.in2, wrap2)))
+        if wj not in rep.live:
+            wrap2 = (wj + 1, ww, 1) if wj + 1 <= n else (0, BOT, 1)
+            out.append((f"SRW2 j={wj}", Representative(
+                rep.live, rep.budget, rep.ti, rep.out1, rep.out2, rep.out3,
+                rep.in1, rep.in2, wrap2)))
+
+    if rep.budget > 0:
+        for p in rep.live:
+            if p == rep.ti:
+                continue
+            out.append((f"SR7 p={p}", Representative(
+                tuple(x for x in rep.live if x != p),
+                rep.budget - 1,
+                rep.ti,
+                tuple(e for e in rep.out1 if e[0] != p),
+                tuple(e for e in rep.out2 if e[0] != p),
+                tuple(e for e in rep.out3 if e[0] != p),
+                tuple(e for e in rep.in1 if e[0] != p),
+                tuple(e for e in rep.in2 if e[0] != p),
+                rep.wrap,
+            )))
+
+    out.sort()
+    return out
+
+
+def _outcome(successors, sys_, rep):
+    """The successor list, or the type and message of what was raised."""
+    try:
+        return successors(sys_, rep)
+    except EmptyKnowledge as exc:
+        return EmptyKnowledge, str(exc)
+
+
+def _assert_same_successors(sys_, reps) -> int:
+    """The reference on a fresh System and ``rep_successors`` on ``sys_``,
+    on each of ``reps``; the latter also on the plain-tuple twin of each
+    state.  Returns the number of states where both raised."""
+    fresh = cm.build_system(sys_.inst, sys_.mutations)
+    undefined = 0
+    for rep in reps:
+        expected = _outcome(reference_rep_successors, fresh, rep)
+        got = _outcome(repsem.rep_successors, sys_, rep)
+        assert got == expected, rep
+        assert _outcome(repsem.rep_successors, sys_, plain(rep)) == expected, rep
+        if isinstance(got, tuple):
+            undefined += 1
+        else:
+            # Equal in value is not enough for the state store: each
+            # successor must be a Representative, as the old one built.
+            assert all(type(target) is Representative for _, target in got)
+    return undefined
+
+
+def _assert_records_hold_their_keys(sys_) -> int:
+    for (entry_id, consumed_id), move in sys_._moves.items():
+        assert id(move.entry) == entry_id
+        assert id(move.consumed) == consumed_id
+    return len(sys_._moves)
+
+
+def _graph(sys_, bound=verifier.DEFAULT_MAX_STATES):
+    try:
+        return verifier.explore(sys_, "representative", max_states=bound)
+    except BoundExceeded as exc:
+        return exc.graph
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])
+def test_every_n12_state_matches_the_reference(mutation):
+    mutations = [mutation] if mutation else []
+    undefined = 0
+    for inst in INSTANCES_1 + INSTANCES_2:
+        sys_ = cm.build_system(inst, mutations)
+        graph = _graph(sys_)
+        nodes = sorted(graph.nodes, key=graph.node_ids.get)
+        undefined += _assert_same_successors(sys_, nodes)
+        assert _assert_records_hold_their_keys(sys_) > 0
+    # Only no-ti-protection reaches an undefined decision on these instances.
+    assert (undefined > 0) == (mutation == "no-ti-protection")
+
+
+@pytest.fixture(scope="module")
+def n3_prefix():
+    sys3 = cm.build_system(INSTANCE_3)
+    graph = _graph(sys3, N3_PREFIX)
+    assert graph.truncated and len(graph.node_ids) == N3_PREFIX
+    return sys3, sorted(graph.nodes, key=graph.node_ids.get)
+
+
+def test_sampled_n3_states_match_the_reference(n3_prefix):
+    sys3, nodes = n3_prefix
+    sample = random.Random(20261019).sample(nodes, N3_SAMPLES)
+    assert _assert_same_successors(sys3, sample) == 0
+    assert _assert_same_successors(cm.build_system(INSTANCE_3), sample) == 0
+    # The plain-tuple twins filled records of their own, which hold the
+    # twins' tuples, so no id in a key is reused while its record lives.
+    assert any(type(move.entry) is tuple for move in sys3._moves.values())
+    assert _assert_records_hold_their_keys(sys3) > 0
