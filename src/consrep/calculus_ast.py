@@ -268,13 +268,12 @@ class Config(NamedTuple):
 class Defs(NamedTuple):
     """Equation set plus the function table its expressions draw from.
 
-    ``cache``, when a dict, memoises constant unfoldings by argument value;
-    local states recur across global states constantly.  Callers that build
-    throwaway equation sets may leave it None.
+    ``cache`` memoises constant unfoldings by argument value; local states
+    recur across global states constantly.
     """
     equations: dict
     ftable: FunctionTable
-    cache: dict | None = None
+    cache: dict
 
 
 # ---------------------------------------------------------------------------

@@ -179,19 +179,14 @@ def cmd_verify(cfg) -> int:
     sys_ = _build_system(cfg)
     max_states = cfg["max_states"]
 
-    # The correspondence check feeds the confluence closure the starts of
-    # every state it checks, from the steps it builds anyway.
-    confluence = verifier.ConfluenceClosure(sys_)
-    corr = verifier.check_correspondence(sys_, max_states, confluence)
+    corr = verifier.check_correspondence(sys_, max_states)
     reports = [corr.to_jsonable()]
     bound_hit = corr.truncated
 
     # One representative graph serves every check after correspondence:
-    # the one it explored, or a fresh exploration where it has none.  The
-    # closure serves only the former; the latter walks the fresh graph.
+    # the one it explored, or a fresh exploration where it has none.
     graph = corr.graph
     if graph is None:
-        confluence = None
         try:
             graph = verifier.explore(sys_, "representative", max_states)
         except BoundExceeded as exc:
@@ -207,9 +202,7 @@ def cmd_verify(cfg) -> int:
                     ("confluence", "normal-forms", "properties", "bisimulation")]
     else:
         try:
-            report = (verifier.check_confluence(sys_, graph) if confluence is None
-                      else confluence.report())
-            reports.append(report.to_jsonable())
+            reports.append(verifier.check_confluence(sys_, graph).to_jsonable())
         except BoundExceeded:
             bound_hit = True
             reports.append(skipped("confluence", "configuration"))

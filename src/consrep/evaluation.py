@@ -54,7 +54,7 @@ def _unfold_call(name: str, arg, defs: Defs):
     if eq is None:
         raise UndefinedConstant(name)
     av = eval_expr(arg, defs.ftable)
-    if defs.cache is not None and (name, av) in defs.cache:
+    if (name, av) in defs.cache:
         return defs.cache[name, av]
     pattern, body = eq
     unfolded = subst_proc(body, match_pattern(pattern, av))
@@ -63,8 +63,7 @@ def _unfold_call(name: str, arg, defs: Defs):
         t = t[2] if as_nat(eval_expr(t[1], defs.ftable)) > 0 else t[3]
     if t[0] == "const" and t[1] == name and eval_expr(t[2], defs.ftable) == av:
         unfolded = None
-    if defs.cache is not None:
-        defs.cache[name, av] = unfolded
+    defs.cache[name, av] = unfolded
     return unfolded
 
 

@@ -26,12 +26,10 @@ validate each state when they first discover it.  ``calculus_targets``
 gives the τ-target set and the visible (action, target) pairs, for the
 correspondence check: it builds no ``Transition`` and never hashes the
 shared source, and every step's target is still built, so an undefined
-one raises where it stands.  Asked to, it also hands what each step leaves
-(``_step_start``) to the confluence closure, from the expansion and the
-step list it has built anyway.  ``step_starts`` gives the same for one
-state on its own, for the confluence check's walk over a graph;
-``calculus_raw_successors`` composes it into raw configurations, the
-definition the tests compare against.
+one raises where it stands.  ``step_starts`` gives what each step of a
+state leaves before evaluation (``_step_start``), for the confluence
+check's walk over a graph; ``calculus_raw_successors`` composes it into
+raw configurations, the definition the tests compare against.
 
 The representative semantics takes the successors straight from the rule
 set on representatives.  Both expose the same observable: the `ok` send,
@@ -265,36 +263,22 @@ def step_starts(sys: cm.System, rep: repsem.Representative) -> list:
             for step in _calculus_steps(sys, rep, comps)]
 
 
-def _step_targets(sys: cm.System, rep: repsem.Representative, starts=None):
+def _step_targets(sys: cm.System, rep: repsem.Representative):
     """Each calculus step of ``rep`` with the representative it reaches,
     in step order; every target is built, so a step whose target is
-    undefined raises where it stands.  Where ``starts`` is given, it is
-    called with the context and the components each step leaves
-    (``_step_start``), in step order, before any target is built, so a
-    state whose target raises still gives every start."""
+    undefined raises where it stands."""
     comps = repsem.expansion(sys, rep)
-    steps = _calculus_steps(sys, rep, comps)
-    if starts is not None:
-        for step in steps:
-            starts(*_step_start(rep, comps, step))
-    for step in steps:
+    for step in _calculus_steps(sys, rep, comps):
         yield step, repsem.sf_step(sys, rep, comps, step)
 
 
-def calculus_targets(sys: cm.System, rep: repsem.Representative,
-                     starts=None) -> tuple:
+def calculus_targets(sys: cm.System, rep: repsem.Representative) -> tuple:
     """The steps of ``rep`` in the calculus semantics, as the set of the
     targets of its internal steps and the set of (action, target) pairs of
     its visible ones, with no ``Transition`` built and the shared source
-    never hashed.  ``starts``, where given, sees what each step leaves
-    (see ``_step_targets``); the correspondence check feeds the confluence
-    closure from it."""
+    never hashed."""
     taus, visible = set(), set()
-    # Where nothing is fed, the two-argument call, which the fault
-    # injections of the correspondence tests wrap.
-    pairs = (_step_targets(sys, rep) if starts is None
-             else _step_targets(sys, rep, starts))
-    for step, target in pairs:
+    for step, target in _step_targets(sys, rep):
         if step.action == TAU:
             taus.add(target)
         else:

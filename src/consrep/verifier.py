@@ -18,7 +18,7 @@ from itertools import accumulate, chain, islice, pairwise, repeat
 from . import consensus_model as cm
 from . import lts, repsem
 from .calculus_ast import BOT, NNIL, STAR, Config, npar_chain, value_str
-from .errors import BoundExceeded, ConsrepError, EmptyKnowledge, GraphTruncated
+from .errors import BoundExceeded, EmptyKnowledge, GraphTruncated
 from .evaluation import eval_steps, evaluate, split_restriction
 from .graph import Edges, LtsGraph
 from .lts import OK, TAU, action_str
@@ -77,7 +77,6 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     targets = array("I")
     label_ids = array("I")
     labels: dict = {}              # (action, rule) -> label id
-    firsts: dict = {}              # rule or action -> its first equal object
     defects: list = []
 
     def graph(truncated: bool) -> LtsGraph:
@@ -97,8 +96,7 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     def label_of(action, rule) -> int:
         label = labels.get((action, rule))
         if label is None:
-            label = labels[firsts.setdefault(action, action),
-                           firsts.setdefault(rule, rule)] = len(labels)
+            label = labels[action, rule] = len(labels)
         return label
 
     setdefault = node_ids.setdefault
@@ -176,7 +174,7 @@ class CorrespondenceReport:
     complete_failures: list        # unmatched calculus steps
     truncated: bool
     defects: list = field(default_factory=list)
-    # The representative graph, where the report passed and is not truncated.
+    # The representative graph, where the report passed; truncated with it.
     graph: LtsGraph | None = field(default=None, repr=False)
 
     @property
@@ -220,20 +218,15 @@ def _spine(net) -> tuple:
     return tuple(comps)
 
 
-def _initial_starts(sys: cm.System) -> list:
-    """The freshly chosen-immortal initials, each as its context (live,
-    budget, ti) and its components."""
+def _confluence_starts(sys: cm.System, graph: LtsGraph):
+    """The starts of the walk over ``graph``, each as its context (live,
+    budget, ti) and its components: the freshly chosen-immortal initials,
+    then what each calculus step of every node leaves (``lts.step_starts``),
+    in id order."""
     initials = lts.select_ti(sys, cm.make_initial(sys.inst))
     comps = _spine(split_restriction(initials[0].net)[1])
-    return [((cfg.live, cfg.budget, cfg.ti), comps) for cfg in initials]
-
-
-def _confluence_starts(sys: cm.System, graph: LtsGraph):
-    """The starts of the walk over ``graph``: ``_initial_starts``, then
-    what each calculus step of every node leaves (``lts.step_starts``), in
-    id order.  A correspondence check fed a closure hands it the same
-    starts in the same order, from the steps it builds anyway."""
-    yield from _initial_starts(sys)
+    for cfg in initials:
+        yield (cfg.live, cfg.budget, cfg.ti), comps
     for rep in graph.nodes:
         yield from lts.step_starts(sys, rep)
 
@@ -245,11 +238,9 @@ class ConfluenceClosure:
     ``add(context, start)`` closes one configuration, its context (live,
     budget, ti) and the components along the right spine of its parallel
     composition, under single evaluation steps, and compares the fixed
-    points of every branching; ``report()`` gives the verdict.  Two callers
-    feed it the same starts in the same order (``_confluence_starts``):
-    ``check_confluence`` walks a graph, and ``check_correspondence`` hands
-    over what each step of each state it checks leaves, as it builds the
-    step.
+    points of every branching; ``report()`` gives the verdict.
+    ``check_confluence`` feeds it the starts of a walk over a graph
+    (``_confluence_starts``).
 
     A configuration is keyed by its context and its components, each
     interned to an int for the life of the closure, so one term has one
@@ -277,11 +268,9 @@ class ConfluenceClosure:
     undefined), and ``NonTermination`` when some component diverges, which
     is the only way a branch diverges.
 
-    Past ``max_configs`` distinct configurations, or on any other error of
-    evaluation, the closure keeps the error, drops its tables and ignores
-    later starts; ``report()`` raises the error (``BoundExceeded``, with no
-    graph, past the bound).  So a fed closure never stops the check that
-    feeds it, and raises where a walk over that check's graph would."""
+    Past ``max_configs`` distinct configurations ``add`` raises
+    ``BoundExceeded``, with no graph; any other error of evaluation
+    propagates from ``add`` as it is."""
 
     def __init__(self, sys: cm.System, max_configs: int = DEFAULT_MAX_STATES):
         self.sys = sys
@@ -298,7 +287,6 @@ class ConfluenceClosure:
         self.diamonds = 0
         self.undefined = 0
         self.failures: list = []
-        self.error: ConsrepError | None = None
 
     def _intern(self, term) -> int:
         cid = self.ids.get(term)
@@ -361,17 +349,7 @@ class ConfluenceClosure:
 
     def add(self, context, start) -> None:
         """Close the configuration of ``context`` and the components
-        ``start``; after an error, do nothing."""
-        if self.error is not None:
-            return
-        try:
-            self._close(context, start)
-        except ConsrepError as exc:
-            self.error = exc
-            self.terms = self.ids = self.by_object = self.held = None
-            self.spines = self.tables = self.contexts = None
-
-    def _close(self, context, start) -> None:
+        ``start``."""
         known = self.contexts.get(context)
         if known is None:
             tabs = self.tables.setdefault(context[0], ({}, {}))
@@ -413,10 +391,7 @@ class ConfluenceClosure:
             frontier.extend(succs)
 
     def report(self) -> CheckReport:
-        """The confluence report of every start added, or the error that
-        stopped the closure."""
-        if self.error is not None:
-            raise self.error
+        """The confluence report of every start added."""
         return CheckReport(
             name="confluence",
             passed=not self.failures,
@@ -431,17 +406,13 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
     """Every single-step evaluation diamond joins on equal fixed points, on
     the starts read off the step records of ``graph``
     (``_confluence_starts``): a ``ConfluenceClosure`` fed by a walk over
-    the graph.  ``verify`` runs it only where the correspondence check
-    left no graph, and otherwise takes the report of the closure that
-    check fed.  Raises ``BoundExceeded`` past ``max_configs`` distinct
+    the graph.  Raises ``BoundExceeded`` past ``max_configs`` distinct
     configurations."""
     if graph.truncated:
         raise GraphTruncated("confluence needs a fully explored graph")
     closure = ConfluenceClosure(sys, max_configs)
     for context, start in _confluence_starts(sys, graph):
         closure.add(context, start)
-        if closure.error is not None:
-            break
     return closure.report()
 
 
@@ -449,7 +420,6 @@ def check_confluence(sys: cm.System, graph: LtsGraph,
 # Correspondence.
 
 def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
-                         confluence: ConfluenceClosure | None = None,
                          ) -> CorrespondenceReport:
     """Per reachable representative, the (action, target) successor sets of
     the two semantics must be equal, internal and visible steps alike; rule
@@ -468,28 +438,18 @@ def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
     side's steps are followed.  Targets past ``max_states`` are validated
     once and not checked, and the report is marked truncated.  Where the
     sides agree the union is the representative steps, so a report that
-    passes and is not truncated carries the graph ``explore`` builds.
-
-    Given a ``confluence`` closure, the check feeds it the initial starts
-    and then, per checked state and before any of its calculus targets is
-    built, what each step leaves (``lts.calculus_targets``): the starts of
-    ``check_confluence`` on the carried graph, in the same order.  Without
-    one, no start is built."""
+    passes carries the graph ``explore`` builds, marked truncated where
+    ``explore`` would overflow at the same bound."""
     sound: list = []
     complete: list = []
     defects: list = []
     checked = 0
-    starts = None
-    if confluence is not None:
-        for context, start in _initial_starts(sys):
-            confluence.add(context, start)
-        starts = confluence.add
 
     def compare(rep, succs):
         nonlocal checked
         checked += 1
         try:
-            calc_targets, calc_visible = lts.calculus_targets(sys, rep, starts)
+            calc_targets, calc_visible = lts.calculus_targets(sys, rep)
         except EmptyKnowledge as exc:
             # The algorithm itself is undefined here (empty decision); the
             # two semantics must at least be undefined on the same states.
@@ -514,7 +474,7 @@ def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
 
     graph = _bfs(sys, max_states, compare, truncate=True)
     report = CorrespondenceReport(checked, sound, complete, graph.truncated, defects)
-    if report.passed and not graph.truncated:
+    if report.passed:
         report.graph = graph
     return report
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import lts, repsem, verifier
+from consrep import repsem, verifier
 from consrep.cli import main
 from consrep.lts import action_str
 from conftest import calculus_successors
@@ -128,8 +128,7 @@ def test_verify_skips_whole_graph_checks_past_the_bound(capsys):
 
 def test_verify_reports_the_confluence_configuration_bound(capsys, monkeypatch):
     # The graph is complete, so only confluence's own bound on distinct
-    # configurations stops it; the report names that bound.  The closure
-    # the correspondence check feeds carries the bound.
+    # configurations stops it; the report names that bound.
     real = verifier.ConfluenceClosure
     monkeypatch.setattr(verifier, "ConfluenceClosure",
                         lambda sys_, max_configs=10: real(sys_, max_configs=10))
@@ -143,15 +142,10 @@ def test_verify_reports_the_confluence_configuration_bound(capsys, monkeypatch):
                if check != "confluence")
 
 
-@pytest.mark.parametrize("mutation, explorations", [(None, 0),
-                                                     ("sr1-deletes-in1", 1)])
-def test_verify_explores_the_state_space_once(capsys, monkeypatch, mutation,
-                                              explorations):
-    # The correspondence check hands its graph to the later checks; only a
-    # check that fails (here a mutation that breaks the correspondence)
-    # leaves them to a fresh exploration.
-    calls = {"rep_successors": 0, "explore": 0}
-    for module, name in ((repsem, "rep_successors"), (verifier, "explore")):
+def counting(monkeypatch, *targets) -> dict:
+    """Count the calls of each (module, name) in ``targets``."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
         original = getattr(module, name)
 
         def counted(*args, name=name, original=original, **kwargs):
@@ -159,6 +153,18 @@ def test_verify_explores_the_state_space_once(capsys, monkeypatch, mutation,
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mutation, explorations", [(None, 0),
+                                                     ("sr1-deletes-in1", 1)])
+def test_verify_explores_the_state_space_once(capsys, monkeypatch, mutation,
+                                              explorations):
+    # The correspondence check hands its graph to the later checks; only a
+    # check that fails (here a mutation that breaks the correspondence)
+    # leaves them to a fresh exploration.
+    calls = counting(monkeypatch, (repsem, "rep_successors"),
+                     (verifier, "explore"))
     argv = ["verify", "--n", "2", "--values", "5,7", "--budget", "1"]
     code, out, _ = run(capsys, *argv, *(["--mutate", mutation] if mutation else []))
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
@@ -175,32 +181,30 @@ def test_verify_explores_the_state_space_once(capsys, monkeypatch, mutation,
 
 
 @pytest.mark.parametrize("mutation", [None, "sr1-deletes-in1"])
-def test_verify_builds_each_state_s_calculus_steps_once(capsys, monkeypatch,
-                                                        mutation):
-    # The correspondence check feeds the confluence closure from the steps
-    # it builds, so confluence walks no graph of its own; a check that
-    # fails leaves a fresh graph, which the walk steps through once more.
-    calls = {"_calculus_steps": 0, "check_confluence": 0}
-    for module, name in ((lts, "_calculus_steps"), (verifier, "check_confluence")):
-        original = getattr(module, name)
-
-        def counted(*args, name=name, original=original, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+def test_verify_walks_the_graph_it_holds_for_confluence_once(
+        capsys, monkeypatch, mutation):
+    # Confluence walks the one graph the later checks share: the
+    # correspondence check's, or a fresh one where that check fails.
+    calls = counting(monkeypatch, (verifier, "check_confluence"),
+                     (verifier, "ConfluenceClosure"))
     argv = ["verify", "--n", "2", "--values", "5,7", "--budget", "1"]
     code, out, _ = run(capsys, *argv, *(["--mutate", mutation] if mutation else []))
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
-    checked = reports["correspondence"]["details"]["states_checked"]
-    if mutation is None:
-        assert code == 0
-        assert calls == {"_calculus_steps": checked, "check_confluence": 0}
-    else:
-        assert code == 3 and reports["correspondence"]["status"] == "fail"
-        assert calls == {"_calculus_steps": (
-            checked + reports["properties"]["details"]["states"]),
-            "check_confluence": 1}
+    assert reports["confluence"]["status"] == "pass"
+    assert code == (0 if mutation is None else 3)
+    assert calls == {"check_confluence": 1, "ConfluenceClosure": 1}
+
+
+def test_verify_past_the_state_bound_builds_no_confluence_closure(
+        capsys, monkeypatch):
+    # The truncated correspondence graph already shows the bound exceeded:
+    # no second exploration, and no confluence work whose report is skipped.
+    calls = counting(monkeypatch, (verifier, "explore"),
+                     (verifier, "ConfluenceClosure"))
+    code, _, _ = run(capsys, "verify", "--n", "2", "--values", "5,7",
+                     "--max-states", "10")
+    assert code == 2
+    assert calls == {"explore": 0, "ConfluenceClosure": 0}
 
 
 def test_verify_single_agent(capsys):

@@ -13,12 +13,6 @@ joins on, and the order the two closures visit diamonds in is their own
 configuration the reference visits must be that of its components' fixed
 points, the lemma by which the check evaluates each component once per
 live set.
-
-``verify`` takes its confluence report from a ``ConfluenceClosure`` that
-the correspondence check feeds, and walks a graph (``check_confluence``)
-only where that check carries none.  The fed closure must give the walk's
-verdict and counts, and its counterexamples as a multiset, on the same
-runs.
 """
 
 import pytest
@@ -150,59 +144,6 @@ def test_starts_are_the_raw_configurations_on_n3_prefix():
     with pytest.raises(BoundExceeded) as exc:
         verifier.explore(sys3, "representative", max_states=300)
     assert_starts_are_the_raw_configurations(sys3, exc.value.graph)
-
-
-def fed_and_walked(sys_):
-    """The confluence report of a closure the correspondence check fed,
-    and that of the walk over the graph the check carries; None for both
-    where the check carries no graph, and ``verify`` walks a fresh one."""
-    closure = verifier.ConfluenceClosure(sys_)
-    corr = verifier.check_correspondence(sys_, confluence=closure)
-    if corr.graph is None:
-        return None, None
-    return closure.report(), verifier.check_confluence(sys_, corr.graph)
-
-
-def assert_fed_is_walked(sys_):
-    fed, walked = fed_and_walked(sys_)
-    if fed is not None:
-        assert (fed.passed, fed.details) == (walked.passed, walked.details)
-        assert sorted(fed.counterexamples) == sorted(walked.counterexamples)
-    return fed
-
-
-@pytest.mark.parametrize("mutation", [None] + sorted(cm.MUTATIONS))
-def test_fed_closure_is_the_walk_on_n12(mutation):
-    mutations = [mutation] if mutation else []
-    fed = [assert_fed_is_walked(cm.build_system(inst, mutations))
-           for inst in INSTANCES_1 + INSTANCES_2]
-    # Only the mutations that break the correspondence leave the walk to
-    # verify, and then on some instances only.
-    carried = [report for report in fed if report is not None]
-    if mutation in ("no-phase1-susp", "sr1-deletes-in1"):
-        assert 0 < len(carried) < 7
-    else:
-        assert len(carried) == 7
-    if mutation == "no-ti-protection":
-        assert any(report.details["undefined"] for report in carried)
-
-
-def test_fed_closure_is_the_walk_with_identity_evaluate(sys2, monkeypatch):
-    monkeypatch.setattr(verifier, "evaluate", lambda cfg, defs: cfg)
-    report = assert_fed_is_walked(sys2)
-    assert not report.passed
-    assert len(report.counterexamples) == report.details["diamonds"] > 0
-
-
-def test_fed_closure_keeps_its_bound_and_drops_its_tables(sys2, graph2):
-    configs = verifier.check_confluence(sys2, graph2).details["configurations"]
-    closure = verifier.ConfluenceClosure(sys2, max_configs=configs - 1)
-    corr = verifier.check_correspondence(sys2, confluence=closure)
-    # The check it fed still ran to the end.
-    assert corr.passed and corr.graph is not None
-    assert closure.contexts is None
-    with pytest.raises(BoundExceeded):
-        closure.report()
 
 
 # Confluence details (configurations, diamonds, undefined) of the n<=2

@@ -34,6 +34,7 @@ TOY = Defs(
         "STAY": ("x", cond(lit(nat(0)), NIL, const("STAY", var("x")))),
     },
     ftable=cm.FTABLE,
+    cache={},
 )
 
 

@@ -129,8 +129,11 @@ def test_correspondence_carries_the_explored_graph(explored):
     for sys_, graph, _ in explored:
         bound = N3_PREFIX if sys_.n == 3 else verifier.DEFAULT_MAX_STATES
         report = verifier.check_correspondence(sys_, bound)
-        if not report.passed or report.truncated:
+        if not report.passed:
             assert report.graph is None
+            continue
+        if report.truncated:
+            assert report.graph.truncated
             continue
         carried = report.graph
         assert list(carried.node_ids.items()) == list(graph.node_ids.items())
