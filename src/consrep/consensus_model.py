@@ -482,12 +482,13 @@ class System:
     # evaluates to.
     _slot_comps: dict = field(default_factory=dict, compare=False, repr=False)
     _leaf_slots: dict = field(default_factory=dict, compare=False, repr=False)
-    # The located leaf a Com step leaves behind, per (input slot, index of
-    # the input among its component's guard leaves, received value); a slot
-    # determines its component, so the key determines the leaf.
+    # The located leaves a Com step leaves behind, per Com step key
+    # ("c", input owner, output owner); the two owners' slots determine
+    # the leaves (see lts._com_leaves).
     _received: dict = field(default_factory=dict, compare=False, repr=False)
     # What each slot's component offers a calculus step, by the identity of
-    # the component (see lts._offers).
+    # the slot's entry, or by the wrap value for the observer (see
+    # lts._offer).
     _offers: dict = field(default_factory=dict, compare=False, repr=False)
     # Each distinct representative entry as one ``repsem.Entry``, which
     # caches its hash; filled where the memos above are filled and by

@@ -32,7 +32,10 @@ global assembly: one lookup by identity per move, and a rebuild of just
 the fields the move changes (an entry dropped, a sorted merge).  An
 undefined decision raises before anything is stored.  ``rep_successors``
 does not validate what it returns: its consumers validate each state
-once, when they first discover it.
+once, when they first discover it.  ``step_keys`` names each of its
+steps by the entries it consumes, read off the same ``Move`` records, in
+the key space of ``lts.keyed_steps``, so that the correspondence check
+can pair the two semantics' steps without building the calculus targets.
 
 Calculus-side canonicalisation works per component for the same reason.
 ``expansion`` lists a representative's normal form as (slot, located
@@ -375,8 +378,8 @@ def _leaf_slots(sys: cm.System, leaf) -> tuple:
     leaf reads only whether its own location is live, and a step leaves
     its leaf at a live location, so the result is the same in every state.
     The memo is keyed by the identity of ``leaf``, which the records that
-    hold it (``lts._offers`` and ``lts``'s received-leaf memo) make one
-    object per leaf, so a lookup hashes no term; the entry keeps ``leaf``
+    hold it (``lts._offer`` and ``lts``'s Com-leaf memo) make one object
+    per leaf, so a lookup hashes no term; the entry keeps ``leaf``
     alive, so its id is not reused while the entry exists.  Nothing is
     stored when evaluation raises (an undefined decision), so it raises
     again on every visit."""
@@ -427,10 +430,11 @@ def sf_step(sys: cm.System, rep: Representative, comps: list,
     live, budget = rep.live, rep.budget
     fields = list(rep[3:])  # out1, out2, out3, in1, in2, wrap
     if crashed is not None:
-        live = tuple(p for p in live if p != crashed)
+        live = tuple([p for p in live if p != crashed])
         budget -= 1
-        fields[:5] = [tuple(e for e in entries if e[0] != crashed)
-                      for entries in fields[:5]]
+        # An entry's first field is its owner; empty fields stay.
+        fields[:5] = [tuple([e for e in entries if e[0] != crashed])
+                      if entries else entries for entries in fields[:5]]
     added: list = []
     for idx, leaf in replaced.items():
         kind, entry = comps[idx][0]
@@ -678,6 +682,66 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
 
     out.sort()
     return out
+
+
+def step_keys(sys: cm.System, rep: Representative) -> dict | None:
+    """The key of each internal step of ``rep`` that ``rep_successors``
+    gives, mapped to its rule instance, in the key space of
+    ``lts.keyed_steps``: the key of the calculus step that the rule
+    matches.  A collector move is keyed from its ``Move`` record, which
+    ``rep_successors`` filled: ``("c", id(entry), id(consumed))`` for a
+    reception and ``("s", id(entry))`` for a suspicion.  The observer is
+    keyed by its wrap value: ``("c", wrap, id(decision))`` for SRW1 and
+    ``("s", wrap)`` for SRW2.  A crash is ``("x", agent)``.  None where an
+    enabled move has no record."""
+    n = sys.n
+    moves = sys._moves
+    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
+    spared = ti if "no-ti-protection" not in sys.mutations else 0
+    phase1_susp = "no-phase1-susp" not in sys.mutations
+    keys: dict = {}
+    # The awaited message is found as ``rep_successors`` finds it.
+    for entry in in1:
+        q, r, _, _, i = entry
+        key = (i, q, r)
+        j = bisect_left(out1, key)
+        if j < len(out1) and out1[j][:3] == key:
+            move = moves.get((id(entry), id(out1[j])))
+            if move is None:
+                return None
+            keys["c", id(entry), id(out1[j])] = move.rule
+        if i != q and i != spared and phase1_susp:
+            move = moves.get((id(entry), _NONE))
+            if move is None:
+                return None
+            keys["s", id(entry)] = move.rule
+    for entry in in2:
+        q, _, _, i = entry
+        key = (i, q)
+        j = bisect_left(out2, key)
+        if j < len(out2) and out2[j][:2] == key:
+            move = moves.get((id(entry), id(out2[j])))
+            if move is None:
+                return None
+            keys["c", id(entry), id(out2[j])] = move.rule
+        if i != q and i != spared:
+            move = moves.get((id(entry), _NONE))
+            if move is None:
+                return None
+            keys["s", id(entry)] = move.rule
+
+    wj, ww, wb = wrap
+    if wb == 1 and 1 <= wj <= n:
+        decision = next((e for e in out3 if e[0] == wj), None)
+        if decision is not None:
+            keys["c", wrap, id(decision)] = f"SRW1 j={wj} v={value_str(decision[1])}"
+        if wj not in live:
+            keys["s", wrap] = f"SRW2 j={wj}"
+    if budget > 0:
+        for p in live:
+            if p != ti:
+                keys["x", p] = f"SR7 p={p}"
+    return keys
 
 
 # ---------------------------------------------------------------------------

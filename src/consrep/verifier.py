@@ -430,10 +430,14 @@ def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
 
     Runs the exploration loop (``_bfs``), comparing each state's
     representative steps (``lts.labelled_targets``, which looks up
-    ``repsem.rep_successors`` on the module on every call) with
-    ``lts.calculus_targets``.  It explores the union of the two, so a
-    divergence on either side still gets visited and reported: where the
-    sides differ, the union's new targets are admitted in sorted order
+    ``repsem.rep_successors`` on the module on every call) with its
+    calculus steps, per step key (``_keys_agree``): a state whose keys and
+    keyed steps agree builds no calculus target but its crashes'.  Every
+    other state, and every state where either side is undefined, is
+    compared in full, with every calculus target built
+    (``lts.calculus_targets``).  The check explores the union of the two,
+    so a divergence on either side still gets visited and reported: where
+    the sides differ, the union's new targets are admitted in sorted order
     before the state's edges; where only one side is undefined, neither
     side's steps are followed.  Targets past ``max_states`` are validated
     once and not checked, and the report is marked truncated.  Where the
@@ -444,10 +448,16 @@ def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
     complete: list = []
     defects: list = []
     checked = 0
+    verdicts: dict = {}
 
     def compare(rep, succs):
         nonlocal checked
         checked += 1
+        try:
+            if succs is not None and _keys_agree(sys, rep, succs, verdicts):
+                return ()
+        except EmptyKnowledge:
+            pass  # the full comparison meets it where it stands
         try:
             calc_targets, calc_visible = lts.calculus_targets(sys, rep)
         except EmptyKnowledge as exc:
@@ -477,6 +487,63 @@ def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
     if report.passed:
         report.graph = graph
     return report
+
+
+def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
+    """Whether the calculus steps of ``rep`` reach exactly the (action,
+    target) pairs of its representative steps ``succs``, decided per step
+    key.  False sends the state to the full comparison.
+
+    The calculus steps come keyed from ``lts.keyed_steps``, the
+    representative ones from the ``Move`` records ``rep_successors`` read
+    (``repsem.step_keys``), plus the `ok` step where ``lts.emits_ok``
+    holds.  The representative keys must match the rules of ``succs`` one
+    to one, and the two key sets must be equal with no key repeated on
+    either side; then each calculus step has one representative step of
+    its key.
+
+    A keyed step's patch is a function of its key (and, for a silent step,
+    of its leaf) on both sides: it removes the entries the key names and
+    adds the slots of a memoised leaf, or a ``Move``'s entries, or rebuilds
+    the observer from its wrap value.  So the two targets of a key are
+    compared once, where the key is first met, with ``repsem.sf_step`` on
+    one side and the target in ``succs`` on the other, and the verdict is
+    kept in ``verdicts`` (key -> (leaf, agrees)) for the rest of the check.
+    A crash drops whatever its agent owns, so its two targets are compared
+    in every state."""
+    steps = lts.keyed_steps(sys, rep)
+    keys = repsem.step_keys(sys, rep)
+    if keys is None:
+        return False
+    if lts.emits_ok(rep):
+        keys["snd", rep.wrap] = lts.OK_RULE
+    by_rule = {rule: (action, target) for action, target, rule in succs}
+    if not len(steps) == len(keys) == len(by_rule) == len(succs):
+        return False
+    comps = None
+    for step in steps:
+        key, leaf = step[0], step[1]
+        # Each key and each rule is taken once, so the steps pair one to one.
+        expected = by_rule.pop(keys.pop(key, None), None)
+        if expected is None:
+            return False
+        if key[0] == "x":
+            # A crash replaces no component, so ``sf_step`` reads no
+            # expansion.
+            agrees = expected == (
+                TAU, repsem.sf_step(sys, rep, (), lts._step(step)))
+        else:
+            known = verdicts.get(key)
+            if known is None or known[0] is not leaf:
+                if comps is None:
+                    comps = repsem.expansion(sys, rep)
+                calc = lts._step(step)
+                known = verdicts[key] = (leaf, expected == (
+                    calc.action, repsem.sf_step(sys, rep, comps, calc)))
+            agrees = known[1]
+        if not agrees:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ constant, so ``repsem`` expands each representative slot into a component
 once per System (``_slot_comps``, round trip checked on entry) and
 evaluates and classifies each replacement leaf of a calculus step once
 per System (``_leaf_slots``, keyed by the identity of the leaf and holding
-the leaf beside its slots).  ``lts`` keeps the leaf each Com step leaves
-behind per (input slot, guard leaf index, received value) (``_received``).
+the leaf beside its slots).  ``lts`` keeps the leaves a Com step leaves
+behind per step key ("c", input owner, output owner) (``_received``),
+where an owner is an entry's identity or the observer's wrap value, whose
+offer record (``_offers``) holds the slot.
 Every entry the memos hold after exploration must equal the component the
 ``consensus_model`` builders give, evaluated, classified or substituted
 into again on a fresh System, and a warm System must give the same
@@ -76,11 +78,16 @@ def _assert_memos_match_recomputation(sys_) -> None:
     leaves = [leaf for leaf, _ in sys_._leaf_slots.values()]
     assert len(set(leaves)) == len(leaves)
     assert sys_._received
-    for (slot, index, value), received in sys_._received.items():
-        _, location, proc = _built(fresh, *slot)
-        kind, _, pattern, cont = lts._guard_leaves(proc)[index]
-        assert kind == "in", (slot, index)
-        assert received == ("loc", location, substitute(cont, pattern, value))
+    for key, received in sys_._received.items():
+        tag, in_owner, out_owner = key
+        in_slot, out_slot = sys_._offers[in_owner][0], sys_._offers[out_owner][0]
+        _, location, proc = _built(fresh, *in_slot)
+        _, _, (_, channel, (_, value), _) = _built(fresh, *out_slot)
+        assert tag == "c" and received == tuple(
+            ("loc", location, substitute(leaf[3], leaf[2], value))
+            for leaf in lts._guard_leaves(proc)
+            if leaf[0] == "in" and leaf[1] == channel)
+        assert len(received) == 1, key
 
 
 @pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])

@@ -1,0 +1,230 @@
+"""``verifier.check_correspondence``, which compares each state's steps per
+step key, against the check it replaced, which built and compared every
+calculus target of every state.
+
+``oracle_correspondence`` is that check, unchanged: the same exploration
+loop (``verifier._bfs``) with every state compared in full
+(``lts.calculus_targets``).  On the seven n<=2 instances, unmutated and
+under each mutation, and on a 3,000-state prefix of n=3, the two must give
+the same report JSON, the same carried graph and the same sequence of
+``repsem.validate_rep`` arguments.  Every state of the unmutated runs must
+take the keyed path, and on the n=3 prefix the check may build a
+non-crash calculus target at most once per distinct step key.  A
+corrupted ``Move`` record and a corrupted leaf memo entry, each planted
+before the check, must fail it exactly as they fail the oracle.
+"""
+
+import pytest
+
+from consrep import consensus_model as cm
+from consrep import lts, repsem, verifier
+from consrep.errors import EmptyKnowledge
+from consrep.lts import TAU
+from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+
+N3_BOUND = 3000
+
+
+def oracle_correspondence(sys: cm.System,
+                          max_states: int = verifier.DEFAULT_MAX_STATES,
+                          ) -> verifier.CorrespondenceReport:
+    sound: list = []
+    complete: list = []
+    defects: list = []
+    checked = 0
+
+    def compare(rep, succs):
+        nonlocal checked
+        checked += 1
+        try:
+            calc_targets, calc_visible = lts.calculus_targets(sys, rep)
+        except EmptyKnowledge as exc:
+            # The algorithm itself is undefined here (empty decision); the
+            # two semantics must at least be undefined on the same states.
+            if succs is None:
+                defects.append((rep, str(exc)))
+            else:
+                complete.append((rep, None))
+            return None
+        if succs is None:
+            sound.append((rep, None))
+            return None
+        rep_targets = {t for a, t, _ in succs if a == TAU}
+        rep_visible = {(a, t) for a, t, _ in succs if a != TAU}
+        if rep_targets == calc_targets and rep_visible == calc_visible:
+            return ()
+        sound.extend((rep, t) for t in sorted(rep_targets - calc_targets))
+        complete.extend((rep, t) for t in sorted(calc_targets - rep_targets))
+        sound.extend((rep, t, a) for a, t in sorted(rep_visible - calc_visible))
+        complete.extend((rep, t, a) for a, t in sorted(calc_visible - rep_visible))
+        return sorted(rep_targets | calc_targets
+                      | {t for _, t in rep_visible | calc_visible})
+
+    graph = verifier._bfs(sys, max_states, compare, truncate=True)
+    report = verifier.CorrespondenceReport(checked, sound, complete,
+                                           graph.truncated, defects)
+    if report.passed:
+        report.graph = graph
+    return report
+
+
+def observed(checker, sys_, max_states) -> tuple:
+    """What a run of ``checker`` shows: its report JSON and failure lists,
+    its carried graph, the states it validated in order, and how many
+    states it compared in full."""
+    validated = []
+    full = 0
+    validate, calculus_targets = repsem.validate_rep, lts.calculus_targets
+
+    def recording(sys_, rep):
+        validated.append(rep)
+        return validate(sys_, rep)
+
+    def counted(sys_, rep):
+        nonlocal full
+        full += 1
+        return calculus_targets(sys_, rep)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(repsem, "validate_rep", recording)
+        m.setattr(lts, "calculus_targets", counted)
+        report = checker(sys_, max_states)
+    graph = report.graph
+    carried = graph and (list(graph.node_ids.items()), graph.edges.offsets,
+                         graph.edges.targets, graph.edges.label_ids,
+                         graph.edges.labels, graph.initials, graph.truncated,
+                         graph.defects)
+    shown = (report.to_jsonable(), report.checked, report.sound_failures,
+             report.complete_failures, report.truncated, report.defects)
+    return shown, carried, validated, full
+
+
+def runs():
+    """(mutation, instance, bound) for the seven n<=2 instances, unmutated
+    and under each mutation, then the n=3 (1,2,3) prefix."""
+    for mutation in [None] + sorted(cm.MUTATIONS):
+        for inst in INSTANCES_1 + INSTANCES_2:
+            yield mutation, inst, verifier.DEFAULT_MAX_STATES
+    yield None, INSTANCE_3, N3_BOUND
+
+
+def _system(inst, mutation):
+    return cm.build_system(inst, [mutation] if mutation else [])
+
+
+def test_check_agrees_with_the_oracle():
+    full: dict = {}
+    seen = 0
+    for mutation, inst, bound in runs():
+        new = observed(verifier.check_correspondence, _system(inst, mutation), bound)
+        old = observed(oracle_correspondence, _system(inst, mutation), bound)
+        assert new[:3] == old[:3], (mutation, inst)
+        # The oracle compares every state in full, the check only where the
+        # keyed comparison does not decide.
+        assert old[3] == new[0][1]
+        counts = full.setdefault(mutation, [0, 0])
+        counts[0] += new[3]
+        counts[1] += old[3]
+        seen += 1
+    assert seen == 5 * 7 + 1
+    # Unmutated, every state takes the keyed path; the mutations that break
+    # the correspondence send some states, not all, to the full comparison.
+    assert full[None][0] == 0
+    for mutation in ("sr1-deletes-in1", "no-phase1-susp"):
+        assert 0 < full[mutation][0] < full[mutation][1]
+    n3_report = new[0]
+    assert n3_report[0]["status"] == "pass" and n3_report[1] == N3_BOUND
+    assert new[1][6]  # the carried n=3 graph is truncated
+
+
+def test_non_crash_targets_are_built_once_per_step_key():
+    sys3 = cm.build_system(INSTANCE_3)
+    built = 0
+    sf_step = repsem.sf_step
+
+    def counted(sys_, rep, comps, step):
+        nonlocal built
+        built += step.crashed is None
+        return sf_step(sys_, rep, comps, step)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(repsem, "sf_step", counted)
+        report = verifier.check_correspondence(sys3, N3_BOUND)
+    assert report.passed and report.checked == N3_BOUND
+    keys = {record[0]
+            for rep in report.graph.edges.nodes[:N3_BOUND]
+            for record in lts.keyed_steps(sys3, rep)
+            if record[0][0] != "x"}
+    assert 0 < built <= len(keys)
+
+
+def _twin_systems():
+    """Two fresh Systems of the n=2 (5,7) budget-1 instance, whose memos
+    then fill in the same order."""
+    return [cm.build_system(INSTANCES_2[1]) for _ in range(2)]
+
+
+def _assert_fails_as_the_oracle(new_sys, old_sys) -> None:
+    new = observed(verifier.check_correspondence, new_sys,
+                   verifier.DEFAULT_MAX_STATES)
+    old = observed(oracle_correspondence, old_sys, verifier.DEFAULT_MAX_STATES)
+    assert new[0][0]["status"] == "fail"
+    assert new[0][0]["sound_failures"] and new[0][0]["complete_failures"]
+    assert new[:3] == old[:3]
+
+
+def test_a_corrupted_move_record_fails_as_in_the_oracle():
+    # A move that drops the collector it advances, planted before the check
+    # as the one record of its key.
+    systems = _twin_systems()
+    for sys_ in systems:
+        for rep in lts.initial_reps(sys_):
+            repsem.rep_successors(sys_, rep)
+        key, move = next((k, mv) for k, mv in sys_._moves.items()
+                         if mv.consumed is not None and mv.adds.in1)
+        sys_._moves[key] = move._replace(adds=move.adds._replace(in1=()))
+    _assert_fails_as_the_oracle(*systems)
+
+
+def test_a_corrupted_leaf_memo_entry_fails_as_in_the_oracle():
+    # A leaf whose memoised slots lose their last entry, planted before the
+    # check as the one evaluation of that leaf.
+    systems = _twin_systems()
+    for sys_ in systems:
+        for rep in verifier.explore(sys_).edges.nodes[:100]:
+            lts.calculus_targets(sys_, rep)
+        key, (leaf, slots) = next((k, v) for k, v in sys_._leaf_slots.items()
+                                  if len(v[1]) > 1)
+        sys_._leaf_slots[key] = (leaf, slots[:-1])
+    _assert_fails_as_the_oracle(*systems)
+
+
+def test_a_crash_that_keeps_its_budget_fails_as_in_the_oracle(monkeypatch):
+    # Crashes are compared in every state, not once per key: a rule set
+    # whose crash keeps the budget only where no round message is in
+    # transit, which the initial states (the first to crash each agent)
+    # are not, must be caught.
+    original = repsem.rep_successors
+
+    def keeping_budget(sys_, rep):
+        return [(rule, target._replace(budget=rep.budget)
+                 if rule.startswith("SR7") and not rep.out1 else target)
+                for rule, target in original(sys_, rep)]
+
+    monkeypatch.setattr(repsem, "rep_successors", keeping_budget)
+    _assert_fails_as_the_oracle(*_twin_systems())
+
+
+def test_rules_the_keys_do_not_name_are_compared_in_full(monkeypatch):
+    # Rule names are left out of the correspondence, so a rule set that
+    # names its crashes otherwise still passes; such states are not keyed.
+    original = repsem.rep_successors
+    monkeypatch.setattr(repsem, "rep_successors", lambda sys_, rep: [
+        (rule.replace("SR7", "Crash"), target)
+        for rule, target in original(sys_, rep)])
+    new_sys, old_sys = _twin_systems()
+    new = observed(verifier.check_correspondence, new_sys,
+                   verifier.DEFAULT_MAX_STATES)
+    old = observed(oracle_correspondence, old_sys, verifier.DEFAULT_MAX_STATES)
+    assert new[0][0]["status"] == "pass" and new[:3] == old[:3]
+    assert 0 < new[3] < old[3]

@@ -1,13 +1,20 @@
-"""``lts._calculus_steps`` over the per-slot offer memo (``System._offers``)
-against the scan it replaced.
+"""The keyed enumeration of calculus steps (``lts.keyed_steps``), over the
+per-entry offer memo (``System._offers``), against the scan it replaced.
 
 ``reference_steps`` is that scan: it walks every expansion component's
-guard leaves on every state and matches their patterns afresh.  The
-memoised version must give equal ``Step`` lists, in order, on every state
-of the n<=2 instances, unmutated and under each mutation, explored under
-both semantics, and on a 1,000-state prefix of n=3, with the memo filling as
-the states go by.
+guard leaves on every state and matches their patterns afresh, and gives
+the steps, in order, that ``lts._calculus_steps`` gave before it was built
+from the keyed records.  The records must give equal ``Step`` lists
+(``lts._calculus_steps``), in order, on every state of the n<=2
+instances, unmutated and under each mutation, explored under both
+semantics, on a 1,000-state prefix of n=3 and on 500 states sampled from
+the rest of a 3,000-state prefix, with the memo filling as the states go
+by.  Each record's key must name what its step consumes: the entries (or
+the observer's wrap value) of the components it replaces, or the agent
+it crashes, and its leaf must be the one the step leaves.
 """
+
+import random
 
 import pytest
 
@@ -69,11 +76,38 @@ def reference_steps(sys, rep, comps) -> list:
     return steps
 
 
+def _owner(slot):
+    kind, entry = slot
+    return entry if kind == "wrap" else id(entry)
+
+
+def _assert_key_names_the_step(record, step, comps) -> None:
+    key, leaf = record[0], record[1]
+    owners = [_owner(comps[idx][0]) for idx in step.replaced]
+    match key:
+        case ("s", owner):
+            assert owners == [owner] and list(step.replaced.values()) == [leaf]
+        case ("c", in_owner, out_owner):
+            assert owners == [out_owner, in_owner]
+            assert list(step.replaced.values()) == [None, leaf]
+        case ("snd", owner):
+            assert owners == [owner] and leaf is None
+        case ("x", agent):
+            assert step.crashed == agent and not step.replaced and leaf is None
+        case _:
+            raise AssertionError(f"unknown step key {key!r}")
+
+
 def _assert_steps_agree(sys_, reps) -> int:
     count = 0
     for rep in reps:
         comps = repsem.expansion(sys_, rep)
-        assert lts._calculus_steps(sys_, rep, comps) == reference_steps(sys_, rep, comps)
+        records = lts.keyed_steps(sys_, rep)
+        steps = lts._calculus_steps(sys_, rep)
+        assert steps == reference_steps(sys_, rep, comps)
+        assert len(records) == len(steps)
+        for record, step in zip(records, steps):
+            _assert_key_names_the_step(record, step, comps)
         count += 1
     return count
 
@@ -92,6 +126,8 @@ def test_offers_give_the_scanned_steps_on_n12(mutation):
 def test_offers_give_the_scanned_steps_on_an_n3_prefix():
     sys3 = cm.build_system(INSTANCE_3)
     with pytest.raises(BoundExceeded) as exc:
-        verifier.explore(sys3, "representative", max_states=1000)
-    graph = exc.value.graph
-    assert _assert_steps_agree(sys3, graph.edges.nodes) == 1000
+        verifier.explore(sys3, "representative", max_states=3000)
+    nodes = exc.value.graph.edges.nodes
+    assert _assert_steps_agree(sys3, nodes[:1000]) == 1000
+    sample = random.Random(0).sample(nodes[1000:3000], 500)
+    assert _assert_steps_agree(sys3, sample) == 500
