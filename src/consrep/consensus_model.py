@@ -476,6 +476,10 @@ class System:
     # transit entry it consumes (None for the suspicion twin); each record
     # holds both objects alive.  Collector moves recur across states.
     _moves: dict = field(default_factory=dict, compare=False, repr=False)
+    # The ``repsem.Rule`` of each observer and crash step of the
+    # representative semantics, by its step key, with the decision whose
+    # identity an SRW1 key names, held alive.
+    _rules: dict = field(default_factory=dict, compare=False, repr=False)
     # Calculus-side canonicalisation per component (see repsem): the
     # round-trip-checked component of each representative slot, and, by
     # the identity of each replacement leaf, the leaf and the slots it

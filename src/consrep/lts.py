@@ -18,9 +18,10 @@ a Com step, ``("s", owner)`` for a silent one, ``("snd", owner)`` for a
 Snd step and ``("x", agent)`` for a crash, where an owner is an entry's
 identity or the observer's wrap value.  The leaves a Com step leaves
 behind are substituted once per Com key.  The correspondence check
-compares these keys with the representative semantics' and builds no
-``Step``; ``_calculus_steps`` builds the ``Step`` of each record, a
-record of the components it replaces by index into the expansion.
+compares these keys with the ones the representative semantics' rules
+carry (``repsem.Rule``) and builds no ``Step``; ``_calculus_steps``
+builds the ``Step`` of each record, a record of the components it
+replaces by index into the expansion.
 
 A step's target is canonicalised back to a representative, which
 realises closure under structural congruence: ``repsem.sf_step`` patches
@@ -81,8 +82,10 @@ def act_send(ch, v) -> tuple:
 
 
 OK = act_send(CHAN_OK, BOT)
-# The rule of the representative semantics' `ok` step.
-OK_RULE = "Snd ok"
+# The rule of the representative semantics' `ok` step.  Its key names the
+# observer at `ok`, the one wrap value that emits (``emits_ok``; validation
+# pins the remembered value to bot), so one record serves every System.
+OK_RULE = repsem.Rule("Snd ok", "Snd", ("snd", (0, BOT, 1)))
 
 
 def action_str(action) -> str:

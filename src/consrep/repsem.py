@@ -25,17 +25,24 @@ receives alone.  So each collector move - a collector entry with the
 transit entry it consumes, or with None for its suspicion twin - has one
 ``Move`` record per System, shared by every global state, keyed by the
 identities of those two objects and holding them alive: its rule
-instance rendered once, and the local part of the step (the new entry
+record made once, and the local part of the step (the new entry
 and the messages sent) as the entries it adds to each field, with the
 sr1-deletes-in1 mutation already applied.  A state pays only for the
 global assembly: one lookup by identity per move, and a rebuild of just
 the fields the move changes (an entry dropped, a sorted merge).  An
 undefined decision raises before anything is stored.  ``rep_successors``
 does not validate what it returns: its consumers validate each state
-once, when they first discover it.  ``step_keys`` names each of its
-steps by the entries it consumes, read off the same ``Move`` records, in
-the key space of ``lts.keyed_steps``, so that the correspondence check
-can pair the two semantics' steps without building the calculus targets.
+once, when they first discover it.
+
+Each rule instance is a ``Rule`` record, made once: the ``Move`` of a
+collector move builds its rule, the observer and crash rules come from a
+memo on the System by step key, and ``lts.OK_RULE`` serves every System.  A rule renders,
+hashes and sorts as its text, and carries what the checks read of it: its
+family, the agent it suspects or perfectly suspects, and its step key,
+which names the entries the step consumes in the key space of
+``lts.keyed_steps``, so that the correspondence check pairs the two
+semantics' steps without building the calculus targets.  No check parses
+rule text.
 
 Calculus-side canonicalisation works per component for the same reason.
 ``expansion`` lists a representative's normal form as (slot, located
@@ -126,6 +133,36 @@ class Entry(tuple):
 
     def __reduce__(self):
         return tuple, (tuple(self),)
+
+
+class Rule(str):
+    """A rule instance of the representative semantics as a record.  Its
+    value, hash and order are those of its text, the rule as printed, and
+    its instance ``__dict__`` holds what the checks read of it:
+
+    * ``family``: the rule's name, the first word of its text;
+    * ``key``: its step key in the key space of ``lts.keyed_steps``,
+      ``("c", input owner, output owner)`` for a reception,
+      ``("s", owner)`` for a suspicion, ``("snd", owner)`` for the `ok`
+      send and ``("x", agent)`` for a crash;
+    * ``suspected``: the agent a suspicion suspects, None for any other
+      rule;
+    * ``perfect``: the agent a perfect suspicion passes, 0 for any other
+      rule.
+
+    A key names entries by identity, which means nothing in another
+    process, so a rule pickles and copies as a plain ``str``.  A str
+    subclass cannot have non-empty ``__slots__``."""
+
+    def __new__(cls, text: str, family: str, key: tuple, suspected=None,
+                perfect: int = 0):
+        self = str.__new__(cls, text)
+        self.family, self.key = family, key
+        self.suspected, self.perfect = suspected, perfect
+        return self
+
+    def __reduce__(self):
+        return str, (str(self),)
 
 
 def _intern(sys: cm.System, entry: tuple) -> Entry:
@@ -523,7 +560,7 @@ class Move(NamedTuple):
     ``System._moves`` by the identities of ``entry`` and ``consumed``,
     which the record holds alive, so neither id is reused while it
     exists."""
-    rule: str                # the rule instance, rendered once
+    rule: Rule               # the rule instance, made once
     entry: tuple             # the collector entry that steps
     consumed: tuple | None   # the transit entry received; None: suspicion
     # The entries the move adds per field: the collector's local step, with
@@ -539,13 +576,16 @@ def _phase1_move(sys, entry, consumed) -> Move:
     q, r, _, _, i = entry
     if consumed is None:
         family = "SR4" if i < n else ("SR5" if r < n - 1 else "SR6")
+        key, suspected = ("s", id(entry)), i
         adds = _phase1_local(sys, entry, BOT)
     else:
         family = "SR1" if i < n else ("SR2" if r < n - 1 else "SR3")
+        key, suspected = ("c", id(entry), id(consumed)), None
         adds = _phase1_local(sys, entry, consumed[3])
         if family == "SR1" and "sr1-deletes-in1" in sys.mutations:
             adds = adds._replace(in1=())
-    move = Move(f"{family} q={q} p={i} r={r}", entry, consumed, adds)
+    rule = Rule(f"{family} q={q} p={i} r={r}", family, key, suspected)
+    move = Move(rule, entry, consumed, adds)
     sys._moves[id(entry), id(consumed)] = move
     return move
 
@@ -556,11 +596,14 @@ def _phase2_move(sys, entry, consumed) -> Move:
     q, _, _, i = entry
     if consumed is None:
         family = "SR4'" if i < sys.n else "SR5'"
+        key, suspected = ("s", id(entry)), i
         adds = _phase2_local(sys, entry, BOT)
     else:
         family = "SR1'" if i < sys.n else "SR2'"
+        key, suspected = ("c", id(entry), id(consumed)), None
         adds = _phase2_local(sys, entry, consumed[2])
-    move = Move(f"{family} q={q} p={i}", entry, consumed, adds)
+    rule = Rule(f"{family} q={q} p={i}", family, key, suspected)
+    move = Move(rule, entry, consumed, adds)
     sys._moves[id(entry), id(consumed)] = move
     return move
 
@@ -601,21 +644,39 @@ def _phase2_target(rep, k: int, move: Move) -> Representative:
                 (live, budget, ti, out1, out2, out3, in1, in2, wrap))
 
 
+def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> tuple:
+    """The rule of an observer or crash step, by its step key: SRW1 for
+    ``("c", wrap, id(decision))``, SRW2 for ``("s", wrap)`` and SR7 for
+    ``("x", agent)``.  Returns the pair (rule, ``decision``) it stores in
+    ``System._rules`` under ``key``, which holds the decision SRW1
+    consumes alive, so its id is not reused while the entry exists."""
+    match key:
+        case ("c", (wj, _, _), _):
+            rule = Rule(f"SRW1 j={wj} v={value_str(decision[1])}", "SRW1", key)
+        case ("s", (wj, _, _)):
+            rule = Rule(f"SRW2 j={wj}", "SRW2", key, perfect=wj)
+        case ("x", p):
+            rule = Rule(f"SR7 p={p}", "SR7", key)
+    known = sys._rules[key] = (rule, decision)
+    return known
+
+
 def rep_successors(sys: cm.System, rep: Representative) -> list:
     """All internal steps of the representative semantics, as
     (rule instance, successor) pairs, canonically sorted.
 
     Each collector move comes from its ``Move`` record, looked up by the
-    identities of the collector entry and the transit entry, so a state
-    pays for no rule text and no local step; only the fields the move
-    changes are rebuilt, and successors are built positionally with
+    identities of the collector entry and the transit entry, and every
+    other rule from ``System._rules`` by its step key, so a state pays for
+    no rule text and no local step; only the fields the move changes are
+    rebuilt, and successors are built positionally with
     ``tuple.__new__``, past ``Representative``'s Python-level
     constructor.  Within a validated state the rule instances are
     pairwise distinct (each agent holds one role, and the SRW1/SRW2/SR7
     instances carry distinct parameters), so the list needs no
     deduplication and the sort orders by rule alone."""
     n = sys.n
-    moves = sys._moves
+    moves, rules = sys._moves, sys._rules
     live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
     # The agent suspicion spares: the ti, or none (0) under no-ti-protection.
     spared = ti if "no-ti-protection" not in sys.mutations else 0
@@ -627,9 +688,9 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
     # increasing, so bisection finds it.
     for k, entry in enumerate(in1):
         q, r, _, _, i = entry
-        key = (i, q, r)
-        j = bisect_left(out1, key)
-        transit = out1[j] if j < len(out1) and out1[j][:3] == key else None
+        awaited = (i, q, r)
+        j = bisect_left(out1, awaited)
+        transit = out1[j] if j < len(out1) and out1[j][:3] == awaited else None
         if transit is not None:
             move = (moves.get((id(entry), id(transit)))
                     or _phase1_move(sys, entry, transit))
@@ -641,9 +702,9 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
 
     for k, entry in enumerate(in2):
         q, _, _, i = entry
-        key = (i, q)
-        j = bisect_left(out2, key)
-        transit = out2[j] if j < len(out2) and out2[j][:2] == key else None
+        awaited = (i, q)
+        j = bisect_left(out2, awaited)
+        transit = out2[j] if j < len(out2) and out2[j][:2] == awaited else None
         if transit is not None:
             move = (moves.get((id(entry), id(transit)))
                     or _phase2_move(sys, entry, transit))
@@ -662,12 +723,16 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 wrap2 = (wj + 1, v, 1) if wj + 1 <= n else (0, BOT, 1)
             else:
                 wrap2 = (wj, ww, 0)
-            out.append((f"SRW1 j={wj} v={value_str(v)}", _new(Representative, (
+            key = ("c", wrap, id(decision))
+            rule = (rules.get(key) or _keyed_rule(sys, key, decision))[0]
+            out.append((rule, _new(Representative, (
                 live, budget, ti, out1, out2, _drop(out3, decision), in1, in2,
                 wrap2))))
         if wj not in live:
             wrap2 = (wj + 1, ww, 1) if wj + 1 <= n else (0, BOT, 1)
-            out.append((f"SRW2 j={wj}", _new(Representative, (
+            key = ("s", wrap)
+            rule = (rules.get(key) or _keyed_rule(sys, key))[0]
+            out.append((rule, _new(Representative, (
                 live, budget, ti, out1, out2, out3, in1, in2, wrap2))))
 
     if budget > 0:
@@ -677,71 +742,13 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 # An entry's first field is its owner; empty fields stay.
                 kept = [tuple([e for e in f if e[0] != p]) if f else f
                         for f in owned]
-                out.append((f"SR7 p={p}", _new(Representative, (
+                key = ("x", p)
+                rule = (rules.get(key) or _keyed_rule(sys, key))[0]
+                out.append((rule, _new(Representative, (
                     live[:k] + live[k + 1:], budget - 1, ti, *kept, wrap))))
 
     out.sort()
     return out
-
-
-def step_keys(sys: cm.System, rep: Representative) -> dict | None:
-    """The key of each internal step of ``rep`` that ``rep_successors``
-    gives, mapped to its rule instance, in the key space of
-    ``lts.keyed_steps``: the key of the calculus step that the rule
-    matches.  A collector move is keyed from its ``Move`` record, which
-    ``rep_successors`` filled: ``("c", id(entry), id(consumed))`` for a
-    reception and ``("s", id(entry))`` for a suspicion.  The observer is
-    keyed by its wrap value: ``("c", wrap, id(decision))`` for SRW1 and
-    ``("s", wrap)`` for SRW2.  A crash is ``("x", agent)``.  None where an
-    enabled move has no record."""
-    n = sys.n
-    moves = sys._moves
-    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
-    spared = ti if "no-ti-protection" not in sys.mutations else 0
-    phase1_susp = "no-phase1-susp" not in sys.mutations
-    keys: dict = {}
-    # The awaited message is found as ``rep_successors`` finds it.
-    for entry in in1:
-        q, r, _, _, i = entry
-        key = (i, q, r)
-        j = bisect_left(out1, key)
-        if j < len(out1) and out1[j][:3] == key:
-            move = moves.get((id(entry), id(out1[j])))
-            if move is None:
-                return None
-            keys["c", id(entry), id(out1[j])] = move.rule
-        if i != q and i != spared and phase1_susp:
-            move = moves.get((id(entry), _NONE))
-            if move is None:
-                return None
-            keys["s", id(entry)] = move.rule
-    for entry in in2:
-        q, _, _, i = entry
-        key = (i, q)
-        j = bisect_left(out2, key)
-        if j < len(out2) and out2[j][:2] == key:
-            move = moves.get((id(entry), id(out2[j])))
-            if move is None:
-                return None
-            keys["c", id(entry), id(out2[j])] = move.rule
-        if i != q and i != spared:
-            move = moves.get((id(entry), _NONE))
-            if move is None:
-                return None
-            keys["s", id(entry)] = move.rule
-
-    wj, ww, wb = wrap
-    if wb == 1 and 1 <= wj <= n:
-        decision = next((e for e in out3 if e[0] == wj), None)
-        if decision is not None:
-            keys["c", wrap, id(decision)] = f"SRW1 j={wj} v={value_str(decision[1])}"
-        if wj not in live:
-            keys["s", wrap] = f"SRW2 j={wj}"
-    if budget > 0:
-        for p in live:
-            if p != ti:
-                keys["x", p] = f"SR7 p={p}"
-    return keys
 
 
 # ---------------------------------------------------------------------------

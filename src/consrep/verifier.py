@@ -7,6 +7,11 @@ correspondence between the calculus semantics and the representative
 semantics, the consensus properties (validity, agreement, termination),
 and weak bisimilarity with the one-state specification that just emits on
 `ok`.  Checks return reports; nothing is probabilistic.
+
+Every rule on a representative edge is a record (``repsem.Rule``): the
+correspondence check reads its step key, the trace invariants its
+suspicion and crash facts, and the DOT export its family.  No check
+parses rule text.
 """
 
 from __future__ import annotations
@@ -495,12 +500,11 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
     key.  False sends the state to the full comparison.
 
     The calculus steps come keyed from ``lts.keyed_steps``, the
-    representative ones from the ``Move`` records ``rep_successors`` read
-    (``repsem.step_keys``), plus the `ok` step where ``lts.emits_ok``
-    holds.  The representative keys must match the rules of ``succs`` one
-    to one, and the two key sets must be equal with no key repeated on
-    either side; then each calculus step has one representative step of
-    its key.
+    representative ones carry their keys on their rules (``repsem.Rule``);
+    a rule that carries none, such as a plain string, sends the state to
+    the full comparison.  The two key sets must be equal with no key
+    repeated on either side; then each calculus step has one
+    representative step of its key.
 
     A keyed step's patch is a function of its key (and, for a silent step,
     of its leaf) on both sides: it removes the entries the key names and
@@ -512,19 +516,16 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
     A crash drops whatever its agent owns, so its two targets are compared
     in every state."""
     steps = lts.keyed_steps(sys, rep)
-    keys = repsem.step_keys(sys, rep)
-    if keys is None:
-        return False
-    if lts.emits_ok(rep):
-        keys["snd", rep.wrap] = lts.OK_RULE
-    by_rule = {rule: (action, target) for action, target, rule in succs}
-    if not len(steps) == len(keys) == len(by_rule) == len(succs):
+    # A rule with no key is filed under None, which no calculus step has.
+    by_key = {getattr(rule, "key", None): (action, target)
+              for action, target, rule in succs}
+    if not len(steps) == len(by_key) == len(succs):
         return False
     comps = None
     for step in steps:
         key, leaf = step[0], step[1]
-        # Each key and each rule is taken once, so the steps pair one to one.
-        expected = by_rule.pop(keys.pop(key, None), None)
+        # Each key is taken once, so the steps pair one to one.
+        expected = by_key.pop(key, None)
         if expected is None:
             return False
         if key[0] == "x":
@@ -591,40 +592,15 @@ def check_normal_forms(sys: cm.System, graph: LtsGraph) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Consensus properties.
 
-def _rule_family(rule: str) -> str:
-    return rule.split()[0]
-
-
-def _rule_params(rule: str) -> dict:
-    params = {}
-    for part in rule.split()[1:]:
-        if "=" in part:
-            k, v = part.split("=", 1)
-            params[k] = v
-    return params
-
-
-_SUSPICION_FAMILIES = {"SR4", "SR5", "SR6", "SR4'", "SR5'", "Susp"}
-_PERFECT_FAMILIES = {"SRW2", "PSusp"}
-_CRASH_FAMILIES = {"SR7", "Stop"}
-
-
-def _label_invariants(action, rule: str) -> tuple:
-    """What the properties read of one (action, rule) label, parsed once
-    per label: whether the step is internal, whether the action is an
+def _label_invariants(action, rule: repsem.Rule) -> tuple:
+    """What the properties read of one (action, rule) label, off the
+    rule's record: whether the step is internal, whether the action is an
     observable other than ok, the agent a suspicion suspects (None if
-    none), the agent a perfect suspicion names (0 if none), and whether
-    the rule crashes an agent."""
-    family = _rule_family(rule)
-    params = _rule_params(rule)
-    suspected = None
-    perfect = 0
-    if family in _SUSPICION_FAMILIES:
-        suspected = int(params.get("p") or params.get("k"))
-    if family in _PERFECT_FAMILIES:
-        perfect = int(params.get("j") or params.get("k"))
+    none), the agent a perfect suspicion passes (0 if none), and whether
+    the step crashes an agent."""
     foreign = action != TAU and action != OK
-    return action == TAU, foreign, suspected, perfect, family in _CRASH_FAMILIES
+    return (action == TAU, foreign, rule.suspected, rule.perfect,
+            rule.key[0] == "x")
 
 
 def _valid_relay(sys, dv) -> bool:
@@ -758,7 +734,8 @@ def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
 
     Validity and agreement come from ``check_safety_subset``, which judges
     each entry once.  The trace invariants read, per edge, its label's
-    ``_label_invariants`` and int columns built in one pass over the nodes:
+    ``_label_invariants`` (read off the rule's record, once per label) and
+    int columns built in one pass over the nodes:
     each node's live set as a bitmask, its budget and its ti.  The same
     edge loop notes the nodes with no internal step, the ends of maximal
     runs.  ``tests/test_properties_oracle.py`` keeps the per-state,
@@ -1016,7 +993,7 @@ def export_dot(graph: LtsGraph) -> str:
         a = graph.node_ids[tr.source]
         b = graph.node_ids[tr.target]
         lines.append(
-            f'  n{a} -> n{b} [label="{_rule_family(tr.rule)}:{action_str(tr.action)}"];'
+            f'  n{a} -> n{b} [label="{tr.rule.family}:{action_str(tr.action)}"];'
         )
     lines.append("}")
     return "\n".join(lines)

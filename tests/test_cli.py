@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,22 @@ def test_trace_full_run_to_ok(capsys):
     assert code == 0
     assert "observer ok!" in out
     assert "enabled: Snd ok" in out
+
+
+# A schedule of n=2 (5,7) through a crash, suspicions of the crashed agent
+# in both phases, a decision the observer accepts, the observer passing the
+# crashed agent, and the `ok` send.
+PINNED_SCHEDULE = ["ti=1", "SR7 p=2", "SR1 q=1 p=1 r=1", "SR6 q=1 p=2 r=1",
+                   "SR1' q=1 p=1", "SR5' q=1 p=2", "SRW1 j=1 v=5", "SRW2 j=2",
+                   "Snd ok"]
+
+
+def test_trace_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "trace", "--n", "2", "--values", "5,7",
+                       *PINNED_SCHEDULE)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2be2ae15988603820df434bf1095d7463f98cee8381cd65b2a0579f8fc6b14c0")
 
 
 def test_trace_rejects_disabled_step(capsys):

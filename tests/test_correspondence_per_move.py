@@ -12,17 +12,89 @@ take the keyed path, and on the n=3 prefix the check may build a
 non-crash calculus target at most once per distinct step key.  A
 corrupted ``Move`` record and a corrupted leaf memo entry, each planted
 before the check, must fail it exactly as they fail the oracle.
+
+``step_keys`` is how the check once named the representative steps: a
+second scan of each state that read the keys off the ``Move`` records.
+On the same runs, the keys the rules of ``repsem.rep_successors`` carry
+(``repsem.Rule``) must be the keys it names.
 """
+
+import copy
+import pickle
+from bisect import bisect_left
+from itertools import pairwise
 
 import pytest
 
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
-from consrep.errors import EmptyKnowledge
+from consrep.calculus_ast import value_str
+from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.lts import TAU
+from consrep.repsem import _NONE, Representative
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_BOUND = 3000
+
+
+def step_keys(sys: cm.System, rep: Representative) -> dict | None:
+    """The key of each internal step of ``rep`` that ``rep_successors``
+    gives, mapped to its rule instance, in the key space of
+    ``lts.keyed_steps``: the key of the calculus step that the rule
+    matches.  A collector move is keyed from its ``Move`` record, which
+    ``rep_successors`` filled: ``("c", id(entry), id(consumed))`` for a
+    reception and ``("s", id(entry))`` for a suspicion.  The observer is
+    keyed by its wrap value: ``("c", wrap, id(decision))`` for SRW1 and
+    ``("s", wrap)`` for SRW2.  A crash is ``("x", agent)``.  None where an
+    enabled move has no record."""
+    n = sys.n
+    moves = sys._moves
+    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
+    spared = ti if "no-ti-protection" not in sys.mutations else 0
+    phase1_susp = "no-phase1-susp" not in sys.mutations
+    keys: dict = {}
+    # The awaited message is found as ``rep_successors`` finds it.
+    for entry in in1:
+        q, r, _, _, i = entry
+        key = (i, q, r)
+        j = bisect_left(out1, key)
+        if j < len(out1) and out1[j][:3] == key:
+            move = moves.get((id(entry), id(out1[j])))
+            if move is None:
+                return None
+            keys["c", id(entry), id(out1[j])] = move.rule
+        if i != q and i != spared and phase1_susp:
+            move = moves.get((id(entry), _NONE))
+            if move is None:
+                return None
+            keys["s", id(entry)] = move.rule
+    for entry in in2:
+        q, _, _, i = entry
+        key = (i, q)
+        j = bisect_left(out2, key)
+        if j < len(out2) and out2[j][:2] == key:
+            move = moves.get((id(entry), id(out2[j])))
+            if move is None:
+                return None
+            keys["c", id(entry), id(out2[j])] = move.rule
+        if i != q and i != spared:
+            move = moves.get((id(entry), _NONE))
+            if move is None:
+                return None
+            keys["s", id(entry)] = move.rule
+
+    wj, ww, wb = wrap
+    if wb == 1 and 1 <= wj <= n:
+        decision = next((e for e in out3 if e[0] == wj), None)
+        if decision is not None:
+            keys["c", wrap, id(decision)] = f"SRW1 j={wj} v={value_str(decision[1])}"
+        if wj not in live:
+            keys["s", wrap] = f"SRW2 j={wj}"
+    if budget > 0:
+        for p in live:
+            if p != ti:
+                keys["x", p] = f"SR7 p={p}"
+    return keys
 
 
 def oracle_correspondence(sys: cm.System,
@@ -110,6 +182,44 @@ def runs():
 
 def _system(inst, mutation):
     return cm.build_system(inst, [mutation] if mutation else [])
+
+
+def test_rules_carry_the_keys_step_keys_names():
+    states = 0
+    for mutation, inst, bound in runs():
+        sys_ = _system(inst, mutation)
+        try:
+            graph = verifier.explore(sys_, max_states=bound)
+        except BoundExceeded as exc:
+            graph = exc.graph
+        for rep in graph.edges.nodes[:bound]:
+            try:
+                succs = repsem.rep_successors(sys_, rep)
+            except EmptyKnowledge:
+                # The undefined move is never stored.
+                assert step_keys(sys_, rep) is None
+                continue
+            carried = {rule.key: rule for rule, _ in succs}
+            assert len(carried) == len(succs)
+            assert all(type(rule) is repsem.Rule for rule in carried.values())
+            keys = step_keys(sys_, rep)
+            if lts.emits_ok(rep):
+                carried[lts.OK_RULE.key] = lts.OK_RULE
+                keys["snd", rep.wrap] = lts.OK_RULE
+            assert carried == keys
+            states += 1
+    assert states > N3_BOUND
+
+
+def test_a_rule_pickles_and_copies_as_a_plain_str():
+    sys_ = cm.build_system(INSTANCES_2[0])
+    rule, _ = repsem.rep_successors(sys_, lts.initial_reps(sys_)[0])[0]
+    assert type(rule) is repsem.Rule
+    copies = [copy.copy(rule), copy.deepcopy(rule)]
+    copies += [pickle.loads(pickle.dumps(rule, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is str and other == rule and hash(other) == hash(rule)
 
 
 def test_check_agrees_with_the_oracle():
@@ -217,14 +327,20 @@ def test_a_crash_that_keeps_its_budget_fails_as_in_the_oracle(monkeypatch):
 
 def test_rules_the_keys_do_not_name_are_compared_in_full(monkeypatch):
     # Rule names are left out of the correspondence, so a rule set that
-    # names its crashes otherwise still passes; such states are not keyed.
+    # names its crashes otherwise still passes.  A renamed crash is a plain
+    # string, which carries no step key, so exactly the states with a crash
+    # are compared in full.
     original = repsem.rep_successors
     monkeypatch.setattr(repsem, "rep_successors", lambda sys_, rep: [
-        (rule.replace("SR7", "Crash"), target)
+        (rule.replace("SR7", "Crash") if rule.family == "SR7" else rule, target)
         for rule, target in original(sys_, rep)])
     new_sys, old_sys = _twin_systems()
     new = observed(verifier.check_correspondence, new_sys,
                    verifier.DEFAULT_MAX_STATES)
     old = observed(oracle_correspondence, old_sys, verifier.DEFAULT_MAX_STATES)
     assert new[0][0]["status"] == "pass" and new[:3] == old[:3]
-    assert 0 < new[3] < old[3]
+    _, offsets, _, label_ids, labels = new[1][:5]
+    crashing = sum(any(labels[label_ids[i]][1].startswith("Crash ")
+                       for i in range(lo, hi))
+                   for lo, hi in pairwise(offsets))
+    assert 0 < new[3] == crashing < old[3]

@@ -12,6 +12,9 @@ instance.  Hand-built states and edges break each validity message and
 each trace invariant.  ``reference_tau_cycle`` is the internal-step cycle
 search over per-node lists of τ-targets; ``verifier._tau_cycle`` walks
 the edge columns and must find the same cycle on seeded random graphs.
+``reference_rule_facts`` is the rule-text parser the check used before
+rules were records (``repsem.Rule``): on every label of those runs, the
+record's fields must say what the parse of its text says.
 """
 
 import random
@@ -32,16 +35,42 @@ from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 N3_BOUND = 3000
 
 
-def reference_label_checks(action, rule: str) -> tuple:
-    family = verifier._rule_family(rule)
-    params = verifier._rule_params(rule)
+def _rule_family(rule: str) -> str:
+    return rule.split()[0]
+
+
+def _rule_params(rule: str) -> dict:
+    params = {}
+    for part in rule.split()[1:]:
+        if "=" in part:
+            k, v = part.split("=", 1)
+            params[k] = v
+    return params
+
+
+_SUSPICION_FAMILIES = {"SR4", "SR5", "SR6", "SR4'", "SR5'", "Susp"}
+_PERFECT_FAMILIES = {"SRW2", "PSusp"}
+_CRASH_FAMILIES = {"SR7", "Stop"}
+
+
+def reference_rule_facts(rule: str) -> tuple:
+    """What the check once parsed out of a rule's text: its family, the
+    agent a suspicion suspects (None if none), the agent a perfect
+    suspicion passes (None if none), and whether it crashes an agent."""
+    family = _rule_family(rule)
+    params = _rule_params(rule)
     suspected = perfect = None
-    if family in verifier._SUSPICION_FAMILIES:
+    if family in _SUSPICION_FAMILIES:
         suspected = int(params.get("p") or params.get("k"))
-    if family in verifier._PERFECT_FAMILIES:
+    if family in _PERFECT_FAMILIES:
         perfect = int(params.get("j") or params.get("k"))
+    return family, suspected, perfect, family in _CRASH_FAMILIES
+
+
+def reference_label_checks(action, rule: str) -> tuple:
+    _, suspected, perfect, crash = reference_rule_facts(rule)
     foreign = action != TAU and action != OK
-    return action, rule, foreign, suspected, perfect, family in verifier._CRASH_FAMILIES
+    return action, rule, foreign, suspected, perfect, crash
 
 
 def reference_validity_violations(sys, rep) -> list:
@@ -217,6 +246,29 @@ def test_check_agrees_with_the_reference_on_an_n3_prefix():
     assert report.details["undecided_maximal_states"] > 0
 
 
+def test_rule_records_agree_with_their_text():
+    """Every label's rule is a ``repsem.Rule`` whose fields say what the
+    reference parse reads off its text, on the seven n<=2 instances,
+    unmutated and under each mutation, and on the n=3 prefix."""
+    graphs = [verifier.explore(cm.build_system(inst, [mutation] if mutation else []))
+              for mutation in [None, *sorted(cm.MUTATIONS)]
+              for inst in INSTANCES_1 + INSTANCES_2]
+    with pytest.raises(BoundExceeded) as exc:
+        verifier.explore(cm.build_system(INSTANCE_3), max_states=N3_BOUND)
+    graphs.append(exc.value.graph)
+    families = set()
+    for graph in graphs:
+        for _, rule in graph.edges.labels:
+            assert type(rule) is repsem.Rule
+            family, suspected, perfect, crash = reference_rule_facts(rule)
+            assert (rule.family, rule.suspected, rule.perfect or None,
+                    rule.key[0] == "x") == (family, suspected, perfect, crash)
+            families.add(family)
+    assert len(graphs) == 5 * 7 + 1
+    assert families == {"SR1", "SR2", "SR3", "SR4", "SR5", "SR6", "SR1'",
+                        "SR2'", "SR4'", "SR5'", "SR7", "SRW1", "SRW2", "Snd"}
+
+
 def test_tau_cycle_agrees_with_the_reference_on_random_graphs():
     """The same cycle, or none, on seeded random graphs whose edges mix τ,
     ok and another action, with self-loops and parallel edges."""
@@ -311,26 +363,28 @@ def test_the_observer_is_judged_per_state(sys2, graph2, wrap, message):
 def _trace_cases(graph2):
     full, crashed = _states(graph2)
     poorer = full._replace(budget=0)
+    # The rule records of the graph's own edges, looked up by their text.
+    rule = {rule: rule for _, rule in graph2.edges.labels}.__getitem__
+    sr1, sr7 = rule("SR1 q=1 p=1 r=1"), rule("SR7 p=2")
     return {
-        "foreign": ([(full, lts.act_send(CHAN_OK, nat(1)), full, "Snd ok")],
+        "foreign": ([(full, lts.act_send(CHAN_OK, nat(1)), full, rule("Snd ok"))],
                     "observable other than ok: ok!1"),
-        "suspected-ti": ([(full, TAU, full, "SR4 q=2 p=1 r=1")],
+        "suspected-ti": ([(full, TAU, full, rule("SR4 q=2 p=1 r=1"))],
                          "trusted immortal suspected via SR4 q=2 p=1 r=1"),
-        "perfect-live": ([(full, TAU, full, "SRW2 j=2")],
+        "perfect-live": ([(full, TAU, full, rule("SRW2 j=2"))],
                          "live agent 2 perfectly suspected"),
-        "live-grew": ([(crashed, TAU, full, "SR1 q=1 p=1 r=1")],
+        "live-grew": ([(crashed, TAU, full, sr1)],
                       "live set grew across SR1 q=1 p=1 r=1"),
-        "budget-grew": ([(poorer, TAU, full, "SR1 q=1 p=1 r=1")],
+        "budget-grew": ([(poorer, TAU, full, sr1)],
                         "crash budget grew across SR1 q=1 p=1 r=1"),
-        "crash-kept-budget": ([(full, TAU, full, "SR7 p=2")],
+        "crash-kept-budget": ([(full, TAU, full, sr7)],
                               "budget change does not match rule SR7 p=2"),
-        "budget-dropped": ([(full, TAU, poorer, "SR1 q=1 p=1 r=1")],
+        "budget-dropped": ([(full, TAU, poorer, sr1)],
                            "budget change does not match rule SR1 q=1 p=1 r=1"),
-        "tau-cycle": ([(full, TAU, crashed, "SR7 p=2"),
-                       (crashed, TAU, full, "SR7 p=2")],
+        "tau-cycle": ([(full, TAU, crashed, sr7), (crashed, TAU, full, sr7)],
                       "internal-step cycle through {} -> {} -> {}".format(
                           *map(repsem.rep_digest, (full, crashed, full)))),
-        "undecided": ([(full, TAU, crashed, "SR7 p=2")],
+        "undecided": ([(full, TAU, crashed, sr7)],
                       f"maximal run ends undecided at {repsem.rep_digest(crashed)}"),
     }
 

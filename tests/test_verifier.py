@@ -199,6 +199,14 @@ def test_graph_json_bytes_are_pinned(graph2):
         "1d25c986f7dced5e3890d62b59df7a200dd715b9b16d603934e331d45af9fe11")
 
 
+def test_dot_bytes_are_pinned(graph2):
+    # The same graph as DOT: its node labels, and each edge's rule family
+    # and action.
+    data = verifier.export_dot(graph2).encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "70b0e1c2611d356f351bf13d613ebb56a112661de721212736987efe98112288")
+
+
 def test_graph_stats(graph1):
     stats = verifier.graph_stats(graph1)
     assert stats["states"] == 3
