@@ -280,10 +280,12 @@ class Defs(NamedTuple):
 # Pattern matching and substitution.
 
 def match_pattern(pattern, v) -> dict:
-    """Bind the variables of a pattern to the components of a value."""
+    """Bind the variables of a pattern to the components of a value, left
+    before right."""
     env: dict = {}
-
-    def walk(pat, val):
+    stack = [(pattern, v)]
+    while stack:
+        pat, val = stack.pop()
         if isinstance(pat, str):
             assert pat not in env, f"duplicate variable {pat!r} in pattern"
             env[pat] = val
@@ -292,10 +294,8 @@ def match_pattern(pattern, v) -> dict:
                 raise PatternMismatch(
                     f"pattern {pat!r} needs a pair, got {value_str(val)}"
                 )
-            walk(pat[0], val[1])
-            walk(pat[1], val[2])
-
-    walk(pattern, v)
+            stack.append((pat[1], val[2]))
+            stack.append((pat[0], val[1]))
     return env
 
 

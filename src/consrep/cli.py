@@ -12,6 +12,7 @@ the program, not of its input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -33,7 +34,10 @@ EXIT_BOUND = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="consrep",
         description="Explore and verify the consensus system and its "
@@ -72,7 +76,11 @@ def _parse_args(argv):
     p_trace.add_argument("schedule", nargs="*",
                          help="steps: first 'ti=K', then rule instances as "
                               "printed by the enabled list")
-    return parser.parse_args(argv)
+    return parser
+
+
+def _parse_args(argv):
+    return _parser().parse_args(argv)
 
 
 def _is_int(value) -> bool:

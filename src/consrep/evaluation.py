@@ -97,27 +97,43 @@ def _located_step(cfg: Config, location, p, defs: Defs):
     return None
 
 
-def eval_steps(cfg: Config, defs: Defs) -> list:
-    """All single evaluation steps from a configuration, with their rule."""
-    found = []
+def _rebuild(net, context):
+    """``net`` put back in place of the subterm whose ``context`` it is, a
+    chain of (tag, sibling, parent context) from the subterm up to the
+    root (None): tag 0 for the left of an ``npar``, 1 for its right, 2 for
+    the body of a ``res`` whose channel is the sibling."""
+    while context is not None:
+        tag, other, context = context
+        if tag == 0:
+            net = ("npar", net, other)
+        elif tag == 1:
+            net = ("npar", other, net)
+        else:
+            net = ("res", net, other)
+    return net
 
-    def walk(net, rebuild):
+
+def eval_steps(cfg: Config, defs: Defs) -> list:
+    """All single evaluation steps from a configuration, with their rule,
+    in pre-order of the positions they fire at (left before right)."""
+    found = []
+    stack = [(cfg.net, None)]
+    while stack:
+        net, context = stack.pop()
         match net:
             case ("loc", location, p):
                 s = _located_step(cfg, location, p, defs)
                 if s is not None:
-                    found.append((EvalStep(s[0]), rebuild(s[1])))
+                    found.append((EvalStep(s[0]), _rebuild(s[1], context)))
             case ("npar", a, b):
                 if a == NNIL:
-                    found.append((EvalStep("E4"), rebuild(b)))
+                    found.append((EvalStep("E4"), _rebuild(b, context)))
                 if b == NNIL:
-                    found.append((EvalStep("E5"), rebuild(a)))
-                walk(a, lambda x, b=b, rb=rebuild: rb(("npar", x, b)))
-                walk(b, lambda x, a=a, rb=rebuild: rb(("npar", a, x)))
+                    found.append((EvalStep("E5"), _rebuild(a, context)))
+                stack.append((b, (1, a, context)))
+                stack.append((a, (0, b, context)))
             case ("res", inner, ch):
-                walk(inner, lambda x, ch=ch, rb=rebuild: rb(("res", x, ch)))
-
-    walk(cfg.net, lambda x: x)
+                stack.append((inner, (2, ch, context)))
     return [(step, cfg._replace(net=net)) for step, net in found]
 
 
@@ -179,8 +195,9 @@ def split_restriction(net):
 def flatten_components(core) -> list:
     """Located components of a restriction-free parallel tree, in order."""
     comps: list = []
-
-    def walk(n):
+    stack = [core]
+    while stack:
+        n = stack.pop()
         match n:
             case ("nnil",):
                 pass
@@ -189,13 +206,10 @@ def flatten_components(core) -> list:
             case ("npar", a, b):
                 if a == NNIL or b == NNIL:
                     raise NotFullyEvaluated("nil under a parallel composition")
-                walk(a)
-                walk(b)
+                stack.append(b)
+                stack.append(a)
             case ("res", _, _):
                 raise NotFullyEvaluated("restriction below a parallel composition")
             case _:
                 raise NotFullyEvaluated(f"not a network: {n!r}")
-
-    walk(core)
     return comps
-

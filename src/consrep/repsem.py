@@ -32,7 +32,9 @@ global assembly: one lookup by identity per move, and a rebuild of just
 the fields the move changes (an entry dropped, a sorted merge).  An
 undefined decision raises before anything is stored.  ``rep_successors``
 does not validate what it returns: its consumers validate each state
-once, when they first discover it.
+once, when they first discover it, against the state it was built from
+where they have it, so only the checks of the fields a step rebuilt run
+(``validate_rep``).
 
 Each rule instance is a ``Rule`` record, made once: the ``Move`` of a
 collector move builds its rule, the observer and crash rules come from a
@@ -55,12 +57,13 @@ steps work on the list itself.  ``sf_step`` builds a step's target by
 patching the source representative as the representative rules do: the
 entry of each component the step replaces leaves its field, the slots of
 the leaf left in its place are merged in, and a crash drops what the
-crashed agent owns, as SR7 does; the fields a step leaves alone stay the
-source's tuples.  The slots a replacement leaf evaluates to come from a
-second memo, keyed by the leaf's identity.  Locality makes both memos
-sound: evaluating a located component reads only whether its own
-location is live, so a component or leaf evaluated alone at its location
-evaluates the same in every state in which that location is live.
+crashed agent owns (``crash_target``), as SR7 does in code of its own; the
+fields a step leaves alone stay the source's tuples.  The slots a
+replacement leaf evaluates to come from a second memo, keyed by the
+leaf's identity.  Locality makes both memos sound: evaluating a located
+component reads only whether its own location is live, so a component
+or leaf evaluated alone at its location evaluates the same in every
+state in which that location is live.
 Neither validates: the explorers validate each calculus-step target when
 they first discover it, as they do representative successors.  Full
 extraction (``sf``) builds nothing from the memos and validates its
@@ -93,6 +96,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import consensus_model as cm
@@ -206,78 +210,114 @@ _CANONICAL_FIELDS = ("live", *Representative._fields[3:8])
 _new = tuple.__new__
 
 
-def validate_rep(sys: cm.System, rep: Representative) -> None:
-    n = sys.n
-    live = set(rep.live)
+# Stands for "no source" in ``validate_rep``: no field of a representative
+# is one of these objects.
+_NO_SOURCE = tuple(object() for _ in Representative._fields)
 
-    if rep.ti not in live:
-        raise InvariantViolation(f"trusted immortal {rep.ti} not live")
-    if rep.budget < 0:
+# An entry's first field is its owner.
+_owner = itemgetter(0)
+
+
+def validate_rep(sys: cm.System, rep: Representative, source=None) -> None:
+    """Raise ``InvariantViolation`` unless ``rep`` keeps the representative
+    invariants: the trusted immortal is live, the budget is not negative,
+    every entry is owned by a live agent and within the instance's bounds,
+    no message is in transit twice, each agent holds at most one role, the
+    observer is well formed, and ``live`` and every entry field are
+    strictly increasing.
+
+    ``source`` is an already validated state that ``rep`` was built from,
+    or None.  A check whose inputs are all ``source``'s own objects,
+    compared by identity, passed there and is skipped: the live tuple with
+    ``ti``, the live tuple alone, each of ``out1`` .. ``in2`` with the live
+    tuple, ``out3`` with ``in1`` and ``in2`` for the roles, ``wrap``, and
+    each field's ordering.  The budget is always checked, and the checks
+    run in the same order either way, so the first that fails, and its
+    message, do not depend on ``source``."""
+    n = sys.n
+    live_t, budget, ti, out1, out2, out3, in1, in2, wrap = rep
+    (s_live, _, s_ti, s_out1, s_out2, s_out3, s_in1, s_in2,
+     s_wrap) = _NO_SOURCE if source is None else source
+    same_live = live_t is s_live
+    live = set(live_t)
+
+    if not (same_live and ti is s_ti) and ti not in live:
+        raise InvariantViolation(f"trusted immortal {ti} not live")
+    if budget < 0:
         raise InvariantViolation("negative crash budget")
-    if not (1 <= min(live) and max(live) <= n):
+    if not same_live and not (1 <= min(live) and max(live) <= n):
         raise InvariantViolation("live set out of range")
 
-    seen1 = set()
-    for p, i, r, _ in rep.out1:
-        if p not in live:
-            raise InvariantViolation(f"round message owned by dead agent {p}")
-        if not (1 <= i <= n and 1 <= r < n):
-            raise InvariantViolation(f"round message ({p},{i},{r}) out of bounds")
-        key = (p, i, r)
-        if key in seen1:
-            raise InvariantViolation(f"duplicate round message ({p},{i},{r})")
-        seen1.add(key)
-    seen2 = set()
-    for p, i, _ in rep.out2:
-        if p not in live:
-            raise InvariantViolation(f"sync message owned by dead agent {p}")
-        if not 1 <= i <= n:
-            raise InvariantViolation(f"sync message ({p},{i}) out of bounds")
-        key = (p, i)
-        if key in seen2:
-            raise InvariantViolation(f"duplicate sync message ({p},{i})")
-        seen2.add(key)
-    out3_owners = [p for p, _ in rep.out3]
-    deciders = set(out3_owners)
-    if len(out3_owners) != len(deciders):
-        raise InvariantViolation("duplicate decision message")
-    if not deciders <= live:
-        raise InvariantViolation("decision message owned by dead agent")
+    if not (same_live and out1 is s_out1):
+        seen1 = set()
+        for p, i, r, _ in out1:
+            if p not in live:
+                raise InvariantViolation(f"round message owned by dead agent {p}")
+            if not (1 <= i <= n and 1 <= r < n):
+                raise InvariantViolation(f"round message ({p},{i},{r}) out of bounds")
+            key = (p, i, r)
+            if key in seen1:
+                raise InvariantViolation(f"duplicate round message ({p},{i},{r})")
+            seen1.add(key)
+    if not (same_live and out2 is s_out2):
+        seen2 = set()
+        for p, i, _ in out2:
+            if p not in live:
+                raise InvariantViolation(f"sync message owned by dead agent {p}")
+            if not 1 <= i <= n:
+                raise InvariantViolation(f"sync message ({p},{i}) out of bounds")
+            key = (p, i)
+            if key in seen2:
+                raise InvariantViolation(f"duplicate sync message ({p},{i})")
+            seen2.add(key)
+    if not (same_live and out3 is s_out3):
+        out3_owners = list(map(_owner, out3))
+        deciders = set(out3_owners)
+        if len(out3_owners) != len(deciders):
+            raise InvariantViolation("duplicate decision message")
+        if not deciders <= live:
+            raise InvariantViolation("decision message owned by dead agent")
 
-    roles: list = []
-    for p, r, _, _, i in rep.in1:
-        roles.append(p)
-        if p not in live:
-            raise InvariantViolation(f"dead agent {p} collecting")
-        if not (1 <= r < n and 1 <= i <= n):
-            raise InvariantViolation(f"collector ({p},{r},i={i}) out of bounds")
-    for p, _, _, i in rep.in2:
-        roles.append(p)
-        if p not in live:
-            raise InvariantViolation(f"dead agent {p} collecting")
-        if not 1 <= i <= n:
-            raise InvariantViolation(f"collector ({p},i={i}) out of bounds")
-    roles.extend(out3_owners)
-    if len(roles) != len(set(roles)):
-        raise InvariantViolation("an agent holds two roles at once")
+    if not (same_live and in1 is s_in1):
+        for p, r, _, _, i in in1:
+            if p not in live:
+                raise InvariantViolation(f"dead agent {p} collecting")
+            if not (1 <= r < n and 1 <= i <= n):
+                raise InvariantViolation(f"collector ({p},{r},i={i}) out of bounds")
+    if not (same_live and in2 is s_in2):
+        for p, _, _, i in in2:
+            if p not in live:
+                raise InvariantViolation(f"dead agent {p} collecting")
+            if not 1 <= i <= n:
+                raise InvariantViolation(f"collector ({p},i={i}) out of bounds")
+    if not (out3 is s_out3 and in1 is s_in1 and in2 is s_in2):
+        roles = list(map(_owner, in1))
+        roles += map(_owner, in2)
+        roles += map(_owner, out3)
+        if len(roles) != len(set(roles)):
+            raise InvariantViolation("an agent holds two roles at once")
 
-    wj, ww, wb = rep.wrap
-    if wb not in (0, 1):
-        raise InvariantViolation(f"observer flag {wb}")
-    if not 0 <= wj <= n:
-        raise InvariantViolation(f"observer position {wj}")
-    if wj == 0 and (wb != 1 or ww != BOT):
-        raise InvariantViolation(
-            "observer at ok must be accepting with no remembered value")
+    if wrap is not s_wrap:
+        wj, ww, wb = wrap
+        if wb not in (0, 1):
+            raise InvariantViolation(f"observer flag {wb}")
+        if not 0 <= wj <= n:
+            raise InvariantViolation(f"observer position {wj}")
+        if wj == 0 and (wb != 1 or ww != BOT):
+            raise InvariantViolation(
+                "observer at ok must be accepting with no remembered value")
 
     # Canonical form: a field out of order would be a second key for one
     # congruence class.
-    for name, entries in zip(_CANONICAL_FIELDS, (rep.live, *rep[3:8])):
-        prev = None
-        for entry in entries:
-            if prev is not None and not prev < entry:
-                raise InvariantViolation(f"{name} not strictly increasing")
-            prev = entry
+    for name, entries, known in zip(_CANONICAL_FIELDS,
+                                    (live_t, out1, out2, out3, in1, in2),
+                                    (s_live, s_out1, s_out2, s_out3, s_in1, s_in2)):
+        if entries is not known:
+            prev = None
+            for entry in entries:
+                if prev is not None and not prev < entry:
+                    raise InvariantViolation(f"{name} not strictly increasing")
+                prev = entry
 
 
 # ---------------------------------------------------------------------------
@@ -446,34 +486,24 @@ def sf_step(sys: cm.System, rep: Representative, comps: list,
     a component index to its new located leaf or to None when the step
     consumes it, and ``crashed`` names the agent a crash step stops.
 
-    * A crash garbage-collects every component located at that agent (rule
-      E3) and shrinks the live set and the budget.  Every component but
-      the observer's is located at its entry's owner, so this drops each
-      entry the agent owns, as SR7 does.  Evaluation of a component at a
-      live location does not read the live set, so the others stay fixed
-      points.
+    * A crash replaces nothing; its target is ``crash_target``.
     * Each replaced component's own entry leaves its field; a consumed
       observer leaves none behind.
-    * Each leaf is located where its step fired, which is live (a crash
-      replaces nothing), so its slots come from the leaf memo and are
-      merged into their fields; a second observer raises.  An observer
-      consumed with nothing in its place is restored to ``(0, BOT, 1)``.
+    * Each leaf is located where its step fired, which is live, so its
+      slots come from the leaf memo and are merged into their fields; a
+      second observer raises.  An observer consumed with nothing in its
+      place is restored to ``(0, BOT, 1)``.
 
     Untouched fields stay the tuples of ``rep``.  Every leaf is evaluated
     before anything is merged, so a step raises as ``_assemble`` of its
     whole slot list would.  The target is not validated: its discoverer
     validates it."""
-    replaced, crashed = step.replaced, step.crashed
-    live, budget = rep.live, rep.budget
+    if step.crashed is not None:
+        return crash_target(rep, step.crashed)
+    live = rep.live
     fields = list(rep[3:])  # out1, out2, out3, in1, in2, wrap
-    if crashed is not None:
-        live = tuple([p for p in live if p != crashed])
-        budget -= 1
-        # An entry's first field is its owner; empty fields stay.
-        fields[:5] = [tuple([e for e in entries if e[0] != crashed])
-                      if entries else entries for entries in fields[:5]]
     added: list = []
-    for idx, leaf in replaced.items():
+    for idx, leaf in step.replaced.items():
         kind, entry = comps[idx][0]
         k = _FIELD[kind]
         fields[k] = None if k == 5 else _drop(fields[k], entry)
@@ -494,7 +524,24 @@ def sf_step(sys: cm.System, rep: Representative, comps: list,
         fields[k] = tuple(sorted(fields[k]))
     if fields[5] is None:
         fields[5] = (0, BOT, 1)  # the observer was consumed after emitting ok
-    return _new(Representative, (live, budget, rep.ti, *fields))
+    return _new(Representative, (live, rep.budget, rep.ti, *fields))
+
+
+def crash_target(rep: Representative, agent: int) -> Representative:
+    """``sf`` of the configuration the calculus Stop step of ``agent``
+    reaches from the expansion of ``rep``, built by patching ``rep``.
+
+    The crash garbage-collects every component located at ``agent`` (rule
+    E3) and shrinks the live set and the budget.  Every component but the
+    observer's is located at its entry's owner, an entry's first field, so
+    this drops each entry the agent owns, as SR7 does; empty fields stay
+    the tuples of ``rep``.  Evaluation of a component at a live location
+    does not read the live set, so the others stay fixed points and no
+    expansion is read.  Not validated: its discoverer validates it."""
+    kept = [tuple([e for e in entries if e[0] != agent]) if entries else entries
+            for entries in rep[3:8]]
+    return _new(Representative, (tuple([p for p in rep.live if p != agent]),
+                                 rep.budget - 1, rep.ti, *kept, rep.wrap))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ parses rule text.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, pairwise, repeat
@@ -50,7 +51,10 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     follow none of the state's steps.  Each state is validated once, when
     it is first discovered, and numbered in discovery order; since the
     `ok` loop's target is its source, a state's new targets are met in
-    sorted order.
+    sorted order.  An edge's target is validated against the state it was
+    built from (``repsem.validate_rep`` with that source), which skips the
+    checks of the fields the target shares with it; a target that
+    ``compare`` returns is validated in full.
 
     The graph holds one object per state, in the ``nodes`` list that is
     also the BFS queue, and its edges as int columns (``Edges``): a
@@ -70,7 +74,12 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     ``BoundExceeded``, whose partial graph keeps the edges the overflowing
     source had so far and none for the nodes after it; with ``truncate``
     such targets are numbered instead, never expanded, and the graph is
-    marked truncated."""
+    marked truncated.
+
+    The loop runs with the cyclic garbage collector off, and its state
+    before is restored on every exit, raised or returned: what the loop
+    makes (states, edges, memo entries) holds no reference cycles, so a
+    collection would only walk it."""
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
     nodes: list = []               # node id -> stored node; the BFS queue
@@ -90,9 +99,9 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
         return LtsGraph(initials, node_ids, edges, truncated=truncated,
                         defects=tuple(defects))
 
-    def admit(target) -> None:
+    def admit(target, source) -> None:
         # ``target`` has just been given the next id.
-        repsem.validate_rep(sys, target)
+        repsem.validate_rep(sys, target, source)
         if len(nodes) >= limit and not truncate:
             del node_ids[target]
             raise BoundExceeded(graph(True), max_states)
@@ -107,33 +116,39 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     setdefault = node_ids.setdefault
     add_target, add_label = targets.append, label_ids.append
     tau_labels: dict = {}          # rule -> label id of (TAU, rule)
-    for rep in islice(nodes, limit):
-        try:
-            succs = lts.labelled_targets(sys, rep)
-        except EmptyKnowledge as exc:
-            defects.append((rep, str(exc)))
-            succs = None
-        first = compare(rep, succs)
-        if first is None:
-            succs = None
-        else:
-            for target in first:
-                if setdefault(target, len(nodes)) == len(nodes):
-                    admit(target)
-        for action, target, rule in succs or ():
-            count = len(nodes)
-            ident = setdefault(target, count)
-            if ident == count:
-                admit(target)
-            if action is TAU:
-                label = tau_labels.get(rule)
-                if label is None:
-                    label = tau_labels[rule] = label_of(action, rule)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for rep in islice(nodes, limit):
+            try:
+                succs = lts.labelled_targets(sys, rep)
+            except EmptyKnowledge as exc:
+                defects.append((rep, str(exc)))
+                succs = None
+            first = compare(rep, succs)
+            if first is None:
+                succs = None
             else:
-                label = label_of(action, rule)
-            add_target(ident)
-            add_label(label)
-        offsets.append(len(targets))
+                for target in first:
+                    if setdefault(target, len(nodes)) == len(nodes):
+                        admit(target, None)
+            for action, target, rule in succs or ():
+                count = len(nodes)
+                ident = setdefault(target, count)
+                if ident == count:
+                    admit(target, rep)
+                if action is TAU:
+                    label = tau_labels.get(rule)
+                    if label is None:
+                        label = tau_labels[rule] = label_of(action, rule)
+                else:
+                    label = label_of(action, rule)
+                add_target(ident)
+                add_label(label)
+            offsets.append(len(targets))
+    finally:
+        if collecting:
+            gc.enable()
     return graph(len(nodes) > limit)
 
 
@@ -514,7 +529,8 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
     one side and the target in ``succs`` on the other, and the verdict is
     kept in ``verdicts`` (key -> (leaf, agrees)) for the rest of the check.
     A crash drops whatever its agent owns, so its two targets are compared
-    in every state."""
+    in every state, the calculus one patched by ``repsem.crash_target``
+    with no ``Step`` built."""
     steps = lts.keyed_steps(sys, rep)
     # A rule with no key is filed under None, which no calculus step has.
     by_key = {getattr(rule, "key", None): (action, target)
@@ -529,10 +545,7 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
         if expected is None:
             return False
         if key[0] == "x":
-            # A crash replaces no component, so ``sf_step`` reads no
-            # expansion.
-            agrees = expected == (
-                TAU, repsem.sf_step(sys, rep, (), lts._step(step)))
+            agrees = expected == (TAU, repsem.crash_target(rep, key[1]))
         else:
             known = verdicts.get(key)
             if known is None or known[0] is not leaf:

@@ -352,3 +352,18 @@ def test_config_file_keys_follow_the_command_flags(capsys, tmp_path):
     cfg.write_text(json.dumps({"n": 1, "values": [4], "max_states": 100}))
     code, _, _ = run(capsys, "verify", "--config", str(cfg))
     assert code == 0
+
+
+def test_the_parser_is_built_once_and_parses_afresh(capsys):
+    from consrep import cli
+
+    assert cli._parser() is cli._parser()
+    mutated = ["verify", "--n", "2", "--values", "5,7", "--mutate", "skip-correct"]
+    # An appended flag starts empty on every parse.
+    assert cli._parse_args(mutated).mutate == ["skip-correct"]
+    assert cli._parse_args(mutated).mutate == ["skip-correct"]
+    assert cli._parse_args(mutated[:-2]).mutate is None
+    # A usage error leaves the parser as it was.
+    assert main(["verify", "--n", "x"]) == 1
+    assert main(["trace", "--n", "1", "--values", "4"]) == 0
+    assert "-- initial after ti=1" in capsys.readouterr().out

@@ -90,9 +90,9 @@ def recorded(checker, sys_, max_states):
     validated = []
     original = repsem.validate_rep
 
-    def recording(sys_, rep):
+    def recording(sys_, rep, source=None):
         validated.append(rep)
-        return original(sys_, rep)
+        return original(sys_, rep, source)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(repsem, "validate_rep", recording)

@@ -148,9 +148,9 @@ def observed(checker, sys_, max_states) -> tuple:
     full = 0
     validate, calculus_targets = repsem.validate_rep, lts.calculus_targets
 
-    def recording(sys_, rep):
+    def recording(sys_, rep, source=None):
         validated.append(rep)
-        return validate(sys_, rep)
+        return validate(sys_, rep, source)
 
     def counted(sys_, rep):
         nonlocal full

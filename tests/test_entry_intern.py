@@ -52,9 +52,9 @@ def explored_states(sys_, max_states=verifier.DEFAULT_MAX_STATES) -> list:
     states += lts.initial_reps(sys_)
     original = repsem.validate_rep
 
-    def recording(system, rep):
+    def recording(system, rep, source=None):
         states.append(rep)
-        return original(system, rep)
+        return original(system, rep, source)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(repsem, "validate_rep", recording)

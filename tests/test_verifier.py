@@ -83,9 +83,9 @@ def test_correspondence_validates_each_state_once(monkeypatch):
     validated = []
     original = repsem.validate_rep
 
-    def counted(sys_, rep):
+    def counted(sys_, rep, source=None):
         validated.append(rep)
-        return original(sys_, rep)
+        return original(sys_, rep, source)
 
     monkeypatch.setattr(repsem, "validate_rep", counted)
     report = verifier.check_correspondence(
