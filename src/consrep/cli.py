@@ -79,10 +79,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv):
-    return _parser().parse_args(argv)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -278,7 +274,7 @@ def cmd_trace(cfg, schedule) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv if argv is not None else _sys.argv[1:])
+        args = _parser().parse_args(argv if argv is not None else _sys.argv[1:])
     except SystemExit as exc:
         # argparse exits 2 on bad usage, the code of an exceeded state bound
         # here; --help exits 0.

@@ -7,42 +7,43 @@ observer), suspicion fires the right branch of a collector sum, perfect
 suspicion lets the observer skip a crashed agent, and a crash shrinks the
 live set.  Only channels outside the system's restriction emit.
 
-``keyed_steps`` is the one enumeration of those steps.  It walks the
-representative's fields directly and reads, per entry, a record of what
-its component offers a step (its output, its silent leaves and its
-inputs), read off its guard leaves once per slot and kept on the System
-under the entry's identity (entries are interned per System), or under
-the wrap value for the observer.  Each step comes out as a record with a
-key that names what it consumes: ``("c", input owner, output owner)`` for
-a Com step, ``("s", owner)`` for a silent one, ``("snd", owner)`` for a
-Snd step and ``("x", agent)`` for a crash, where an owner is an entry's
-identity or the observer's wrap value.  The leaves a Com step leaves
-behind are substituted once per Com key.  The correspondence check
-compares these keys with the ones the representative semantics' rules
-carry (``repsem.Rule``) and builds no ``Step``; ``_calculus_steps``
-builds the ``Step`` of each record, a record of the components it
-replaces by index into the expansion.
+``keyed_steps`` is the one enumeration of those steps, and its records
+are the one form of a step.  It walks the representative's fields
+directly and reads, per entry, a record of what its component offers a
+step (its output, its silent leaves and its inputs), read off its guard
+leaves once per slot and kept on the System under the entry's identity
+(entries are interned per System), or under the wrap value for the
+observer.  Each step is a record (key, leaf, rule, action, consumed):
+``consumed`` names the slots of the components the step consumes, and
+``leaf`` is the located leaf it leaves in place of the last of them.  The
+key names the same consumption as a value: ``("c", input owner, output
+owner)`` for a Com step, ``("s", owner)`` for a silent one, ``("snd",
+owner)`` for a Snd step and ``("x", agent)`` for a crash, where an owner
+is an entry's identity or the observer's wrap value.  The leaves a Com
+step leaves behind are substituted once per Com key.  The correspondence
+check compares these keys with the ones the representative semantics'
+rules carry (``repsem.Rule``).
 
 A step's target is canonicalised back to a representative, which
 realises closure under structural congruence: ``repsem.sf_step`` patches
-the source representative, dropping the entries of the replaced
-components (and, on a crash, every entry the crashed agent owns) and
-merging in the slots of the leaves left in their place, so only those
-leaves are evaluated and classified.  Both halves are memoised per
-component on the System (see ``repsem``): that an expansion component is
-a fixed point and classifies back to its slot is checked once per slot,
-and each replacement leaf is evaluated and classified once, looked up by
-the identity of the leaf object that the offer memo or the Com-leaf memo
+the source representative, dropping the entries of the consumed slots
+(and, on a crash, every entry the crashed agent owns) and merging in the
+slots of the leaf left in their place, so only that leaf is evaluated
+and classified.  Both halves are memoised per component on the System
+(see ``repsem``): that an expansion component is a fixed point and
+classifies back to its slot is checked once per slot, and each
+replacement leaf is evaluated and classified once, looked up by the
+identity of the leaf object that the offer memo or the Com-leaf memo
 holds.  Targets are not validated here; the callers validate each state
 when they first discover it.  ``calculus_targets`` gives the τ-target set
 and the visible (action, target) pairs, for the states the
 correspondence check compares in full: it builds no ``Transition`` and
 never hashes the shared source, and every step's target is still built,
 so an undefined one raises where it stands.  ``step_starts`` gives what
-each step of a state leaves before evaluation (``_step_start``), for the
-confluence check's walk over a graph; ``calculus_raw_successors``
-composes it into raw configurations, the definition the tests compare
-against.
+each step of a state leaves before evaluation (``_step_start``, which
+lays a record onto ``repsem.expansion``), for the confluence check's
+walk over a graph; ``calculus_raw_successors`` composes it into raw
+configurations.
 
 The representative semantics takes the successors straight from the rule
 set on representatives.  Both expose the same observable: the `ok` send,
@@ -106,7 +107,7 @@ class Transition(NamedTuple):
     rule: str
 
 
-def select_ti(sys: cm.System, cfg: Config) -> list:
+def select_ti(cfg: Config) -> list:
     """One successor per possible trusted immortal.  Must be applied before
     anything else; every other rule requires the choice made."""
     if cfg.ti is not None:
@@ -117,7 +118,7 @@ def select_ti(sys: cm.System, cfg: Config) -> list:
 def initial_reps(sys: cm.System) -> list:
     """Canonical representatives of the instance, one per trusted immortal."""
     cfg = cm.make_initial(sys.inst)
-    return [repsem.sf(sys, c) for c in select_ti(sys, cfg)]
+    return [repsem.sf(sys, c) for c in select_ti(cfg)]
 
 
 def emits_ok(rep: repsem.Representative) -> bool:
@@ -143,14 +144,6 @@ def _guard_leaves(p) -> list:
     return leaves
 
 
-class Step(NamedTuple):
-    """One calculus step of an expanded normal form, target not yet built."""
-    rule: str
-    action: tuple
-    replaced: dict        # expansion index -> new located leaf, or None
-    crashed: int | None = None  # the agent a Stop step crashes
-
-
 # The slot kind of each field of a representative from out1 on, in
 # expansion order.
 _KINDS = ("out1", "out2", "out3", "in1", "in2", "wrap")
@@ -161,12 +154,13 @@ def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
     memoised on the System under ``owner``, as (slot, output, silent,
     inputs, channels):
 
-    * output: None, or (channel, value, Com rule, Snd record) for an output
-      in transit, with the Snd record (step key, rule, action) None on a
+    * output: None, or (channel, value, Com rule, Snd step) for an output
+      in transit, with the Snd step (a ``keyed_steps`` record) None on a
       restricted channel;
-    * silent: (step key, new located leaf, rule, ti, agent) per Tau, Susp
-      or PSusp leaf in guard order, firing in a state unless its trusted
-      immortal is ``ti`` or ``agent`` is live (None blocks nothing);
+    * silent: (step, ti, agent) per Tau, Susp or PSusp leaf in guard order,
+      with ``step`` its ``keyed_steps`` record, firing in a state unless its
+      trusted immortal is ``ti`` or ``agent`` is live (None blocks
+      nothing);
     * inputs: (channel, location, pattern, continuation) per input leaf in
       guard order, and channels the distinct channels among them.
 
@@ -177,19 +171,25 @@ def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
     ``entry`` alive, so its id is not reused while the record exists.  The
     component comes from the slot memo, which checks its round trip."""
     slot = (kind, entry)
+    consumed = (slot,)
     _, location, p = repsem._slot_component(sys, slot)
     output, silent, inputs = None, [], []
+
+    def add_silent(rule, cont, ti=None, agent=None):
+        step = (("s", owner), ("loc", location, cont), rule, TAU, consumed)
+        silent.append((step, ti, agent))
+
     match p:
         case ("out", ch, ("lit", v), ("nil",)):
             snd = None
             if ch not in sys.restriction:
-                snd = (("snd", owner), f"Snd {chan_str(ch)}", act_send(ch, v))
+                snd = (("snd", owner), None, f"Snd {chan_str(ch)}",
+                       act_send(ch, v), consumed)
             output = (ch, v, f"Com {chan_str(ch)}", snd)
         case ("const", "WRAP", _):
             pass  # inert observer: no transitions
         case ("tau", cont):
-            silent.append((("s", owner), ("loc", location, cont),
-                           f"Tau l={location}", None, None))
+            add_silent(f"Tau l={location}", cont)
         case _:
             protected = "no-ti-protection" not in sys.mutations
             for leaf in _guard_leaves(p):
@@ -198,12 +198,10 @@ def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
                         inputs.append((ch, location, pattern, cont))
                     case ("susp", k, cont):
                         if k != location:
-                            silent.append((("s", owner), ("loc", location, cont),
-                                           f"Susp l={location} k={k}",
-                                           k if protected else None, None))
+                            add_silent(f"Susp l={location} k={k}", cont,
+                                       k if protected else None)
                     case ("psusp", k, cont):
-                        silent.append((("s", owner), ("loc", location, cont),
-                                       f"PSusp l={location} k={k}", None, k))
+                        add_silent(f"PSusp l={location} k={k}", cont, agent=k)
     channels = tuple(dict.fromkeys(ch for ch, *_ in inputs))
     offer = sys._offers[owner] = (slot, output, tuple(silent), tuple(inputs),
                                   channels)
@@ -225,125 +223,92 @@ def _com_leaves(sys: cm.System, key: tuple, channel, value) -> tuple:
 
 
 def keyed_steps(sys: cm.System, rep: repsem.Representative) -> list:
-    """Every calculus step of ``rep`` as a record (key, leaf, ...), in step
-    order: the silent steps in component order, then per output in transit
-    its Com steps and its Snd step, then the crashes.  Components are
-    numbered in expansion order (``repsem._slots``); an owner is the
-    identity of an entry, or the observer's wrap value (see ``_offer``).
+    """Every calculus step of ``rep`` as a record (key, leaf, rule, action,
+    consumed), in step order: the silent steps in slot order, then per
+    output in transit its Com steps and its Snd step, then the crashes.
 
-    * Silent: (("s", owner), new leaf, rule, index).
-    * Com: (("c", input owner, output owner), new leaf, rule, output index,
-      input index).
-    * Snd: (("snd", owner), None, rule, index, action).
-    * Stop: (("x", agent), None).
+    * key names what the step consumes (see the module docstring);
+    * consumed: the (kind, fields) slots of the components the step
+      consumes, in slot order (``repsem._slots``): the component itself
+      for a silent step, the output and then the input for Com, the output
+      for Snd, none for a crash;
+    * leaf: the located leaf the step leaves in place of the last slot it
+      consumes, or None where it leaves none.
 
-    A key names the entries its step consumes; ``_step`` builds the
-    ``Step`` of a record.  The representative's fields are walked
-    directly: no expansion list and no ``Step`` is built."""
+    The representative's fields are walked directly: no expansion list is
+    built."""
     offers = sys._offers
     live, ti = rep.live, rep.ti
     steps: list = []
-    outputs = []   # (index, owner, output)
-    inputs = {}    # channel -> [(index, owner)], in component order
-    idx = 0
+    outputs = []   # (slot, owner, output)
+    inputs = {}    # channel -> [(slot, owner)], in slot order
     for kind, entries in zip(_KINDS, (*rep[3:8], (rep.wrap,))):
         for entry in entries:
             owner = entry if kind == "wrap" else id(entry)
             offer = offers.get(owner) or _offer(sys, owner, kind, entry)
-            _, output, silent, _, channels = offer
+            slot, output, silent, _, channels = offer
             if output is not None:
-                outputs.append((idx, owner, output))
-            for key, leaf, rule, blocking_ti, blocking_live in silent:
+                outputs.append((slot, owner, output))
+            for step, blocking_ti, blocking_live in silent:
                 if blocking_ti != ti and blocking_live not in live:
-                    steps.append((key, leaf, rule, idx))
+                    steps.append(step)
             for ch in channels:
-                inputs.setdefault(ch, []).append((idx, owner))
-            idx += 1
+                inputs.setdefault(ch, []).append((slot, owner))
 
     received = sys._received
-    for oidx, out_owner, (och, ov, com_rule, snd) in outputs:
-        for iidx, in_owner in inputs.get(och, ()):
+    for out_slot, out_owner, (och, ov, com_rule, snd) in outputs:
+        for in_slot, in_owner in inputs.get(och, ()):
             key = ("c", in_owner, out_owner)
             leaves = received.get(key)
             if leaves is None:
                 leaves = _com_leaves(sys, key, och, ov)
+            consumed = (out_slot, in_slot)
             for leaf in leaves:
-                steps.append((key, leaf, com_rule, oidx, iidx))
+                steps.append((key, leaf, com_rule, TAU, consumed))
         if snd is not None:
-            key, rule, action = snd
-            steps.append((key, None, rule, oidx, action))
+            steps.append(snd)
 
     if rep.budget > 0:
         for location in live:
             if location != ti:
-                steps.append((("x", location), None))
+                steps.append((("x", location), None, f"Stop l={location}",
+                              TAU, ()))
     return steps
 
 
-def _step(record) -> Step:
-    """The ``Step`` of one ``keyed_steps`` record."""
-    key, leaf, *at = record
-    match key[0]:
-        case "s":
-            rule, idx = at
-            return Step(rule, TAU, {idx: leaf})
-        case "c":
-            rule, oidx, iidx = at
-            return Step(rule, TAU, {oidx: None, iidx: leaf})
-        case "snd":
-            rule, idx, action = at
-            return Step(rule, action, {idx: None})
-    return Step(f"Stop l={key[1]}", TAU, {}, key[1])
-
-
-def _calculus_steps(sys: cm.System, rep: repsem.Representative) -> list:
-    """Every table-style step of ``rep``, in ``keyed_steps`` order, each
-    replaced component named by its index in ``repsem.expansion``."""
-    return [_step(record) for record in keyed_steps(sys, rep)]
-
-
-def _step_start(rep: repsem.Representative, comps: list, step: Step) -> tuple:
-    """What a step of the expansion ``comps`` of ``rep`` leaves before
-    evaluation: its context (live, budget, ti) and its components, those
-    it consumes left out, or ``(NNIL,)`` where none is left."""
-    leaves = (step.replaced.get(idx, comp) for idx, (_, comp) in enumerate(comps))
-    left = tuple(leaf for leaf in leaves if leaf is not None) or (NNIL,)
+def _step_start(rep: repsem.Representative, comps: list, step: tuple) -> tuple:
+    """What ``step``, a ``keyed_steps`` record of ``rep``, leaves before
+    evaluation, with ``comps`` the expansion of ``rep``: its context (live,
+    budget, ti) and its components in expansion order, those it consumes
+    left out and its leaf in place of the last of them, or ``(NNIL,)``
+    where none is left."""
+    key, leaf, _, _, consumed = step
+    left = []
+    for slot, comp in comps:
+        if slot not in consumed:
+            left.append(comp)
+        elif slot == consumed[-1] and leaf is not None:
+            left.append(leaf)
     live, budget = frozenset(rep.live), rep.budget
-    if step.crashed is not None:
-        live, budget = live - {step.crashed}, budget - 1
-    return (live, budget, rep.ti), left
+    if key[0] == "x":
+        live, budget = live - {key[1]}, budget - 1
+    return (live, budget, rep.ti), tuple(left) or (NNIL,)
 
 
-def _raw_config(sys: cm.System, rep: repsem.Representative, comps: list,
-                step: Step) -> Config:
-    """The configuration a step reaches, before evaluation."""
-    context, left = _step_start(rep, comps, step)
-    return Config(*context, net=res_chain(npar_chain(left), sys.restriction))
+def step_starts(sys: cm.System, rep: repsem.Representative) -> list:
+    """``_step_start`` of each calculus step of ``rep``, in step order."""
+    comps = repsem.expansion(sys, rep)
+    return [_step_start(rep, comps, step) for step in keyed_steps(sys, rep)]
 
 
 def calculus_raw_successors(sys: cm.System, rep: repsem.Representative) -> list:
     """Table-style transitions of the expanded normal form, as
-    (rule, action, raw configuration) with the target not yet evaluated."""
-    comps = repsem.expansion(sys, rep)
-    return [(step.rule, step.action, _raw_config(sys, rep, comps, step))
-            for step in _calculus_steps(sys, rep)]
-
-
-def step_starts(sys: cm.System, rep: repsem.Representative) -> list:
-    """``_step_start`` of each calculus step of ``rep``, in step order:
-    ``calculus_raw_successors`` with no term built."""
-    comps = repsem.expansion(sys, rep)
-    return [_step_start(rep, comps, step)
-            for step in _calculus_steps(sys, rep)]
-
-
-def _step_targets(sys: cm.System, rep: repsem.Representative):
-    """Each calculus step of ``rep`` with the representative it reaches,
-    in step order; every target is built, so a step whose target is
-    undefined raises where it stands."""
-    comps = repsem.expansion(sys, rep)
-    for step in _calculus_steps(sys, rep):
-        yield step, repsem.sf_step(sys, rep, comps, step)
+    (rule, action, raw configuration) with the target not yet evaluated:
+    each step's start (``step_starts``) under the system's restriction."""
+    return [(rule, action, Config(*context, net=res_chain(npar_chain(left),
+                                                          sys.restriction)))
+            for (_, _, rule, action, _), (context, left)
+            in zip(keyed_steps(sys, rep), step_starts(sys, rep))]
 
 
 def calculus_targets(sys: cm.System, rep: repsem.Representative) -> tuple:
@@ -352,11 +317,12 @@ def calculus_targets(sys: cm.System, rep: repsem.Representative) -> tuple:
     its visible ones, with no ``Transition`` built and the shared source
     never hashed."""
     taus, visible = set(), set()
-    for step, target in _step_targets(sys, rep):
-        if step.action == TAU:
+    for step in keyed_steps(sys, rep):
+        target, action = repsem.sf_step(sys, rep, step), step[3]
+        if action == TAU:
             taus.add(target)
         else:
-            visible.add((step.action, target))
+            visible.add((action, target))
     return taus, visible
 
 

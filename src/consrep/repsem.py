@@ -48,22 +48,23 @@ rule text.
 
 Calculus-side canonicalisation works per component for the same reason.
 ``expansion`` lists a representative's normal form as (slot, located
-component) pairs, one per slot in ``_slots`` order, which alone decides
-which component sits at which index.  Each component comes from a
-per-System memo that checks, once per slot, that the component is an
-evaluation fixed point and classifies back to its slot.  ``sfi`` composes
-those components into a term under the system's restriction; the calculus
-steps work on the list itself.  ``sf_step`` builds a step's target by
+component) pairs, one per slot in ``_slots`` order.  Each component comes
+from a per-System memo that checks, once per slot, that the component is
+an evaluation fixed point and classifies back to its slot.  ``sfi``
+composes those components into a term under the system's restriction.  A
+calculus step (an ``lts.keyed_steps`` record) names the slots it consumes,
+not positions in that list, so nothing but ``sfi`` and the confluence
+starts reads the list's order.  ``sf_step`` builds a step's target by
 patching the source representative as the representative rules do: the
-entry of each component the step replaces leaves its field, the slots of
-the leaf left in its place are merged in, and a crash drops what the
-crashed agent owns (``crash_target``), as SR7 does in code of its own; the
-fields a step leaves alone stay the source's tuples.  The slots a
-replacement leaf evaluates to come from a second memo, keyed by the
-leaf's identity.  Locality makes both memos sound: evaluating a located
-component reads only whether its own location is live, so a component
-or leaf evaluated alone at its location evaluates the same in every
-state in which that location is live.
+entry of each consumed slot leaves its field, the slots of the leaf left
+in their place are merged in, and a crash drops what the crashed agent
+owns (``crash_target``), as SR7 does in code of its own; the fields a
+step leaves alone stay the source's tuples.  The slots a replacement
+leaf evaluates to come from a second memo, keyed by the leaf's identity.
+Locality makes both memos sound: evaluating a located component reads
+only whether its own location is live, so a component or leaf evaluated
+alone at its location evaluates the same in every state in which that
+location is live.
 Neither validates: the explorers validate each calculus-step target when
 they first discover it, as they do representative successors.  Full
 extraction (``sf``) builds nothing from the memos and validates its
@@ -474,42 +475,42 @@ def _leaf_slots(sys: cm.System, leaf) -> tuple:
 _FIELD = {"out1": 0, "out2": 1, "out3": 2, "in1": 3, "in2": 4, "wrap": 5}
 
 
-def sf_step(sys: cm.System, rep: Representative, comps: list,
-            step) -> Representative:
+def sf_step(sys: cm.System, rep: Representative, step) -> Representative:
     """``sf`` of the configuration one calculus step reaches from the
     expansion of ``rep``, built by patching ``rep`` with what the step
     changes, as the representative rules build their successors.
 
-    ``comps`` is ``expansion(sys, rep)``, whose components the slot memo
-    checked to round-trip, so a component the step leaves in place keeps
-    its slot and its entry.  ``step`` is an ``lts.Step``: ``replaced`` maps
-    a component index to its new located leaf or to None when the step
-    consumes it, and ``crashed`` names the agent a crash step stops.
+    ``step`` is an ``lts.keyed_steps`` record (key, leaf, rule, action,
+    consumed): ``consumed`` names the slots of the components the step
+    consumes, and ``leaf`` is the located leaf it leaves in place of the
+    last of them, or None.  The slot memo checked every component of the
+    expansion to round-trip, so a component the step leaves in place keeps
+    its slot and its entry.
 
-    * A crash replaces nothing; its target is ``crash_target``.
-    * Each replaced component's own entry leaves its field; a consumed
-      observer leaves none behind.
-    * Each leaf is located where its step fired, which is live, so its
+    * A crash consumes nothing; its target is ``crash_target``.
+    * Each consumed slot's entry leaves its field; a consumed observer
+      leaves none behind.
+    * The leaf is located where its step fired, which is live, so its
       slots come from the leaf memo and are merged into their fields; a
       second observer raises.  An observer consumed with nothing in its
       place is restored to ``(0, BOT, 1)``.
 
-    Untouched fields stay the tuples of ``rep``.  Every leaf is evaluated
+    Untouched fields stay the tuples of ``rep``.  The leaf is evaluated
     before anything is merged, so a step raises as ``_assemble`` of its
     whole slot list would.  The target is not validated: its discoverer
     validates it."""
-    if step.crashed is not None:
-        return crash_target(rep, step.crashed)
+    key, leaf, _, _, consumed = step
+    if key[0] == "x":
+        return crash_target(rep, key[1])
     live = rep.live
     fields = list(rep[3:])  # out1, out2, out3, in1, in2, wrap
-    added: list = []
-    for idx, leaf in step.replaced.items():
-        kind, entry = comps[idx][0]
+    for kind, entry in consumed:
         k = _FIELD[kind]
         fields[k] = None if k == 5 else _drop(fields[k], entry)
-        if leaf is not None:
-            assert leaf[1] == STAR or leaf[1] in live, leaf[1]
-            added += _leaf_slots(sys, leaf)
+    added = ()
+    if leaf is not None:
+        assert leaf[1] == STAR or leaf[1] in live, leaf[1]
+        added = _leaf_slots(sys, leaf)
     grown = set()
     for kind, entry in added:
         k = _FIELD[kind]

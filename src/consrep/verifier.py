@@ -243,7 +243,7 @@ def _confluence_starts(sys: cm.System, graph: LtsGraph):
     budget, ti) and its components: the freshly chosen-immortal initials,
     then what each calculus step of every node leaves (``lts.step_starts``),
     in id order."""
-    initials = lts.select_ti(sys, cm.make_initial(sys.inst))
+    initials = lts.select_ti(cm.make_initial(sys.inst))
     comps = _spine(split_restriction(initials[0].net)[1])
     for cfg in initials:
         yield (cfg.live, cfg.budget, cfg.ti), comps
@@ -529,17 +529,15 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
     one side and the target in ``succs`` on the other, and the verdict is
     kept in ``verdicts`` (key -> (leaf, agrees)) for the rest of the check.
     A crash drops whatever its agent owns, so its two targets are compared
-    in every state, the calculus one patched by ``repsem.crash_target``
-    with no ``Step`` built."""
+    in every state, the calculus one patched by ``repsem.crash_target``."""
     steps = lts.keyed_steps(sys, rep)
     # A rule with no key is filed under None, which no calculus step has.
     by_key = {getattr(rule, "key", None): (action, target)
               for action, target, rule in succs}
     if not len(steps) == len(by_key) == len(succs):
         return False
-    comps = None
     for step in steps:
-        key, leaf = step[0], step[1]
+        key, leaf, _, action, _ = step
         # Each key is taken once, so the steps pair one to one.
         expected = by_key.pop(key, None)
         if expected is None:
@@ -549,11 +547,8 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
         else:
             known = verdicts.get(key)
             if known is None or known[0] is not leaf:
-                if comps is None:
-                    comps = repsem.expansion(sys, rep)
-                calc = lts._step(step)
                 known = verdicts[key] = (leaf, expected == (
-                    calc.action, repsem.sf_step(sys, rep, comps, calc)))
+                    action, repsem.sf_step(sys, rep, step)))
             agrees = known[1]
         if not agrees:
             return False

@@ -4,7 +4,7 @@ import pytest
 
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
-from consrep.calculus_ast import npar, res
+from consrep.calculus_ast import Config, npar, npar_chain, res, res_chain
 from consrep.evaluation import flatten_components, split_restriction
 from consrep.graph import Edges
 
@@ -37,8 +37,15 @@ def calculus_successors(sys, rep) -> list:
     ``Transition`` (two steps may reach one target under one rule)."""
     return [lts.Transition(rep, action, target, rule)
             for action, target, rule in sorted(
-                {(step.action, target, step.rule)
-                 for step, target in lts._step_targets(sys, rep)})]
+                {(step[3], repsem.sf_step(sys, rep, step), step[2])
+                 for step in lts.keyed_steps(sys, rep)})]
+
+
+def raw_config(sys, rep, step) -> Config:
+    """The configuration the ``lts.keyed_steps`` record ``step`` of ``rep``
+    reaches, before evaluation."""
+    context, left = lts._step_start(rep, repsem.expansion(sys, rep), step)
+    return Config(*context, net=res_chain(npar_chain(left), sys.restriction))
 
 
 def edges_from_transitions(node_ids: dict, transitions) -> Edges:

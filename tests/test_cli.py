@@ -360,9 +360,9 @@ def test_the_parser_is_built_once_and_parses_afresh(capsys):
     assert cli._parser() is cli._parser()
     mutated = ["verify", "--n", "2", "--values", "5,7", "--mutate", "skip-correct"]
     # An appended flag starts empty on every parse.
-    assert cli._parse_args(mutated).mutate == ["skip-correct"]
-    assert cli._parse_args(mutated).mutate == ["skip-correct"]
-    assert cli._parse_args(mutated[:-2]).mutate is None
+    assert cli._parser().parse_args(mutated).mutate == ["skip-correct"]
+    assert cli._parser().parse_args(mutated).mutate == ["skip-correct"]
+    assert cli._parser().parse_args(mutated[:-2]).mutate is None
     # A usage error leaves the parser as it was.
     assert main(["verify", "--n", "x"]) == 1
     assert main(["trace", "--n", "1", "--values", "4"]) == 0

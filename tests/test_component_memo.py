@@ -165,4 +165,4 @@ def test_a_warm_system_evaluates_only_the_initial_states(monkeypatch):
             monkeypatch.setattr(module, "evaluate", counted)
         assert verifier.check_correspondence(sys_) == first
         monkeypatch.undo()
-        assert evaluated == lts.select_ti(sys_, cm.make_initial(inst))
+        assert evaluated == lts.select_ti(cm.make_initial(inst))

@@ -1,9 +1,10 @@
 """The confluence check against a closure over whole terms.
 
 ``brute_force_confluence`` is the reference: it closes each raw
-configuration (the chosen-immortal initials and the configurations of
-``lts.calculus_raw_successors``) under single evaluation steps of the
-whole term and keys every configuration by the term itself.
+configuration (the chosen-immortal initials and the configurations the
+calculus steps of the index-based reference scan reach) under single
+evaluation steps of the whole term and keys every configuration by the
+term itself.
 ``verifier.check_confluence`` starts from the same configurations taken
 apart, each as its context and components (``_confluence_starts``), and
 must agree with it on the verdict and the counts.  Counterexamples are
@@ -18,7 +19,7 @@ live set.
 import pytest
 
 from consrep import consensus_model as cm
-from consrep import lts, verifier
+from consrep import lts, repsem, verifier
 from consrep.calculus_ast import (
     NIL,
     NNIL,
@@ -36,14 +37,19 @@ from consrep.calculus_ast import (
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.evaluation import evaluate, split_restriction
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+from test_offer_memo import reference_raw_config, reference_steps
 
 
 def raw_configs(sys, graph) -> list:
     """The freshly chosen-immortal initials, then the raw targets of the
-    calculus transitions of every node of ``graph`` in id order."""
-    return lts.select_ti(sys, cm.make_initial(sys.inst)) + [
-        raw for rep in graph.nodes
-        for _, _, raw in lts.calculus_raw_successors(sys, rep)]
+    calculus transitions of every node of ``graph`` in id order, built
+    from the index-based reference scan (``test_offer_memo``)."""
+    raws = lts.select_ti(cm.make_initial(sys.inst))
+    for rep in graph.nodes:
+        comps = repsem.expansion(sys, rep)
+        raws += [reference_raw_config(sys, rep, comps, step)
+                 for step in reference_steps(sys, rep, comps)]
+    return raws
 
 
 def components(cfg) -> tuple:

@@ -149,10 +149,9 @@ def test_check_agrees_with_the_reference_loop(compared):
 
 def reference_calculus_successors(sys, rep) -> list:
     """The sorted set of every step's ``Transition``, source included."""
-    comps = repsem.expansion(sys, rep)
-    return sorted({lts.Transition(rep, step.action,
-                                  repsem.sf_step(sys, rep, comps, step), step.rule)
-                   for step in lts._calculus_steps(sys, rep)})
+    return sorted({lts.Transition(rep, step[3],
+                                  repsem.sf_step(sys, rep, step), step[2])
+                   for step in lts.keyed_steps(sys, rep)})
 
 
 def test_calculus_targets_are_the_tau_targets_of_successors(compared):
@@ -183,11 +182,11 @@ def _ok_also_at_an_inert_observer(m):
 
 def _calculus_drops_ok(m):
     # The enumeration behind both the keyed comparison and the full one; a
-    # Snd record carries its action last.
+    # record carries its key first and its action fourth.
     original = lts.keyed_steps
     m.setattr(lts, "keyed_steps", lambda sys_, rep: [
         record for record in original(sys_, rep)
-        if record[0][0] != "snd" or record[-1] != OK])
+        if record[0][0] != "snd" or record[3] != OK])
 
 
 def _representative_drops_ok(m):

@@ -20,7 +20,7 @@ from consrep.errors import (
     EmptyKnowledge,
     NotReachableShape,
 )
-from conftest import calculus_successors
+from conftest import calculus_successors, raw_config
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 
@@ -53,10 +53,10 @@ def _assert_agree(sys_, reps) -> list:
 
 
 def _step_target_pair(sys_, rep, step):
-    """(patched target, full ``sf`` of the raw configuration) of one step."""
-    comps = repsem.expansion(sys_, rep)
-    return (repsem.sf_step(sys_, rep, comps, step),
-            repsem.sf(sys_, lts._raw_config(sys_, rep, comps, step)))
+    """(patched target, full ``sf`` of the raw configuration) of one
+    ``lts.keyed_steps`` record."""
+    return (repsem.sf_step(sys_, rep, step),
+            repsem.sf(sys_, raw_config(sys_, rep, step)))
 
 
 @pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])
@@ -140,21 +140,22 @@ def sys3():
 def test_a_second_observer_raises(sys3):
     # Replacing a round message with an observer leaves two observers.
     rep = lts.initial_reps(sys3)[0]
-    comps = repsem.expansion(sys3, rep)
-    assert comps[0][0][0] == "out1"
-    step = lts.Step("test", lts.TAU, {0: cm.wrap_wait_comp(sys3, 2, cm.BOT)})
+    slot = repsem.expansion(sys3, rep)[0][0]
+    assert slot[0] == "out1"
+    step = (("s", id(slot[1])), cm.wrap_wait_comp(sys3, 2, cm.BOT), "test",
+            lts.TAU, (slot,))
     with pytest.raises(NotReachableShape, match="two observer components"):
-        repsem.sf_step(sys3, rep, comps, step)
+        repsem.sf_step(sys3, rep, step)
     with pytest.raises(NotReachableShape, match="two observer components"):
-        repsem.sf(sys3, lts._raw_config(sys3, rep, comps, step))
+        repsem.sf(sys3, raw_config(sys3, rep, step))
 
 
 def test_a_consumed_observer_is_restored_to_ok(sys3):
     rep = lts.initial_reps(sys3)[0]
     assert rep.wrap == (1, cm.BOT, 1)
-    comps = repsem.expansion(sys3, rep)
-    assert comps[-1][0][0] == "wrap"
-    step = lts.Step("test", lts.TAU, {len(comps) - 1: None})
+    slot = repsem.expansion(sys3, rep)[-1][0]
+    assert slot == ("wrap", rep.wrap)
+    step = (("snd", rep.wrap), None, "test", lts.TAU, (slot,))
     patched, full = _step_target_pair(sys3, rep, step)
     assert patched == full == rep._replace(wrap=(0, cm.BOT, 1))
     # Untouched fields stay the source's own tuples.
@@ -171,7 +172,7 @@ def test_a_stop_step_drops_what_the_crashed_agent_owns(sys3):
             owned = [f for f in fields if any(e[0] == p for e in getattr(rep, f))]
             if p == rep.ti or len(owned) < 3:
                 continue
-            step = lts.Step(f"Stop l={p}", lts.TAU, {}, p)
+            step = (("x", p), None, f"Stop l={p}", lts.TAU, ())
             patched, full = _step_target_pair(sys3, rep, step)
             assert patched == full
             assert patched.live == tuple(x for x in rep.live if x != p)

@@ -13,16 +13,16 @@ from test_explore_oracle import reference_explore
 def test_select_ti_one_per_live_agent():
     inst = cm.make_instance(3, [1, 2, 3])
     cfg = cm.make_initial(inst)
-    chosen = lts.select_ti(cm.build_system(inst), cfg)
+    chosen = lts.select_ti(cfg)
     assert [c.ti for c in chosen] == [1, 2, 3]
     assert all(c.net == cfg.net and c.live == cfg.live for c in chosen)
 
 
 def test_select_ti_rejects_a_second_choice(sys1):
     cfg = cm.make_initial(sys1.inst)
-    chosen = lts.select_ti(sys1, cfg)[0]
+    chosen = lts.select_ti(cfg)[0]
     with pytest.raises(TiAlreadySet):
-        lts.select_ti(sys1, chosen)
+        lts.select_ti(chosen)
 
 
 def test_single_agent_initial_has_one_transition(sys1):

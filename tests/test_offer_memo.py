@@ -3,29 +3,49 @@ per-entry offer memo (``System._offers``), against the scan it replaced.
 
 ``reference_steps`` is that scan: it walks every expansion component's
 guard leaves on every state and matches their patterns afresh, and gives
-the steps, in order, that ``lts._calculus_steps`` gave before it was built
-from the keyed records.  The records must give equal ``Step`` lists
-(``lts._calculus_steps``), in order, on every state of the n<=2
-instances, unmutated and under each mutation, explored under both
-semantics, on a 1,000-state prefix of n=3 and on 500 states sampled from
-the rest of a 3,000-state prefix, with the memo filling as the states go
-by.  Each record's key must name what its step consumes: the entries (or
-the observer's wrap value) of the components it replaces, or the agent
-it crashes, and its leaf must be the one the step leaves.
+each step as a ``Step`` that names the components it replaces by their
+index into ``repsem.expansion``.  The records must give the same steps,
+in order, on every state of the n<=2 instances, unmutated and under each
+mutation, explored under both semantics, on a 1,000-state prefix of n=3
+and on 500 states sampled from the rest of a 3,000-state prefix, with
+the memo filling as the states go by: the same rule and action, the
+slots of the replaced components, through the expansion, as the slots
+the record consumes, and the leaf the step leaves.  Each record's key
+must name what its step consumes: the entries (or the observer's wrap
+value) of the components it replaces, or the agent it crashes.
+``reference_raw_config`` gives the configuration a reference step
+reaches, before evaluation, for the confluence oracle.
 """
 
 import random
+from typing import NamedTuple
 
 import pytest
 
 from consrep import consensus_model as cm
 from consrep import lts, repsem, verifier
-from consrep.calculus_ast import STAR, chan_str, substitute
+from consrep.calculus_ast import (
+    NNIL,
+    STAR,
+    Config,
+    chan_str,
+    npar_chain,
+    res_chain,
+    substitute,
+)
 from consrep.errors import BoundExceeded
-from consrep.lts import TAU, Step, act_send
+from consrep.lts import TAU, act_send
 from conftest import calculus_successors
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 from test_explore_oracle import reference_explore
+
+
+class Step(NamedTuple):
+    """One calculus step of an expanded normal form, target not yet built."""
+    rule: str
+    action: tuple
+    replaced: dict        # expansion index -> new located leaf, or None
+    crashed: int | None = None  # the agent a Stop step crashes
 
 
 def reference_steps(sys, rep, comps) -> list:
@@ -76,6 +96,19 @@ def reference_steps(sys, rep, comps) -> list:
     return steps
 
 
+def reference_raw_config(sys, rep, comps, step) -> Config:
+    """The configuration ``step`` reaches from the expansion ``comps`` of
+    ``rep``, before evaluation."""
+    leaves = (step.replaced.get(idx, comp)
+              for idx, (_, comp) in enumerate(comps))
+    left = tuple(leaf for leaf in leaves if leaf is not None) or (NNIL,)
+    live, budget = frozenset(rep.live), rep.budget
+    if step.crashed is not None:
+        live, budget = live - {step.crashed}, budget - 1
+    return Config(live, budget, rep.ti,
+                  net=res_chain(npar_chain(left), sys.restriction))
+
+
 def _owner(slot):
     kind, entry = slot
     return entry if kind == "wrap" else id(entry)
@@ -91,11 +124,18 @@ def _assert_key_names_the_step(record, step, comps) -> None:
             assert owners == [out_owner, in_owner]
             assert list(step.replaced.values()) == [None, leaf]
         case ("snd", owner):
-            assert owners == [owner] and leaf is None
+            assert owners == [owner] and list(step.replaced.values()) == [None]
+            assert leaf is None
         case ("x", agent):
             assert step.crashed == agent and not step.replaced and leaf is None
         case _:
             raise AssertionError(f"unknown step key {key!r}")
+
+
+def _assert_record_is_the_step(record, step, comps) -> None:
+    _, _, rule, action, consumed = record
+    assert (rule, action) == (step.rule, step.action)
+    assert consumed == tuple(comps[idx][0] for idx in step.replaced)
 
 
 def _assert_steps_agree(sys_, reps) -> int:
@@ -103,10 +143,10 @@ def _assert_steps_agree(sys_, reps) -> int:
     for rep in reps:
         comps = repsem.expansion(sys_, rep)
         records = lts.keyed_steps(sys_, rep)
-        steps = lts._calculus_steps(sys_, rep)
-        assert steps == reference_steps(sys_, rep, comps)
+        steps = reference_steps(sys_, rep, comps)
         assert len(records) == len(steps)
         for record, step in zip(records, steps):
+            _assert_record_is_the_step(record, step, comps)
             _assert_key_names_the_step(record, step, comps)
         count += 1
     return count

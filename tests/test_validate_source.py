@@ -26,6 +26,7 @@ from consrep import consensus_model as cm
 from consrep.calculus_ast import BOT
 from consrep.errors import BoundExceeded, EmptyKnowledge, InvariantViolation
 from consrep.repsem import Representative
+from conftest import raw_config
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_PREFIX = 3000
@@ -81,17 +82,14 @@ def test_source_validation_and_crash_target_agree_on_every_state():
             for _, target, _ in succs:
                 assert outcome(sys_, target, rep) == outcome(sys_, target) is None
                 edges += 1
-            comps = repsem.expansion(sys_, rep)
-            for record in lts.keyed_steps(sys_, rep):
-                if record[0][0] != "x":
+            for step in lts.keyed_steps(sys_, rep):
+                if step[0][0] != "x":
                     continue
-                agent = record[0][1]
-                step = lts._step(record)
+                agent = step[0][1]
                 target = repsem.crash_target(rep, agent)
                 assert target == former_stop_target(rep, agent)
-                assert target == repsem.sf_step(sys_, rep, comps, step)
-                assert target == repsem.sf(
-                    sys_, lts._raw_config(sys_, rep, comps, step))
+                assert target == repsem.sf_step(sys_, rep, step)
+                assert target == repsem.sf(sys_, raw_config(sys_, rep, step))
                 crashes += 1
     assert edges > 4 * N3_PREFIX and crashes > N3_PREFIX
 
