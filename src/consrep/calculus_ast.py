@@ -153,7 +153,7 @@ def eval_expr(e, ftable: FunctionTable):
 # ---------------------------------------------------------------------------
 # Processes.
 #
-#   nil | out | in | susp | psusp | sum | if | tau | const | par
+#   nil | out | in | susp | psusp | sum | if | const | par
 #
 # Sum branches must be guards; conditional branches may be arbitrary
 # processes (the consensus equations put parallel sends and constant calls
@@ -354,8 +354,6 @@ def subst_proc(p, env: dict):
             return ("sum", subst_proc(g1, env), subst_proc(g2, env))
         case ("if", e, a, b):
             return ("if", subst_expr(e, env), subst_proc(a, env), subst_proc(b, env))
-        case ("tau", cont):
-            return ("tau", subst_proc(cont, env))
         case ("const", name, arg):
             return ("const", name, subst_expr(arg, env))
         case ("par", a, b):

@@ -248,26 +248,27 @@ def cmd_trace(cfg, schedule) -> int:
     rep = choices[first]
     lines.append(f"-- {first}")
     lines.append(repsem.rep_str(rep))
-    for step in schedule[1:]:
-        # Rule names are distinct among a state's transitions.
-        enabled = {rule: target
-                   for _, target, rule in lts.labelled_targets(sys_, rep)}
-        if step not in enabled:
+    code = EXIT_OK
+    for step in [*schedule[1:], None]:
+        try:
+            # Rule names are distinct among a state's transitions.
+            enabled = {rule: target
+                       for _, target, rule in lts.labelled_targets(sys_, rep)}
+        except EmptyKnowledge as exc:
+            # The algorithm is undefined here (mutations only): the replay
+            # stops, and what it replayed is printed.
+            lines.append(f"-- enabled: undefined ({exc})")
+            code = EXIT_CHECK_FAILED
+            break
+        if step is None:
+            lines.append(f"-- enabled: {', '.join(sorted(enabled)) or '(none)'}")
+        elif step not in enabled:
             raise StepNotEnabled(step, sorted(enabled))
-        rep = enabled[step]
-        repsem.validate_rep(sys_, rep)
-        lines.append(f"-- {step}")
-        lines.append(repsem.rep_str(rep))
-    try:
-        enabled = sorted(rule for _, _, rule in lts.labelled_targets(sys_, rep))
-    except EmptyKnowledge as exc:
-        # The algorithm is undefined here (mutations only): the schedule
-        # still replayed, so print where it led.
-        lines.append(f"-- enabled: undefined ({exc})")
-        code = EXIT_CHECK_FAILED
-    else:
-        lines.append(f"-- enabled: {', '.join(enabled) or '(none)'}")
-        code = EXIT_OK
+        else:
+            rep = enabled[step]
+            repsem.validate_rep(sys_, rep)
+            lines.append(f"-- {step}")
+            lines.append(repsem.rep_str(rep))
     _emit("\n".join(lines), cfg["output"])
     return code
 

@@ -567,34 +567,33 @@ def ok_comp() -> tuple:
     return located(STAR, out_atom(CHAN_OK, lit(BOT)))
 
 
+def _wait_guard(sys: System, key: tuple, location, guard, bindings: dict) -> tuple:
+    """``guard``, a guard subterm of an equation body, under ``bindings``,
+    located at ``location`` and stored in ``sys._wait_cache`` under
+    ``key``.  The builders below call it only on a cache miss."""
+    comp = sys._wait_cache[key] = located(location, subst_proc(guard, bindings))
+    return comp
+
+
 def c1_wait_comp(sys: System, p: int, r: int, vv, msgs, i: int) -> tuple:
     key = ("c1", p, r, vv, msgs, i)
-    comp = sys._wait_cache.get(key)
-    if comp is None:
-        body = sys.defs.equations[f"C1_{p}"][1]
-        guard = subst_proc(body[2], {"r": nat(r), "V": vv, "M": msgs, "i": nat(i)})
-        comp = sys._wait_cache[key] = located(p, guard)
-    return comp
+    return sys._wait_cache.get(key) or _wait_guard(
+        sys, key, p, sys.defs.equations[f"C1_{p}"][1][2],
+        {"r": nat(r), "V": vv, "M": msgs, "i": nat(i)})
 
 
 def c2_wait_comp(sys: System, p: int, vv, msgs, i: int) -> tuple:
     key = ("c2", p, vv, msgs, i)
-    comp = sys._wait_cache.get(key)
-    if comp is None:
-        body = sys.defs.equations[f"C2_{p}"][1]
-        guard = subst_proc(body[2], {"V": vv, "M": msgs, "i": nat(i)})
-        comp = sys._wait_cache[key] = located(p, guard)
-    return comp
+    return sys._wait_cache.get(key) or _wait_guard(
+        sys, key, p, sys.defs.equations[f"C2_{p}"][1][2],
+        {"V": vv, "M": msgs, "i": nat(i)})
 
 
 def wrap_wait_comp(sys: System, wj: int, ww) -> tuple:
     key = ("wrap", wj, ww)
-    comp = sys._wait_cache.get(key)
-    if comp is None:
-        body = sys.defs.equations["WRAP"][1]
-        guard = subst_proc(body[2][2], {"i": nat(wj), "v": ww})
-        comp = sys._wait_cache[key] = located(STAR, guard)
-    return comp
+    return sys._wait_cache.get(key) or _wait_guard(
+        sys, key, STAR, sys.defs.equations["WRAP"][1][2][2],
+        {"i": nat(wj), "v": ww})
 
 
 def wrap_inert_comp(wj: int, ww) -> tuple:

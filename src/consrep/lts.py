@@ -95,8 +95,6 @@ def action_str(action) -> str:
             return "tau"
         case ("snd", ch, v):
             return f"{chan_str(ch)}!{value_str(v)}"
-        case ("rcv", ch, v):
-            return f"{chan_str(ch)}?{value_str(v)}"
     return repr(action)
 
 
@@ -144,11 +142,6 @@ def _guard_leaves(p) -> list:
     return leaves
 
 
-# The slot kind of each field of a representative from out1 on, in
-# expansion order.
-_KINDS = ("out1", "out2", "out3", "in1", "in2", "wrap")
-
-
 def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
     """What the component of the slot ``(kind, entry)`` offers a step,
     memoised on the System under ``owner``, as (slot, output, silent,
@@ -157,7 +150,7 @@ def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
     * output: None, or (channel, value, Com rule, Snd step) for an output
       in transit, with the Snd step (a ``keyed_steps`` record) None on a
       restricted channel;
-    * silent: (step, ti, agent) per Tau, Susp or PSusp leaf in guard order,
+    * silent: (step, ti, agent) per Susp or PSusp leaf in guard order,
       with ``step`` its ``keyed_steps`` record, firing in a state unless its
       trusted immortal is ``ti`` or ``agent`` is live (None blocks
       nothing);
@@ -188,8 +181,6 @@ def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
             output = (ch, v, f"Com {chan_str(ch)}", snd)
         case ("const", "WRAP", _):
             pass  # inert observer: no transitions
-        case ("tau", cont):
-            add_silent(f"Tau l={location}", cont)
         case _:
             protected = "no-ti-protection" not in sys.mutations
             for leaf in _guard_leaves(p):
@@ -242,7 +233,7 @@ def keyed_steps(sys: cm.System, rep: repsem.Representative) -> list:
     steps: list = []
     outputs = []   # (slot, owner, output)
     inputs = {}    # channel -> [(slot, owner)], in slot order
-    for kind, entries in zip(_KINDS, (*rep[3:8], (rep.wrap,))):
+    for kind, entries in zip(repsem._FIELD, (*rep[3:8], (rep.wrap,))):
         for entry in entries:
             owner = entry if kind == "wrap" else id(entry)
             offer = offers.get(owner) or _offer(sys, owner, kind, entry)

@@ -19,22 +19,28 @@ on a conflicting one, and stands at the public `ok` output after the last.
 A crash removes an agent and everything it owns.  The whole rule set is
 checked against the calculus semantics state by state - see the verifier.
 
-A collector's local state lives in the parameters of its process
-constant, so its step is a function of its own entry and the payload it
-receives alone.  So each collector move - a collector entry with the
-transit entry it consumes, or with None for its suspicion twin - has one
-``Move`` record per System, shared by every global state, keyed by the
-identities of those two objects and holding them alive: its rule
-record made once, and the local part of the step (the new entry
-and the messages sent) as the entries it adds to each field, with the
-sr1-deletes-in1 mutation already applied.  A state pays only for the
-global assembly: one lookup by identity per move, and a rebuild of just
-the fields the move changes (an entry dropped, a sorted merge).  An
-undefined decision raises before anything is stored.  ``rep_successors``
-does not validate what it returns: its consumers validate each state
-once, when they first discover it, against the state it was built from
-where they have it, so only the checks of the fields a step rebuilt run
-(``validate_rep``).
+Both phases give a collector the same rule shape: it receives the
+transit entry it awaits (from out1 for a round collector in in1, from
+out2 for a sync collector in in2) or suspects the sender, and the move
+drops that entry, replaces the collector and adds what its local step
+sends.  Only the local step (``_phase1_local``, ``_phase2_local``) and
+the rule's name differ, so one builder (``_move``), one target builder
+(``_move_target``) and one loop serve both phases.  A collector's local
+state lives in the parameters of its process constant, so its step is a
+function of its own entry and the payload it receives alone.  So each
+collector move - a collector entry with the transit entry it consumes,
+or with None for its suspicion twin - has one ``Move`` record per
+System, shared by every global state, keyed by the identities of those
+two objects and holding them alive: its rule record made once, and the
+local part of the step (the new entry and the messages sent) as the
+(field, entries) pairs it adds, with the sr1-deletes-in1 mutation
+already applied.  A state pays only for the global assembly: one lookup
+by identity per move, and a rebuild of just the fields the move changes
+(an entry dropped, a sorted merge).  An undefined decision raises before
+anything is stored.  ``rep_successors`` does not validate what it
+returns: its consumers validate each state once, when they first
+discover it, against the state it was built from where they have it, so
+only the checks of the fields a step rebuilt run (``validate_rep``).
 
 Each rule instance is a ``Rule`` record, made once: the ``Move`` of a
 collector move builds its rule, the observer and crash rules come from a
@@ -206,6 +212,11 @@ class Representative(NamedTuple):
 # The fields held in strictly increasing order: live and out1 .. in2.
 _CANONICAL_FIELDS = ("live", *Representative._fields[3:8])
 
+# The slot kinds, each named as the field from out1 on that holds it, in
+# slot order (``_slots``, ``lts.keyed_steps``), with the field's index in a
+# representative.
+_FIELD = {kind: k for k, kind in enumerate(Representative._fields) if k >= 3}
+
 # Successors are built positionally, ``_new(Representative, fields)``, past
 # the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
@@ -373,11 +384,8 @@ def sf(sys: cm.System, cfg: Config) -> Representative:
 def _slots(rep: Representative) -> list:
     """The (kind, fields) slots of ``rep``, in the order of its expansion's
     components."""
-    slots = [("out1", e) for e in rep.out1]
-    slots += [("out2", e) for e in rep.out2]
-    slots += [("out3", e) for e in rep.out3]
-    slots += [("in1", e) for e in rep.in1]
-    slots += [("in2", e) for e in rep.in2]
+    slots = [(kind, entry)
+             for kind, entries in zip(_FIELD, rep[3:8]) for entry in entries]
     slots.append(("wrap", rep.wrap))
     return slots
 
@@ -471,10 +479,6 @@ def _leaf_slots(sys: cm.System, leaf) -> tuple:
     return slots
 
 
-# The index of each slot kind among a representative's fields from out1 on.
-_FIELD = {"out1": 0, "out2": 1, "out3": 2, "in1": 3, "in2": 4, "wrap": 5}
-
-
 def sf_step(sys: cm.System, rep: Representative, step) -> Representative:
     """``sf`` of the configuration one calculus step reaches from the
     expansion of ``rep``, built by patching ``rep`` with what the step
@@ -502,30 +506,29 @@ def sf_step(sys: cm.System, rep: Representative, step) -> Representative:
     key, leaf, _, _, consumed = step
     if key[0] == "x":
         return crash_target(rep, key[1])
-    live = rep.live
-    fields = list(rep[3:])  # out1, out2, out3, in1, in2, wrap
+    fields = list(rep)  # the observer is the last field
     for kind, entry in consumed:
         k = _FIELD[kind]
-        fields[k] = None if k == 5 else _drop(fields[k], entry)
+        fields[k] = None if kind == "wrap" else _drop(fields[k], entry)
     added = ()
     if leaf is not None:
-        assert leaf[1] == STAR or leaf[1] in live, leaf[1]
+        assert leaf[1] == STAR or leaf[1] in rep.live, leaf[1]
         added = _leaf_slots(sys, leaf)
     grown = set()
     for kind, entry in added:
         k = _FIELD[kind]
-        if k < 5:
+        if kind != "wrap":
             fields[k] += (entry,)
             grown.add(k)
-        elif fields[5] is None:
-            fields[5] = entry
+        elif fields[-1] is None:
+            fields[-1] = entry
         else:
             raise NotReachableShape("two observer components")
     for k in grown:
         fields[k] = tuple(sorted(fields[k]))
-    if fields[5] is None:
-        fields[5] = (0, BOT, 1)  # the observer was consumed after emitting ok
-    return _new(Representative, (live, rep.budget, rep.ti, *fields))
+    if fields[-1] is None:
+        fields[-1] = (0, BOT, 1)  # the observer was consumed after emitting ok
+    return _new(Representative, fields)
 
 
 def crash_target(rep: Representative, agent: int) -> Representative:
@@ -611,85 +614,81 @@ class Move(NamedTuple):
     rule: Rule               # the rule instance, made once
     entry: tuple             # the collector entry that steps
     consumed: tuple | None   # the transit entry received; None: suspicion
-    # The entries the move adds per field: the collector's local step, with
-    # in1 emptied where the sr1-deletes-in1 mutation drops the collector.
-    adds: LocalStep
+    # The (field index, entries) pairs of the fields the move adds to: the
+    # collector's local step, with the collector's next entry left out
+    # where the sr1-deletes-in1 mutation drops it.
+    adds: tuple
 
 
-def _phase1_move(sys, entry, consumed) -> Move:
-    """The move of round collector ``entry`` receiving ``consumed``, or
-    suspecting its awaited sender where ``consumed`` is None; stored in
-    ``System._moves`` once its local step is defined."""
+_IN1, _IN2 = _FIELD["in1"], _FIELD["in2"]
+# A phase's transit field (out1, out2) lies this many fields before its
+# collector field (in1, in2).
+_TO_TRANSITS = _IN1 - _FIELD["out1"]
+
+# The rule families of a collector move, by its collector field and by
+# whether it receives (or suspects), indexed by the collector's stage:
+# awaiting a sender before the last, then the last sender of a round
+# before the last, then the last sender of the last round.  The sync phase
+# has one round.
+_FAMILIES = {
+    (_IN1, True): ("SR1", "SR2", "SR3"),
+    (_IN1, False): ("SR4", "SR5", "SR6"),
+    (_IN2, True): ("SR1'", "SR2'"),
+    (_IN2, False): ("SR4'", "SR5'"),
+}
+
+# Per collector field, the prefix of the transit entry a collector awaits:
+# (awaited sender, collector, round) in the round phase, (awaited sender,
+# collector) in the sync phase.
+_AWAITED = ((_IN1, itemgetter(4, 0, 1)), (_IN2, itemgetter(3, 0)))
+
+
+def _move(sys, field: int, entry, consumed) -> Move:
+    """The move of collector ``entry`` of field ``field`` (in1 or in2)
+    receiving ``consumed``, or suspecting its awaited sender where
+    ``consumed`` is None; stored in ``System._moves`` once its local step
+    is defined, so an undefined decision raises before anything is
+    stored."""
     n = sys.n
-    q, r, _, _, i = entry
-    if consumed is None:
-        family = "SR4" if i < n else ("SR5" if r < n - 1 else "SR6")
-        key, suspected = ("s", id(entry)), i
-        adds = _phase1_local(sys, entry, BOT)
+    q, i = entry[0], entry[-1]  # collector, awaited sender
+    receives = consumed is not None
+    payload = consumed[-1] if receives else BOT  # a transit entry's vector
+    families = _FAMILIES[field, receives]
+    if field == _IN1:
+        r = entry[1]
+        local = _phase1_local(sys, entry, payload)
+        family = families[0 if i < n else (1 if r < n - 1 else 2)]
+        text = f"{family} q={q} p={i} r={r}"
     else:
-        family = "SR1" if i < n else ("SR2" if r < n - 1 else "SR3")
-        key, suspected = ("c", id(entry), id(consumed)), None
-        adds = _phase1_local(sys, entry, consumed[3])
-        if family == "SR1" and "sr1-deletes-in1" in sys.mutations:
-            adds = adds._replace(in1=())
-    rule = Rule(f"{family} q={q} p={i} r={r}", family, key, suspected)
-    move = Move(rule, entry, consumed, adds)
-    sys._moves[id(entry), id(consumed)] = move
+        local = _phase2_local(sys, entry, payload)
+        family = families[0 if i < n else 1]
+        text = f"{family} q={q} p={i}"
+    if family == "SR1" and "sr1-deletes-in1" in sys.mutations:
+        local = local._replace(in1=())
+    if receives:
+        rule = Rule(text, family, ("c", id(entry), id(consumed)))
+    else:
+        rule = Rule(text, family, ("s", id(entry)), suspected=i)
+    adds = tuple((_FIELD[kind], entries)
+                 for kind, entries in zip(LocalStep._fields, local) if entries)
+    move = sys._moves[id(entry), id(consumed)] = Move(rule, entry, consumed,
+                                                       adds)
     return move
 
 
-def _phase2_move(sys, entry, consumed) -> Move:
-    """The move of sync collector ``entry``, as ``_phase1_move``.  An
-    undefined decision raises before anything is stored."""
-    q, _, _, i = entry
-    if consumed is None:
-        family = "SR4'" if i < sys.n else "SR5'"
-        key, suspected = ("s", id(entry)), i
-        adds = _phase2_local(sys, entry, BOT)
-    else:
-        family = "SR1'" if i < sys.n else "SR2'"
-        key, suspected = ("c", id(entry), id(consumed)), None
-        adds = _phase2_local(sys, entry, consumed[2])
-    rule = Rule(f"{family} q={q} p={i}", family, key, suspected)
-    move = Move(rule, entry, consumed, adds)
-    sys._moves[id(entry), id(consumed)] = move
-    return move
-
-
-def _phase1_target(rep, k: int, move: Move) -> Representative:
-    """The successor of ``rep`` under ``move`` of its ``k``-th round
-    collector: only the fields the move changes are rebuilt."""
-    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
-    _, _, consumed, (add_in1, add_in2, add_out1, add_out2, _) = move
+def _move_target(rep, field: int, k: int, move: Move) -> Representative:
+    """The successor of ``rep`` under ``move`` of the ``k``-th collector of
+    field ``field``: only the fields the move changes are rebuilt."""
+    fields = list(rep)
+    collectors = fields[field]
+    fields[field] = collectors[:k] + collectors[k + 1:]
+    consumed = move.consumed
     if consumed is not None:
-        out1 = _drop(out1, consumed)
-    if add_out1:
-        out1 = tuple(sorted(out1 + add_out1))
-    if add_out2:
-        out2 = tuple(sorted(out2 + add_out2))
-    in1 = in1[:k] + in1[k + 1:]
-    if add_in1:
-        in1 = tuple(sorted(in1 + add_in1))
-    if add_in2:
-        in2 = tuple(sorted(in2 + add_in2))
-    return _new(Representative,
-                (live, budget, ti, out1, out2, out3, in1, in2, wrap))
-
-
-def _phase2_target(rep, k: int, move: Move) -> Representative:
-    """The successor of ``rep`` under ``move`` of its ``k``-th sync
-    collector."""
-    live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
-    _, _, consumed, (_, add_in2, _, _, add_out3) = move
-    if consumed is not None:
-        out2 = _drop(out2, consumed)
-    if add_out3:
-        out3 = tuple(sorted(out3 + add_out3))
-    in2 = in2[:k] + in2[k + 1:]
-    if add_in2:
-        in2 = tuple(sorted(in2 + add_in2))
-    return _new(Representative,
-                (live, budget, ti, out1, out2, out3, in1, in2, wrap))
+        t = field - _TO_TRANSITS
+        fields[t] = _drop(fields[t], consumed)
+    for f, entries in move.adds:
+        fields[f] = tuple(sorted(fields[f] + entries))
+    return _new(Representative, fields)
 
 
 def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> tuple:
@@ -711,18 +710,19 @@ def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> tuple:
 
 def rep_successors(sys: cm.System, rep: Representative) -> list:
     """All internal steps of the representative semantics, as
-    (rule instance, successor) pairs, canonically sorted.
+    (rule instance, successor) pairs, unordered: ``lts.labelled_targets``
+    orders a state's transitions.
 
-    Each collector move comes from its ``Move`` record, looked up by the
-    identities of the collector entry and the transit entry, and every
-    other rule from ``System._rules`` by its step key, so a state pays for
-    no rule text and no local step; only the fields the move changes are
-    rebuilt, and successors are built positionally with
+    Each collector move of either phase comes from its ``Move`` record,
+    looked up by the identities of the collector entry and the transit
+    entry, and every other rule from ``System._rules`` by its step key, so
+    a state pays for no rule text and no local step; only the fields the
+    move changes are rebuilt, and successors are built positionally with
     ``tuple.__new__``, past ``Representative``'s Python-level
     constructor.  Within a validated state the rule instances are
     pairwise distinct (each agent holds one role, and the SRW1/SRW2/SR7
     instances carry distinct parameters), so the list needs no
-    deduplication and the sort orders by rule alone."""
+    deduplication."""
     n = sys.n
     moves, rules = sys._moves, sys._rules
     live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
@@ -734,33 +734,22 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
     # A collector's awaited message is the transit entry that starts with
     # (awaited sender, collector[, round]); the fields are strictly
     # increasing, so bisection finds it.
-    for k, entry in enumerate(in1):
-        q, r, _, _, i = entry
-        awaited = (i, q, r)
-        j = bisect_left(out1, awaited)
-        transit = out1[j] if j < len(out1) and out1[j][:3] == awaited else None
-        if transit is not None:
-            move = (moves.get((id(entry), id(transit)))
-                    or _phase1_move(sys, entry, transit))
-            out.append((move.rule, _phase1_target(rep, k, move)))
-        if i != q and i != spared and phase1_susp:
-            move = (moves.get((id(entry), _NONE))
-                    or _phase1_move(sys, entry, None))
-            out.append((move.rule, _phase1_target(rep, k, move)))
-
-    for k, entry in enumerate(in2):
-        q, _, _, i = entry
-        awaited = (i, q)
-        j = bisect_left(out2, awaited)
-        transit = out2[j] if j < len(out2) and out2[j][:2] == awaited else None
-        if transit is not None:
-            move = (moves.get((id(entry), id(transit)))
-                    or _phase2_move(sys, entry, transit))
-            out.append((move.rule, _phase2_target(rep, k, move)))
-        if i != q and i != spared:
-            move = (moves.get((id(entry), _NONE))
-                    or _phase2_move(sys, entry, None))
-            out.append((move.rule, _phase2_target(rep, k, move)))
+    for field, awaited_by in _AWAITED:
+        transits = rep[field - _TO_TRANSITS]
+        suspects = phase1_susp or field == _IN2
+        for k, entry in enumerate(rep[field]):
+            awaited = awaited_by(entry)
+            i, q = awaited[0], awaited[1]
+            j = bisect_left(transits, awaited)
+            if j < len(transits) and transits[j][:len(awaited)] == awaited:
+                transit = transits[j]
+                move = (moves.get((id(entry), id(transit)))
+                        or _move(sys, field, entry, transit))
+                out.append((move.rule, _move_target(rep, field, k, move)))
+            if i != q and i != spared and suspects:
+                move = (moves.get((id(entry), _NONE))
+                        or _move(sys, field, entry, None))
+                out.append((move.rule, _move_target(rep, field, k, move)))
 
     wj, ww, wb = wrap
     if wb == 1 and 1 <= wj <= n:
@@ -795,7 +784,6 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 out.append((rule, _new(Representative, (
                     live[:k] + live[k + 1:], budget - 1, ti, *kept, wrap))))
 
-    out.sort()
     return out
 
 

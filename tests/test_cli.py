@@ -264,6 +264,26 @@ def test_trace_bytes_are_pinned(capsys):
         "2be2ae15988603820df434bf1095d7463f98cee8381cd65b2a0579f8fc6b14c0")
 
 
+# A schedule of n=2 (5,7) under no-ti-protection to a sync collector whose
+# decision is undefined: its round-phase suspicion hit the trusted immortal.
+UNDEFINED_SCHEDULE = ["ti=1", "SR4 q=2 p=1 r=1", "SR3 q=2 p=2 r=1",
+                      "SR1 q=1 p=1 r=1", "SR6 q=1 p=2 r=1", "SR1' q=2 p=1"]
+
+
+@pytest.mark.parametrize("past", [[], ["SR7 p=2"]])
+def test_trace_stops_where_the_algorithm_is_undefined(capsys, past):
+    # Steps scheduled past the undefined state are not replayed: the
+    # replay up to it is printed either way, and the run exits 3.
+    code, out, err = run(capsys, "trace", "--n", "2", "--values", "5,7",
+                         "--budget", "1", "--mutate", "no-ti-protection",
+                         *UNDEFINED_SCHEDULE, *past)
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("-- ")] == [
+        *(f"-- {step}" for step in UNDEFINED_SCHEDULE),
+        "-- enabled: undefined (no known entry to decide on)"]
+
+
 def test_trace_rejects_disabled_step(capsys):
     code, _, err = run(capsys, "trace", "--n", "1", "--values", "4",
                        "ti=1", "SR7 p=1")

@@ -35,6 +35,8 @@ from consrep.repsem import _NONE, Representative
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_BOUND = 3000
+# The index of the round collectors' field in a representative.
+IN1 = Representative._fields.index("in1")
 
 
 def step_keys(sys: cm.System, rep: Representative) -> dict | None:
@@ -291,8 +293,9 @@ def test_a_corrupted_move_record_fails_as_in_the_oracle():
         for rep in lts.initial_reps(sys_):
             repsem.rep_successors(sys_, rep)
         key, move = next((k, mv) for k, mv in sys_._moves.items()
-                         if mv.consumed is not None and mv.adds.in1)
-        sys_._moves[key] = move._replace(adds=move.adds._replace(in1=()))
+                         if mv.consumed is not None and IN1 in dict(mv.adds))
+        sys_._moves[key] = move._replace(
+            adds=tuple((f, entries) for f, entries in move.adds if f != IN1))
     _assert_fails_as_the_oracle(*systems)
 
 

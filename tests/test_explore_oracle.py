@@ -119,7 +119,7 @@ def test_rep_successor_rules_are_distinct(explored):
             succs = repsem.rep_successors(sys_, rep)
             rules = [rule for rule, _ in succs]
             assert len(set(rules)) == len(rules)
-            assert succs == sorted(set(succs))
+            assert sorted(succs) == sorted(set(succs))
             states += 1
     assert states > N3_PREFIX
 

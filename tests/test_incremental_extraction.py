@@ -86,7 +86,7 @@ def _walk(sys_, rng) -> list:
     while True:
         states.append(rep)
         try:
-            succs = [s for s in repsem.rep_successors(sys_, rep)
+            succs = [s for s in sorted(repsem.rep_successors(sys_, rep))
                      if not s[0].startswith("SR7")]
         except EmptyKnowledge:
             return states

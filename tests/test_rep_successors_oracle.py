@@ -14,7 +14,10 @@ four mutations (where a decision is undefined, both raise), and on seeded
 samples of an n=3 (1,2,3) prefix.  A representative rebuilt from plain
 tuples must get the same successors as its interned twin, and every move
 record must hold the objects its key names, so no id in a key is reused
-while the record exists.
+while the record exists.  ``rep_successors`` returns its pairs unordered,
+so they are compared sorted.  Between them, the compared states fire
+every collector family of both phases, so each entry of the move
+builder's family table is checked.
 """
 
 import random
@@ -31,6 +34,10 @@ from test_entry_intern import plain
 
 N3_PREFIX = 3000
 N3_SAMPLES = 500
+
+# The rule families of the collector moves, round phase then sync phase.
+COLLECTOR_FAMILIES = {"SR1", "SR2", "SR3", "SR4", "SR5", "SR6",
+                      "SR1'", "SR2'", "SR4'", "SR5'"}
 
 
 def _merge(entries: tuple, new: tuple) -> tuple:
@@ -152,17 +159,20 @@ def reference_rep_successors(sys: cm.System, rep: Representative) -> list:
 
 
 def _outcome(successors, sys_, rep):
-    """The successor list, or the type and message of what was raised."""
+    """The successor list, sorted, or the type and message of what was
+    raised."""
     try:
-        return successors(sys_, rep)
+        return sorted(successors(sys_, rep))
     except EmptyKnowledge as exc:
         return EmptyKnowledge, str(exc)
 
 
-def _assert_same_successors(sys_, reps) -> int:
+def _assert_same_successors(sys_, reps, families=None) -> int:
     """The reference on a fresh System and ``rep_successors`` on ``sys_``,
     on each of ``reps``; the latter also on the plain-tuple twin of each
-    state.  Returns the number of states where both raised."""
+    state.  Adds the family of each collector rule compared to
+    ``families``, where given.  Returns the number of states where both
+    raised."""
     fresh = cm.build_system(sys_.inst, sys_.mutations)
     undefined = 0
     for rep in reps:
@@ -176,6 +186,9 @@ def _assert_same_successors(sys_, reps) -> int:
             # Equal in value is not enough for the state store: each
             # successor must be a Representative, as the old one built.
             assert all(type(target) is Representative for _, target in got)
+            if families is not None:
+                families.update(rule.family for rule, _ in got
+                                if rule.family in COLLECTOR_FAMILIES)
     return undefined
 
 
@@ -197,14 +210,19 @@ def _graph(sys_, bound=verifier.DEFAULT_MAX_STATES):
 def test_every_n12_state_matches_the_reference(mutation):
     mutations = [mutation] if mutation else []
     undefined = 0
+    families = set()
     for inst in INSTANCES_1 + INSTANCES_2:
         sys_ = cm.build_system(inst, mutations)
         graph = _graph(sys_)
         nodes = sorted(graph.nodes, key=graph.node_ids.get)
-        undefined += _assert_same_successors(sys_, nodes)
+        undefined += _assert_same_successors(sys_, nodes, families)
         assert _assert_records_hold_their_keys(sys_) > 0
     # Only no-ti-protection reaches an undefined decision on these instances.
     assert (undefined > 0) == (mutation == "no-ti-protection")
+    if mutation is None:
+        # SR2 and SR5 roll a collector into a round after the first, which
+        # needs n=3: the sampled n=3 states fire them.
+        assert families == COLLECTOR_FAMILIES - {"SR2", "SR5"}
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +236,9 @@ def n3_prefix():
 def test_sampled_n3_states_match_the_reference(n3_prefix):
     sys3, nodes = n3_prefix
     sample = random.Random(20261019).sample(nodes, N3_SAMPLES)
-    assert _assert_same_successors(sys3, sample) == 0
+    families = set()
+    assert _assert_same_successors(sys3, sample, families) == 0
+    assert {"SR2", "SR5"} <= families
     assert _assert_same_successors(cm.build_system(INSTANCE_3), sample) == 0
     # The plain-tuple twins filled records of their own, which hold the
     # twins' tuples, so no id in a key is reused while its record lives.
