@@ -23,7 +23,7 @@ pseudocode where suspected agents simply contribute no message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .calculus_ast import (
     BOT,
@@ -69,8 +69,7 @@ MUTATIONS = frozenset({
 # ---------------------------------------------------------------------------
 # Problem instances.
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(NamedTuple):
     n: int
     values: tuple
     budget: int
@@ -462,45 +461,57 @@ def restriction(n: int) -> tuple:
     return tuple(sorted(chans))
 
 
-@dataclass(frozen=True)
 class System:
-    """A problem instance bundled with its equations and channel scope."""
-    inst: ProblemInstance
-    defs: Defs
-    restriction: tuple
-    mutations: frozenset = field(default_factory=frozenset)
-    # Waiting-shape builder results; state components recur constantly.
-    _wait_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    # One ``repsem.Move`` per collector move of the representative
-    # semantics, keyed by the identities of the collector entry and of the
-    # transit entry it consumes (None for the suspicion twin); each record
-    # holds both objects alive.  Collector moves recur across states.
-    _moves: dict = field(default_factory=dict, compare=False, repr=False)
-    # The ``repsem.Rule`` of each observer and crash step of the
-    # representative semantics, by its step key, with the decision whose
-    # identity an SRW1 key names, held alive.
-    _rules: dict = field(default_factory=dict, compare=False, repr=False)
-    # Calculus-side canonicalisation per component (see repsem): the
-    # round-trip-checked component of each representative slot, and, by
-    # the identity of each replacement leaf, the leaf and the slots it
-    # evaluates to.
-    _slot_comps: dict = field(default_factory=dict, compare=False, repr=False)
-    _leaf_slots: dict = field(default_factory=dict, compare=False, repr=False)
-    # The located leaves a Com step leaves behind, per Com step key
-    # ("c", input owner, output owner); the two owners' slots determine
-    # the leaves (see lts._com_leaves).
-    _received: dict = field(default_factory=dict, compare=False, repr=False)
-    # What each slot's component offers a calculus step, by the identity of
-    # the slot's entry, or by the wrap value for the observer (see
-    # lts._offer).
-    _offers: dict = field(default_factory=dict, compare=False, repr=False)
-    # Each distinct representative entry as one ``repsem.Entry``, which
-    # caches its hash; filled where the memos above are filled and by
-    # ``repsem.sf``.
-    _entries: dict = field(default_factory=dict, compare=False, repr=False)
-    # Per entry field (out1 .. in2), by the identity of each entry, what
-    # the validity check says of it (see verifier.check_safety_subset).
-    _validity: dict = field(default_factory=dict, compare=False, repr=False)
+    """A problem instance bundled with its equations and channel scope,
+    and the memos the semantics fill as they run."""
+
+    __slots__ = ("inst", "defs", "restriction", "mutations", "_wait_cache",
+                 "_moves", "_rules", "_slot_comps", "_leaf_slots",
+                 "_leaf_raises", "_received", "_offers", "_entries",
+                 "_validity")
+
+    def __init__(self, inst: ProblemInstance, defs: Defs, restriction: tuple,
+                 mutations: frozenset = frozenset()):
+        self.inst = inst
+        self.defs = defs
+        self.restriction = restriction
+        self.mutations = mutations
+        # Waiting-shape builder results; state components recur constantly.
+        self._wait_cache: dict = {}
+        # One ``repsem.Move`` per collector move of the representative
+        # semantics, keyed by the identities of the collector entry and of
+        # the transit entry it consumes (None for the suspicion twin); each
+        # record holds both objects alive.  Collector moves recur across
+        # states.
+        self._moves: dict = {}
+        # The ``repsem.Rule`` of each observer and crash step of the
+        # representative semantics, by its step key, with the decision
+        # whose identity an SRW1 key names, held alive.
+        self._rules: dict = {}
+        # Calculus-side canonicalisation per component (see repsem): the
+        # round-trip-checked component of each representative slot, and,
+        # by the identity of each replacement leaf, the leaf and the slots
+        # it evaluates to, or, where its evaluation raises, the leaf and
+        # the message it raises.
+        self._slot_comps: dict = {}
+        self._leaf_slots: dict = {}
+        self._leaf_raises: dict = {}
+        # The located leaves a Com step leaves behind, per Com step key
+        # ("c", input owner, output owner); the two owners' slots determine
+        # the leaves (see lts._com_leaves).
+        self._received: dict = {}
+        # What each slot's component offers a calculus step, by the
+        # identity of the slot's entry, or by the wrap value for the
+        # observer (see lts._offer).
+        self._offers: dict = {}
+        # Each distinct representative entry as one ``repsem.Entry``, which
+        # caches its hash; filled where the memos above are filled and by
+        # ``repsem.sf``.
+        self._entries: dict = {}
+        # Per entry field (out1 .. in2), by the identity of each entry,
+        # what the validity check says of it (see
+        # verifier.check_safety_subset).
+        self._validity: dict = {}
 
     @property
     def n(self) -> int:

@@ -8,7 +8,6 @@ iterates them as ``lts.Transition``s.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import pairwise
 
 from . import lts
@@ -63,13 +62,31 @@ class Edges:
         return hash(self._fields())
 
 
-@dataclass
 class LtsGraph:
-    initials: tuple
-    node_ids: dict                 # Representative -> discovery index
-    edges: Edges                   # over the stored nodes, by node id
-    truncated: bool = False
-    defects: tuple = ()            # (Representative, diagnosis) pairs
+    """The explored graph: its initial states, the id of each stored node
+    (``node_ids``, in discovery order), its edges over those ids, whether
+    exploration stopped at a bound, and the (Representative, diagnosis)
+    pairs of states where the algorithm is undefined.  Two graphs are
+    equal when all five are."""
+
+    __slots__ = ("initials", "node_ids", "edges", "truncated", "defects")
+
+    def __init__(self, initials: tuple, node_ids: dict, edges: Edges,
+                 truncated: bool = False, defects: tuple = ()):
+        self.initials = initials
+        self.node_ids = node_ids   # Representative -> discovery index
+        self.edges = edges         # over the stored nodes, by node id
+        self.truncated = truncated
+        self.defects = defects
+
+    def _value(self) -> tuple:
+        return (self.initials, self.node_ids, self.edges, self.truncated,
+                self.defects)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LtsGraph):
+            return NotImplemented
+        return self._value() == other._value()
 
     @property
     def nodes(self):

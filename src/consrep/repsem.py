@@ -100,7 +100,6 @@ representative.  Emitting `ok` therefore leaves the representative fixed
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_left
 from operator import itemgetter
@@ -116,7 +115,7 @@ from .calculus_ast import (
     res_chain,
     value_str,
 )
-from .errors import InvariantViolation, NotReachableShape
+from .errors import EmptyKnowledge, InvariantViolation, NotReachableShape
 from .evaluation import (
     _located_step,
     evaluate,
@@ -466,13 +465,22 @@ def _leaf_slots(sys: cm.System, leaf) -> tuple:
     The memo is keyed by the identity of ``leaf``, which the records that
     hold it (``lts._offer`` and ``lts``'s Com-leaf memo) make one object
     per leaf, so a lookup hashes no term; the entry keeps ``leaf``
-    alive, so its id is not reused while the entry exists.  Nothing is
-    stored when evaluation raises (an undefined decision), so it raises
-    again on every visit."""
+    alive, so its id is not reused while the entry exists.  A leaf whose
+    evaluation raises ``EmptyKnowledge`` (an undefined decision, reachable
+    only under fault-injection mutations) is recorded once in a memo of its
+    own, ``System._leaf_raises``, with the message, and raises it again on
+    every visit."""
     entry = sys._leaf_slots.get(id(leaf))
     if entry is not None:
         return entry[1]
-    fixed = evaluate(_alone(leaf[1], leaf), sys.defs)
+    raised = sys._leaf_raises.get(id(leaf))
+    if raised is not None:
+        raise EmptyKnowledge(raised[1])
+    try:
+        fixed = evaluate(_alone(leaf[1], leaf), sys.defs)
+    except EmptyKnowledge as exc:
+        sys._leaf_raises[id(leaf)] = (leaf, str(exc))
+        raise
     slots = tuple(_classify(sys, loc, proc)
                   for loc, proc in flatten_components(fixed.net))
     sys._leaf_slots[id(leaf)] = (leaf, slots)
@@ -676,16 +684,18 @@ def _move(sys, field: int, entry, consumed) -> Move:
     return move
 
 
-def _move_target(rep, field: int, k: int, move: Move) -> Representative:
+def _move_target(rep, field: int, k: int, j: int, move: Move) -> Representative:
     """The successor of ``rep`` under ``move`` of the ``k``-th collector of
-    field ``field``: only the fields the move changes are rebuilt."""
+    field ``field``, where the transit entry it consumes, if any, is the
+    ``j``-th of its transit field: only the fields the move changes are
+    rebuilt."""
     fields = list(rep)
     collectors = fields[field]
     fields[field] = collectors[:k] + collectors[k + 1:]
-    consumed = move.consumed
-    if consumed is not None:
+    if move.consumed is not None:
         t = field - _TO_TRANSITS
-        fields[t] = _drop(fields[t], consumed)
+        transits = fields[t]
+        fields[t] = transits[:j] + transits[j + 1:]
     for f, entries in move.adds:
         fields[f] = tuple(sorted(fields[f] + entries))
     return _new(Representative, fields)
@@ -745,11 +755,11 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 transit = transits[j]
                 move = (moves.get((id(entry), id(transit)))
                         or _move(sys, field, entry, transit))
-                out.append((move.rule, _move_target(rep, field, k, move)))
+                out.append((move.rule, _move_target(rep, field, k, j, move)))
             if i != q and i != spared and suspects:
                 move = (moves.get((id(entry), _NONE))
                         or _move(sys, field, entry, None))
-                out.append((move.rule, _move_target(rep, field, k, move)))
+                out.append((move.rule, _move_target(rep, field, k, j, move)))
 
     wj, ww, wb = wrap
     if wb == 1 and 1 <= wj <= n:
@@ -825,6 +835,10 @@ def rep_key(rep: Representative) -> str:
 
 
 def rep_digest(rep: Representative) -> str:
+    # Imported here: only counterexamples and the DOT export render a
+    # digest, and ``hashlib`` loads libcrypto, which a run that renders
+    # none would otherwise pay for at start-up.
+    import hashlib
     return hashlib.sha1(rep_key(rep).encode()).hexdigest()[:10]
 
 

@@ -12,14 +12,19 @@ Every rule on a representative edge is a record (``repsem.Rule``): the
 correspondence check reads its step key, the trace invariants its
 suspicion and crash facts, and the DOT export its family.  No check
 parses rule text.
+
+The exploration loop and the checks that read its graph (confluence,
+normal forms, properties, bisimulation) run with the cyclic garbage
+collector paused (``_gc_paused``).
 """
 
 from __future__ import annotations
 
 import gc
 from array import array
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from itertools import accumulate, chain, islice, pairwise, repeat
+from typing import NamedTuple
 
 from . import consensus_model as cm
 from . import lts, repsem
@@ -34,6 +39,22 @@ from .lts import OK, TAU, action_str
 # about 440 bytes per state, edges, interpreter and memos included.  At
 # that rate this bound would need about 2.2 GB.
 DEFAULT_MAX_STATES = 5_000_000
+
+
+@contextmanager
+def _gc_paused():
+    """The cyclic garbage collector off for a ``with`` block or a decorated
+    function, its state before restored on every exit, raised or
+    returned.  What the checks build (states, edges, memo entries,
+    confluence closures) holds no reference cycles, so a collection would
+    only walk it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
@@ -76,10 +97,7 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     such targets are numbered instead, never expanded, and the graph is
     marked truncated.
 
-    The loop runs with the cyclic garbage collector off, and its state
-    before is restored on every exit, raised or returned: what the loop
-    makes (states, edges, memo entries) holds no reference cycles, so a
-    collection would only walk it."""
+    The loop runs with the cyclic garbage collector off (``_gc_paused``)."""
     initials = tuple(lts.initial_reps(sys))
     node_ids: dict = {}
     nodes: list = []               # node id -> stored node; the BFS queue
@@ -116,9 +134,7 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     setdefault = node_ids.setdefault
     add_target, add_label = targets.append, label_ids.append
     tau_labels: dict = {}          # rule -> label id of (TAU, rule)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         for rep in islice(nodes, limit):
             try:
                 succs = lts.labelled_targets(sys, rep)
@@ -146,9 +162,6 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
                 add_target(ident)
                 add_label(label)
             offsets.append(len(targets))
-    finally:
-        if collecting:
-            gc.enable()
     return graph(len(nodes) > limit)
 
 
@@ -169,8 +182,7 @@ def explore(sys: cm.System, semantics: str = "representative",
 # ---------------------------------------------------------------------------
 # Reports.
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     passed: bool
     details: dict
@@ -185,17 +197,40 @@ class CheckReport:
         }
 
 
-@dataclass
 class CorrespondenceReport:
-    checked: int
-    # (state, target) per internal step, (state, target, action) per
-    # visible one; the target is None where only one side is undefined.
-    sound_failures: list           # extra representative steps
-    complete_failures: list        # unmatched calculus steps
-    truncated: bool
-    defects: list = field(default_factory=list)
-    # The representative graph, where the report passed; truncated with it.
-    graph: LtsGraph | None = field(default=None, repr=False)
+    """What ``check_correspondence`` found.  The failure lists hold
+    (state, target) per internal step and (state, target, action) per
+    visible one; the target is None where only one side is undefined.
+    ``graph`` is the representative graph, where the report passed,
+    truncated with it.  Two reports are equal when all six fields are."""
+
+    __slots__ = ("checked", "sound_failures", "complete_failures",
+                 "truncated", "defects", "graph")
+
+    def __init__(self, checked: int, sound_failures: list,
+                 complete_failures: list, truncated: bool,
+                 defects: list | None = None, graph: LtsGraph | None = None):
+        self.checked = checked
+        self.sound_failures = sound_failures        # extra representative steps
+        self.complete_failures = complete_failures  # unmatched calculus steps
+        self.truncated = truncated
+        self.defects = [] if defects is None else defects
+        self.graph = graph
+
+    def _value(self) -> tuple:
+        return (self.checked, self.sound_failures, self.complete_failures,
+                self.truncated, self.defects, self.graph)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CorrespondenceReport):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __repr__(self) -> str:
+        return (f"CorrespondenceReport(checked={self.checked!r}, "
+                f"sound_failures={self.sound_failures!r}, "
+                f"complete_failures={self.complete_failures!r}, "
+                f"truncated={self.truncated!r}, defects={self.defects!r})")
 
     @property
     def passed(self) -> bool:
@@ -421,6 +456,7 @@ class ConfluenceClosure:
         )
 
 
+@_gc_paused()
 def check_confluence(sys: cm.System, graph: LtsGraph,
                      max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
     """Every single-step evaluation diamond joins on equal fixed points, on
@@ -558,6 +594,7 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
 # ---------------------------------------------------------------------------
 # Normal-form round trips.
 
+@_gc_paused()
 def check_normal_forms(sys: cm.System, graph: LtsGraph) -> CheckReport:
     """Every node's expansion is fully evaluated and extracts back to the
     node.  Extraction succeeded on every reachable state already (or the
@@ -734,6 +771,7 @@ def _decided_values(graph: LtsGraph) -> dict:
     return dict(sorted(decided.items()))
 
 
+@_gc_paused()
 def check_properties(sys: cm.System, graph: LtsGraph) -> CheckReport:
     """Validity, agreement, termination, plus the transition-level trace
     invariants (only `ok` is observable, suspicion spares the trusted
@@ -867,6 +905,7 @@ def _edge_sources(offsets: array):
                                for s, (lo, hi) in enumerate(pairwise(offsets)))
 
 
+@_gc_paused()
 def weak_bisim(graph: LtsGraph):
     """Decide whether the initial states of ``graph`` are weakly bisimilar
     to the specification: one state with an ``ok`` self-loop.

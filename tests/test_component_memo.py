@@ -6,7 +6,8 @@ constant, so ``repsem`` expands each representative slot into a component
 once per System (``_slot_comps``, round trip checked on entry) and
 evaluates and classifies each replacement leaf of a calculus step once
 per System (``_leaf_slots``, keyed by the identity of the leaf and holding
-the leaf beside its slots).  ``lts`` keeps the leaves a Com step leaves
+the leaf beside its slots); a leaf whose evaluation raises is recorded once
+beside its message (``_leaf_raises``).  ``lts`` keeps the leaves a Com step leaves
 behind per step key ("c", input owner, output owner) (``_received``),
 where an owner is an entry's identity or the observer's wrap value, whose
 offer record (``_offers``) holds the slot.
@@ -77,6 +78,12 @@ def _assert_memos_match_recomputation(sys_) -> None:
     # hold equal leaves.
     leaves = [leaf for leaf, _ in sys_._leaf_slots.values()]
     assert len(set(leaves)) == len(leaves)
+    for key, (leaf, message) in sys_._leaf_raises.items():
+        assert key == id(leaf) and key not in sys_._leaf_slots
+        with pytest.raises(EmptyKnowledge, match=message):
+            _classified(fresh, leaf[1], leaf)
+    raising = [leaf for leaf, _ in sys_._leaf_raises.values()]
+    assert len(set(raising)) == len(raising)
     assert sys_._received
     for key, received in sys_._received.items():
         tag, in_owner, out_owner = key
@@ -97,12 +104,26 @@ def test_memos_match_recomputation_on_n12(mutation):
         sys_ = cm.build_system(inst, mutations)
         graph = reference_explore(sys_, calculus_successors)
         _assert_memos_match_recomputation(sys_)
-        # An undefined decision is never stored: every state that reaches
-        # it raises again, on a warm System as on a fresh one.
+        # A leaf whose evaluation raises is recorded exactly where the
+        # algorithm is undefined, and every state that reaches it raises
+        # again, on a warm System as on a fresh one.
+        assert bool(sys_._leaf_raises) == bool(graph.defects)
         for rep, _ in graph.defects:
             for system in (sys_, cm.build_system(inst, mutations)):
                 with pytest.raises(EmptyKnowledge):
                     calculus_successors(system, rep)
+
+
+def test_correspondence_records_the_leaves_that_raise():
+    # Under no-ti-protection each n=2 instance has two leaves whose
+    # evaluation meets an empty decision; every other n<=2 run has none.
+    for mutation in [None, *sorted(cm.MUTATIONS)]:
+        mutations = [mutation] if mutation else []
+        for inst in INSTANCES_1 + INSTANCES_2:
+            sys_ = cm.build_system(inst, mutations)
+            verifier.check_correspondence(sys_)
+            expected = 2 if mutation == "no-ti-protection" and inst.n == 2 else 0
+            assert len(sys_._leaf_raises) == expected, (mutation, inst)
 
 
 def test_expansion_lays_out_sfi_on_n12():

@@ -10,9 +10,9 @@ paths.  On the same states ``repsem.crash_target`` must equal the Stop
 target ``repsem.sf_step`` built before it delegated to it (kept below as
 ``former_stop_target``) and full extraction of the raw Stop configuration.
 
-``verifier._bfs`` runs with the cyclic GC off; the walkers that once left
-a reference cycle per call no longer do, and the GC's state is restored on
-every exit.
+``verifier._bfs`` and the checks after correspondence run with the cyclic
+GC off; the walkers that once left a reference cycle per call no longer
+do, and the GC's state is restored on every exit.
 """
 
 import gc
@@ -24,7 +24,12 @@ import pytest
 from consrep import cli, lts, repsem, verifier
 from consrep import consensus_model as cm
 from consrep.calculus_ast import BOT
-from consrep.errors import BoundExceeded, EmptyKnowledge, InvariantViolation
+from consrep.errors import (
+    BoundExceeded,
+    EmptyKnowledge,
+    GraphTruncated,
+    InvariantViolation,
+)
 from consrep.repsem import Representative
 from conftest import raw_config
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
@@ -219,6 +224,24 @@ def test_the_loop_restores_the_collectors_state(monkeypatch, enabled):
             m.setattr(repsem, "validate_rep", failing)
             with pytest.raises(InvariantViolation, match="planted"):
                 verifier.check_correspondence(sys2)
+        assert gc.isenabled() == enabled
+
+        # The checks after correspondence pause the collector through the
+        # same helper, and restore it when they raise.
+        graph = verifier.explore(sys2)
+
+        def planted(sys_, slot):
+            assert not gc.isenabled()
+            raise InvariantViolation("planted")
+
+        with monkeypatch.context() as m:
+            m.setattr(repsem, "_slot_component", planted)
+            with pytest.raises(InvariantViolation, match="planted"):
+                verifier.check_normal_forms(sys2, graph)
+        assert gc.isenabled() == enabled
+        graph.truncated = True
+        with pytest.raises(GraphTruncated):
+            verifier.weak_bisim(graph)
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
