@@ -35,9 +35,10 @@ from .graph import Edges, LtsGraph
 from .lts import OK, TAU, action_str
 
 # The full n=3 (1,2,3) ``explore``, 1,060,526 states and 4,179,558 edges,
-# peaked at 446 MiB RSS on CPython 3.11 (2-core x86-64 Linux, one run):
-# about 440 bytes per state, edges, interpreter and memos included.  At
-# that rate this bound would need about 2.2 GB.
+# peaked at 423 MiB RSS on CPython 3.11 (2-core x86-64 Linux, one run,
+# ``MALLOC_MMAP_THRESHOLD_=131072``): about 420 bytes per state, edges,
+# interpreter and memos included.  At that rate this bound would need
+# about 2.1 GB.
 DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -64,11 +65,12 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
 
     A state's transitions come as sorted (action, target, rule) triples
     (``lts.labelled_targets``), so exploring builds no ``Transition``.
+    Where the algorithm itself is undefined (an empty decision, reachable
+    only under fault-injection mutations) ``triples`` is None, and the
+    state is kept as a node with no successors and recorded as a defect.
+    With ``compare`` None every step is followed.  Otherwise
     ``compare(state, triples)`` sees each state before its edges are
-    stored, with ``triples`` None where the algorithm itself is undefined
-    (an empty decision, reachable only under fault-injection mutations;
-    such a state is kept as a node with no successors and recorded as a
-    defect).  It returns the targets to admit before the edges, or None to
+    stored, and returns the targets to admit before the edges, or None to
     follow none of the state's steps.  Each state is validated once, when
     it is first discovered, and numbered in discovery order; since the
     `ok` loop's target is its source, a state's new targets are met in
@@ -141,13 +143,14 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
             except EmptyKnowledge as exc:
                 defects.append((rep, str(exc)))
                 succs = None
-            first = compare(rep, succs)
-            if first is None:
-                succs = None
-            else:
-                for target in first:
-                    if setdefault(target, len(nodes)) == len(nodes):
-                        admit(target, None)
+            if compare is not None:
+                first = compare(rep, succs)
+                if first is None:
+                    succs = None
+                else:
+                    for target in first:
+                        if setdefault(target, len(nodes)) == len(nodes):
+                            admit(target, None)
             for action, target, rule in succs or ():
                 count = len(nodes)
                 ident = setdefault(target, count)
@@ -165,10 +168,6 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     return graph(len(nodes) > limit)
 
 
-def _follow_every_step(rep, succs) -> tuple:
-    return ()
-
-
 def explore(sys: cm.System, semantics: str = "representative",
             max_states: int = DEFAULT_MAX_STATES) -> LtsGraph:
     """The representative graph of the instance (the only ``semantics``
@@ -176,7 +175,7 @@ def explore(sys: cm.System, semantics: str = "representative",
     graph when a target lies past ``max_states`` (see ``_bfs``)."""
     if semantics != "representative":
         raise ValueError(f"unknown semantics {semantics!r}")
-    return _bfs(sys, max_states, _follow_every_step, truncate=False)
+    return _bfs(sys, max_states, compare=None, truncate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -197,40 +196,19 @@ class CheckReport(NamedTuple):
         }
 
 
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """What ``check_correspondence`` found.  The failure lists hold
     (state, target) per internal step and (state, target, action) per
     visible one; the target is None where only one side is undefined.
     ``graph`` is the representative graph, where the report passed,
-    truncated with it.  Two reports are equal when all six fields are."""
+    truncated with it."""
 
-    __slots__ = ("checked", "sound_failures", "complete_failures",
-                 "truncated", "defects", "graph")
-
-    def __init__(self, checked: int, sound_failures: list,
-                 complete_failures: list, truncated: bool,
-                 defects: list | None = None, graph: LtsGraph | None = None):
-        self.checked = checked
-        self.sound_failures = sound_failures        # extra representative steps
-        self.complete_failures = complete_failures  # unmatched calculus steps
-        self.truncated = truncated
-        self.defects = [] if defects is None else defects
-        self.graph = graph
-
-    def _value(self) -> tuple:
-        return (self.checked, self.sound_failures, self.complete_failures,
-                self.truncated, self.defects, self.graph)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CorrespondenceReport):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __repr__(self) -> str:
-        return (f"CorrespondenceReport(checked={self.checked!r}, "
-                f"sound_failures={self.sound_failures!r}, "
-                f"complete_failures={self.complete_failures!r}, "
-                f"truncated={self.truncated!r}, defects={self.defects!r})")
+    checked: int
+    sound_failures: list        # extra representative steps
+    complete_failures: list     # unmatched calculus steps
+    truncated: bool
+    defects: list
+    graph: LtsGraph | None = None
 
     @property
     def passed(self) -> bool:
@@ -286,26 +264,25 @@ def _confluence_starts(sys: cm.System, graph: LtsGraph):
         yield from lts.step_starts(sys, rep)
 
 
-class ConfluenceClosure:
-    """Every single-step evaluation diamond joins on equal fixed points:
-    the closure behind the confluence check, fed one start at a time.
-
-    ``add(context, start)`` closes one configuration, its context (live,
-    budget, ti) and the components along the right spine of its parallel
-    composition, under single evaluation steps, and compares the fixed
-    points of every branching; ``report()`` gives the verdict.
-    ``check_confluence`` feeds it the starts of a walk over a graph
-    (``_confluence_starts``).
+@_gc_paused()
+def check_confluence(sys: cm.System, graph: LtsGraph,
+                     max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
+    """Every single-step evaluation diamond joins on equal fixed points, on
+    the starts read off the step records of ``graph``
+    (``_confluence_starts``).  Each start, its context (live, budget, ti)
+    and the components along the right spine of its parallel composition,
+    is closed under single evaluation steps, and the fixed points of every
+    branching are compared.
 
     A configuration is keyed by its context and its components, each
-    interned to an int for the life of the closure, so one term has one
-    key.  A start's components are the slot-memo and leaf-memo objects,
-    which recur across states, so they are looked up by identity first
-    (each held alive, so its id is not reused) and hashed as terms only
-    once per object.  The system's restriction, over every configuration,
-    is left out: no evaluation step reads or changes it, nor the context,
-    so a closure stays in one context and probes only its seen set of int
-    tuples.  Evaluation steps act on one component, whose steps are
+    interned to an int for the whole check, so one term has one key.  A
+    start's components are the slot-memo and leaf-memo objects, which
+    recur across states, so they are looked up by identity first (each
+    held alive, so its id is not reused) and hashed as terms only once per
+    object.  The system's restriction, over every configuration, is left
+    out: no evaluation step reads or changes it, nor the context, so a
+    closure stays in one context and probes only that context's seen set
+    of int tuples.  Evaluation steps act on one component, whose steps are
     computed once per (live set, component) in the live set's step table;
     a component with no steps that is not ``nnil`` is passed over, and
     E4/E5 drop an ``nnil`` from the tuple.  The counts and the verdict do
@@ -323,52 +300,37 @@ class ConfluenceClosure:
     undefined), and ``NonTermination`` when some component diverges, which
     is the only way a branch diverges.
 
-    Past ``max_configs`` distinct configurations ``add`` raises
-    ``BoundExceeded``, with no graph; any other error of evaluation
-    propagates from ``add`` as it is."""
+    Raises ``BoundExceeded``, with no graph, past ``max_configs`` distinct
+    configurations; any other error of evaluation propagates as it is."""
+    if graph.truncated:
+        raise GraphTruncated("confluence needs a fully explored graph")
+    defs = sys.defs
+    terms: list = []            # component id -> term
+    ids: dict = {}              # term -> component id
+    by_object: dict = {}        # id of a start component -> component id
+    held: list = []             # the start components, kept alive
+    spines: dict = {}           # component id -> ids along its right spine
+    tables: dict = {}           # live -> (step table, fixed-point table)
+    contexts: dict = {}         # context -> (seen, fixed, config) + tables
+    configurations = diamonds = undefined = 0
+    failures: list = []
 
-    def __init__(self, sys: cm.System, max_configs: int = DEFAULT_MAX_STATES):
-        self.sys = sys
-        self.max_configs = max_configs
-        self.terms: list = []       # component id -> term
-        self.ids: dict = {}         # term -> component id
-        self.by_object: dict = {}   # id of a start component -> component id
-        self.held: list = []        # the start components, kept alive
-        self.spines: dict = {}      # component id -> ids along its right spine
-        self.tables: dict = {}      # live -> (step table, fixed-point table)
-        self.contexts: dict = {}    # context -> (seen, fixed, config) + tables
-        self.nnil = self._intern(NNIL)
-        self.configurations = 0
-        self.diamonds = 0
-        self.undefined = 0
-        self.failures: list = []
-
-    def _intern(self, term) -> int:
-        cid = self.ids.get(term)
+    def intern(term) -> int:
+        cid = ids.get(term)
         if cid is None:
-            cid = self.ids[term] = len(self.terms)
-            self.terms.append(term)
+            cid = ids[term] = len(terms)
+            terms.append(term)
         return cid
 
-    def _start_key(self, start) -> tuple:
-        by_object = self.by_object
-        key = tuple(map(by_object.get, map(id, start)))
-        if None in key:
-            for term in start:
-                if id(term) not in by_object:
-                    by_object[id(term)] = self._intern(term)
-                    self.held.append(term)
-            key = tuple(map(by_object.__getitem__, map(id, start)))
-        return key
-
-    def _spine(self, cid) -> tuple:
-        s = self.spines.get(cid)
+    def spine(cid) -> tuple:
+        s = spines.get(cid)
         if s is None:
-            s = self.spines[cid] = tuple(map(self._intern, _spine(self.terms[cid])))
+            s = spines[cid] = tuple(map(intern, _spine(terms[cid])))
         return s
 
-    def _successors(self, comps, steps_of, cfg) -> set:
-        terms, intern, nnil = self.terms, self._intern, self.nnil
+    nnil = intern(NNIL)
+
+    def successors(comps, steps_of, cfg) -> set:
         last = len(comps) - 1
         succs = set()
         for i, cid in enumerate(comps):
@@ -376,8 +338,7 @@ class ConfluenceClosure:
             if steps is None:
                 steps = steps_of[cid] = tuple(
                     intern(c.net)
-                    for _, c in eval_steps(cfg._replace(net=terms[cid]),
-                                           self.sys.defs))
+                    for _, c in eval_steps(cfg._replace(net=terms[cid]), defs))
             if not steps and cid != nnil:
                 continue
             head, tail = comps[:i], comps[i + 1:]
@@ -390,86 +351,71 @@ class ConfluenceClosure:
                 # The spine's end may step to a parallel composition:
                 # re-flatten it, so that one term keeps one key.
                 for r in steps:
-                    succs.add(head + self._spine(r))
+                    succs.add(head + spine(r))
         if last and comps[last] == nnil:                              # E5
-            succs.add(comps[:last - 1] + self._spine(comps[last - 1]))
+            succs.add(comps[:last - 1] + spine(comps[last - 1]))
         return succs
 
-    def _normalised(self, comps, fixed_of, cfg) -> tuple:
+    def normalised(comps, fixed_of, cfg) -> tuple:
         for cid in comps:
             if cid not in fixed_of:
-                fixed_of[cid] = self._intern(
-                    evaluate(cfg._replace(net=self.terms[cid]), self.sys.defs).net)
+                fixed_of[cid] = intern(
+                    evaluate(cfg._replace(net=terms[cid]), defs).net)
         return tuple(map(fixed_of.__getitem__, comps))
 
-    def add(self, context, start) -> None:
-        """Close the configuration of ``context`` and the components
-        ``start``."""
-        known = self.contexts.get(context)
+    for context, start in _confluence_starts(sys, graph):
+        known = contexts.get(context)
         if known is None:
-            tabs = self.tables.setdefault(context[0], ({}, {}))
-            known = self.contexts[context] = (
+            tabs = tables.setdefault(context[0], ({}, {}))
+            known = contexts[context] = (
                 (set(), {}, Config(*context, net=NNIL)) + tabs)
         seen, fixed, cfg, steps_of, fixed_of = known
-        successors, normalised = self._successors, self._normalised
-        frontier = [self._start_key(start)]
+        key = tuple(map(by_object.get, map(id, start)))
+        if None in key:
+            for term in start:
+                if id(term) not in by_object:
+                    by_object[id(term)] = intern(term)
+                    held.append(term)
+            key = tuple(map(by_object.__getitem__, map(id, start)))
+        frontier = [key]
         while frontier:
             c = frontier.pop()
             if c in seen:
                 continue
             seen.add(c)
-            self.configurations += 1
-            if self.configurations > self.max_configs:
-                raise BoundExceeded(None, self.max_configs)
+            configurations += 1
+            if configurations > max_configs:
+                raise BoundExceeded(None, max_configs)
             try:
                 succs = successors(c, steps_of, cfg)
                 if len(succs) > 1:
-                    self.diamonds += 1
+                    diamonds += 1
                     fixes = set()
                     for n in {normalised(s, fixed_of, cfg) for s in succs}:
                         f = fixed.get(n)
                         if f is None:
-                            whole = npar_chain([self.terms[k] for k in n])
-                            net = evaluate(cfg._replace(net=whole), self.sys.defs).net
-                            f = fixed[n] = tuple(map(self._intern, _spine(net)))
+                            whole = npar_chain([terms[k] for k in n])
+                            net = evaluate(cfg._replace(net=whole), defs).net
+                            f = fixed[n] = tuple(map(intern, _spine(net)))
                         fixes.add(f)
                     if len(fixes) != 1:
-                        self.failures.append(
+                        failures.append(
                             f"a diamond joins on {len(fixes)} distinct fixed points"
                         )
             except EmptyKnowledge:
                 # The algorithm is undefined here (mutations only); nothing
                 # to join.
-                self.undefined += 1
+                undefined += 1
                 continue
             # A successor seen by the time it is popped is skipped there.
             frontier.extend(succs)
-
-    def report(self) -> CheckReport:
-        """The confluence report of every start added."""
-        return CheckReport(
-            name="confluence",
-            passed=not self.failures,
-            details={"configurations": self.configurations,
-                     "diamonds": self.diamonds, "undefined": self.undefined},
-            counterexamples=self.failures,
-        )
-
-
-@_gc_paused()
-def check_confluence(sys: cm.System, graph: LtsGraph,
-                     max_configs: int = DEFAULT_MAX_STATES) -> CheckReport:
-    """Every single-step evaluation diamond joins on equal fixed points, on
-    the starts read off the step records of ``graph``
-    (``_confluence_starts``): a ``ConfluenceClosure`` fed by a walk over
-    the graph.  Raises ``BoundExceeded`` past ``max_configs`` distinct
-    configurations."""
-    if graph.truncated:
-        raise GraphTruncated("confluence needs a fully explored graph")
-    closure = ConfluenceClosure(sys, max_configs)
-    for context, start in _confluence_starts(sys, graph):
-        closure.add(context, start)
-    return closure.report()
+    return CheckReport(
+        name="confluence",
+        passed=not failures,
+        details={"configurations": configurations, "diamonds": diamonds,
+                 "undefined": undefined},
+        counterexamples=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +485,8 @@ def check_correspondence(sys: cm.System, max_states: int = DEFAULT_MAX_STATES,
                       | {t for _, t in rep_visible | calc_visible})
 
     graph = _bfs(sys, max_states, compare, truncate=True)
-    report = CorrespondenceReport(checked, sound, complete, graph.truncated, defects)
-    if report.passed:
-        report.graph = graph
-    return report
+    return CorrespondenceReport(checked, sound, complete, graph.truncated,
+                                defects, None if sound or complete else graph)
 
 
 def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:

@@ -130,9 +130,9 @@ def test_verify_skips_whole_graph_checks_past_the_bound(capsys):
 def test_verify_reports_the_confluence_configuration_bound(capsys, monkeypatch):
     # The graph is complete, so only confluence's own bound on distinct
     # configurations stops it; the report names that bound.
-    real = verifier.ConfluenceClosure
-    monkeypatch.setattr(verifier, "ConfluenceClosure",
-                        lambda sys_, max_configs=10: real(sys_, max_configs=10))
+    real = verifier.check_confluence
+    monkeypatch.setattr(verifier, "check_confluence",
+                        lambda sys_, graph, max_configs=10: real(sys_, graph, 10))
     code, out, _ = run(capsys, "verify", "--n", "1", "--values", "4")
     assert code == 2
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
@@ -187,13 +187,13 @@ def test_verify_walks_the_graph_it_holds_for_confluence_once(
     # Confluence walks the one graph the later checks share: the
     # correspondence check's, or a fresh one where that check fails.
     calls = counting(monkeypatch, (verifier, "check_confluence"),
-                     (verifier, "ConfluenceClosure"))
+                     (verifier, "_confluence_starts"))
     argv = ["verify", "--n", "2", "--values", "5,7", "--budget", "1"]
     code, out, _ = run(capsys, *argv, *(["--mutate", mutation] if mutation else []))
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
     assert reports["confluence"]["status"] == "pass"
     assert code == (0 if mutation is None else 3)
-    assert calls == {"check_confluence": 1, "ConfluenceClosure": 1}
+    assert calls == {"check_confluence": 1, "_confluence_starts": 1}
 
 
 def test_verify_past_the_state_bound_builds_no_confluence_closure(
@@ -201,11 +201,11 @@ def test_verify_past_the_state_bound_builds_no_confluence_closure(
     # The truncated correspondence graph already shows the bound exceeded:
     # no second exploration, and no confluence work whose report is skipped.
     calls = counting(monkeypatch, (verifier, "explore"),
-                     (verifier, "ConfluenceClosure"))
+                     (verifier, "check_confluence"))
     code, _, _ = run(capsys, "verify", "--n", "2", "--values", "5,7",
                      "--max-states", "10")
     assert code == 2
-    assert calls == {"explore": 0, "ConfluenceClosure": 0}
+    assert calls == {"explore": 0, "check_confluence": 0}
 
 
 def test_verify_single_agent(capsys):

@@ -24,6 +24,7 @@ import pytest
 from consrep import consensus_model as cm
 from consrep import evaluation, lts, repsem, verifier
 from consrep.calculus_ast import Config, substitute
+from consrep.cli import main
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.evaluation import evaluate, flatten_components, split_restriction
 from conftest import calculus_successors
@@ -187,3 +188,49 @@ def test_a_warm_system_evaluates_only_the_initial_states(monkeypatch):
         assert verifier.check_correspondence(sys_) == first
         monkeypatch.undo()
         assert evaluated == lts.select_ti(cm.make_initial(inst))
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])
+def test_the_leaf_memo_covers_the_leaves_of_the_graph_verify_holds(
+        monkeypatch, tmp_path, mutation):
+    # The leaves the memo holds right after the correspondence check (those
+    # that evaluate and those that raise) against the leaves of the calculus
+    # steps of every node of the graph ``verify`` hands to confluence.  Where
+    # correspondence passes, that graph is its own and the two sets are
+    # equal; where it fails, the memo also holds the leaves of the states
+    # only the check's union exploration reached.
+    seen = {}
+    check_correspondence = verifier.check_correspondence
+    check_confluence = verifier.check_confluence
+
+    def correspondence(sys_, *args):
+        report = check_correspondence(sys_, *args)
+        seen["passed"] = report.passed
+        seen["memo"] = {leaf for memo in (sys_._leaf_slots, sys_._leaf_raises)
+                        for leaf, _ in memo.values()}
+        return report
+
+    def confluence(sys_, graph, *args):
+        seen["walk"] = {step[1] for rep in graph.nodes
+                        for step in lts.keyed_steps(sys_, rep)
+                        if step[1] is not None}
+        return check_confluence(sys_, graph, *args)
+
+    monkeypatch.setattr(verifier, "check_correspondence", correspondence)
+    monkeypatch.setattr(verifier, "check_confluence", confluence)
+    failed = []
+    for inst in INSTANCES_1 + INSTANCES_2:
+        seen.clear()
+        argv = ["verify", "--n", str(inst.n),
+                "--values", ",".join(map(str, inst.values)),
+                "--budget", str(inst.budget), "--output", str(tmp_path / "r")]
+        main(argv + (["--mutate", mutation] if mutation else []))
+        assert seen["walk"], inst
+        if seen["passed"]:
+            assert seen["memo"] == seen["walk"], inst
+        else:
+            assert seen["memo"] > seen["walk"], inst
+            failed.append(inst)
+    # Correspondence fails on every n=2 instance under exactly these two.
+    assert len(failed) == (6 if mutation in ("no-phase1-susp",
+                                             "sr1-deletes-in1") else 0)

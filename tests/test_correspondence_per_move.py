@@ -135,11 +135,9 @@ def oracle_correspondence(sys: cm.System,
                       | {t for _, t in rep_visible | calc_visible})
 
     graph = verifier._bfs(sys, max_states, compare, truncate=True)
-    report = verifier.CorrespondenceReport(checked, sound, complete,
-                                           graph.truncated, defects)
-    if report.passed:
-        report.graph = graph
-    return report
+    return verifier.CorrespondenceReport(checked, sound, complete,
+                                         graph.truncated, defects,
+                                         None if sound or complete else graph)
 
 
 def observed(checker, sys_, max_states) -> tuple:
