@@ -39,15 +39,22 @@ by identity per move, and a rebuild of just the fields the move changes
 (an entry dropped, a sorted merge).  An undefined decision raises before
 anything is stored.  ``rep_successors`` does not validate what it
 returns: its consumers validate each state once, when they first
-discover it, against the state it was built from where they have it, so
-only the checks of the fields a step rebuilt run (``validate_rep``).
+discover it, against the state it was built from and the rule that built
+it where they have them (``validate_rep``).  Each rule preserves the
+invariants, so such a state is checked only for what its rule changed, as
+the rule's ``Patch`` states it: the entries it added, the agent it
+crashed, the observer it rebuilt.  A field the rule only drops from is a
+sub-sequence of its source's validated field by construction
+(``_move_target``'s slices and sorted merge, SR7's owner filter, SRW1's
+``_drop``) and is not walked; that is the trust boundary, and
+``tests/test_validate_source.py`` pins it edge by edge.
 
 Each rule instance is a ``Rule`` record, made once: the ``Move`` of a
 collector move builds its rule, the observer and crash rules come from a
 memo on the System by step key, and ``lts.OK_RULE`` serves every System.  A rule renders,
 hashes and sorts as its text, and carries what the checks read of it: its
-family, the agent it suspects or perfectly suspects, and its step key,
-which names the entries the step consumes in the key space of
+family, the agent it suspects or perfectly suspects, its patch, and its
+step key, which names the entries the step consumes in the key space of
 ``lts.keyed_steps``, so that the correspondence check pairs the two
 semantics' steps without building the calculus targets.  No check parses
 rule text.
@@ -158,17 +165,22 @@ class Rule(str):
     * ``suspected``: the agent a suspicion suspects, None for any other
       rule;
     * ``perfect``: the agent a perfect suspicion passes, 0 for any other
-      rule.
+      rule;
+    * ``patch``: what the rule changes in any state it applies to (a
+      ``Patch``, made with the rule), by which ``validate_rep`` checks its
+      targets; None for the `ok` send, whose target is its source, and for
+      a move that adds an entry out of bounds (``_patch``).
 
     A key names entries by identity, which means nothing in another
     process, so a rule pickles and copies as a plain ``str``.  A str
     subclass cannot have non-empty ``__slots__``."""
 
     def __new__(cls, text: str, family: str, key: tuple, suspected=None,
-                perfect: int = 0):
+                perfect: int = 0, patch=None):
         self = str.__new__(cls, text)
         self.family, self.key = family, key
         self.suspected, self.perfect = suspected, perfect
+        self.patch = patch
         return self
 
     def __reduce__(self):
@@ -221,15 +233,144 @@ _FIELD = {kind: k for k, kind in enumerate(Representative._fields) if k >= 3}
 _new = tuple.__new__
 
 
-# Stands for "no source" in ``validate_rep``: no field of a representative
-# is one of these objects.
-_NO_SOURCE = tuple(object() for _ in Representative._fields)
+_OUT1, _OUT2, _OUT3, _IN1, _IN2, _WRAP = _FIELD.values()
+
+
+class Patch(NamedTuple):
+    """What one rule instance changes in any state it applies to, fields
+    named by their index in a representative; ``validate_rep`` checks a
+    target that the rule built from a validated source by this alone."""
+    same: tuple      # the fields of live, out1 .. in2, wrap it leaves alone
+    drops: tuple     # the fields it only drops entries from
+    adds: tuple      # (field index, entries) per entry field it adds to
+    crashed: int     # the agent SR7 removes, 0 for every other rule
+    wrap: bool       # whether it rebuilds the observer
+    # Per added entry: (field index, entry, owner, key, the key's reader,
+    # the other role fields where it joins out3, in1 or in2).
+    placed: tuple
+
 
 # An entry's first field is its owner.
 _owner = itemgetter(0)
 
+# The key an entry of out1 .. in2 holds once in its field, by field index:
+# (sender, receiver, round) of a round message, (sender, receiver) of a
+# sync message, the owner of the rest.  Entries sort by key first.
+_KEY = {_OUT1: itemgetter(0, 1, 2), _OUT2: itemgetter(0, 1), _OUT3: _owner,
+        _IN1: _owner, _IN2: _owner}
 
-def validate_rep(sys: cm.System, rep: Representative, source=None) -> None:
+# The fields whose entries are roles, an agent holding at most one: per
+# field of out1 .. in2, the other role fields.
+_ROLES = (_OUT3, _IN1, _IN2)
+_RIVALS = {f: tuple(g for g in _ROLES if g != f) if f in _ROLES else ()
+           for f in _KEY}
+
+
+def _in_bounds(n: int, field: int, entry) -> bool:
+    """Whether the agents and rounds ``entry`` of field ``field`` names,
+    its owner aside, lie within the instance's bounds."""
+    if field == _OUT1:
+        return 1 <= entry[1] <= n and 1 <= entry[2] < n
+    if field == _OUT2:
+        return 1 <= entry[1] <= n
+    if field == _IN1:
+        return 1 <= entry[1] < n and 1 <= entry[4] <= n
+    if field == _IN2:
+        return 1 <= entry[3] <= n
+    return True
+
+
+def _patch(n: int, drops: tuple = (), adds: tuple = (), crashed: int = 0,
+           wrap: bool = False) -> Patch | None:
+    """The patch of a rule that drops entries from the fields ``drops``,
+    adds the (field, entries) pairs ``adds``, removes agent ``crashed`` if
+    not 0, and rebuilds the observer if ``wrap``; a field both dropped
+    from and added to counts as added to.  None where an added entry lies
+    out of the bounds of an instance of ``n`` agents, a fact of the entry
+    alone, so that the rule's targets get every check."""
+    if not all(_in_bounds(n, f, e) for f, entries in adds for e in entries):
+        return None
+    added = {f for f, _ in adds}
+    changed = {*drops, *added, *((_WRAP,) if wrap else ())}
+    same = tuple(k for k in (0, *_FIELD.values()) if k not in changed)
+    placed = tuple((f, e, e[0], _KEY[f](e), _KEY[f], _RIVALS[f])
+                   for f, entries in adds for e in entries)
+    return Patch(same, tuple(f for f in drops if f not in added), adds,
+                 crashed, wrap, placed)
+
+
+# Stands for "no source" in ``validate_rep``: no field of a representative
+# is one of these objects.
+_NO_SOURCE = tuple(object() for _ in Representative._fields)
+
+
+def _wrap_fault(n: int, wrap) -> str | None:
+    """What is wrong with the observer ``wrap``, or None."""
+    wj, ww, wb = wrap
+    if wb not in (0, 1):
+        return f"observer flag {wb}"
+    if not 0 <= wj <= n:
+        return f"observer position {wj}"
+    if wj == 0 and (wb != 1 or ww != BOT):
+        return "observer at ok must be accepting with no remembered value"
+    return None
+
+
+def _patch_accepts(n: int, rep, source, patch: Patch) -> bool:
+    """Whether ``rep``, built by a rule with ``patch`` from the validated
+    ``source``, keeps the representative invariants, judged by what the
+    rule changed.  False means only that this does not show it.
+
+    A field the rule only drops from is a sub-sequence of the source's
+    field by construction (``_move_target``'s slices and sorted merge,
+    SR7's owner filter, SRW1's ``_drop``), so its entries stay in bounds,
+    distinct and in order, and it is not walked.  What is checked: the
+    budget and the trusted immortal; that the fields the rule leaves alone
+    are the source's objects; after SR7, that just its agent left the live
+    set and no entry field holds an entry of it (entries sort by owner
+    first, so one bisection per field); per added entry (``_patch``
+    checked its bounds), that its owner is live and that it sits in its
+    field with its neighbours' keys strictly below and above its own, so
+    the field stays strictly increasing with no key twice; the roles, where
+    an entry joined out3, in1 or in2; and a rebuilt observer."""
+    live = rep[0]
+    if rep[1] < 0 or rep[2] not in live:
+        return False
+    for k in patch.same:
+        if rep[k] is not source[k]:
+            return False
+    crashed = patch.crashed
+    if crashed:
+        if crashed in live or len(live) != len(source[0]) - 1:
+            return False
+        probe = (crashed,)
+        for field in rep[3:8]:
+            if field:
+                j = bisect_left(field, probe)
+                if j < len(field) and field[j][0] == crashed:
+                    return False
+    for f, entry, owner, key, key_of, rivals in patch.placed:
+        if owner not in live:
+            return False
+        field = rep[f]
+        k = bisect_left(field, entry)
+        if k == len(field) or field[k] is not entry:
+            return False
+        if k and not key_of(field[k - 1]) < key:
+            return False
+        if k + 1 < len(field) and not key < key_of(field[k + 1]):
+            return False
+        for g in rivals:
+            other = rep[g]
+            if other:
+                j = bisect_left(other, (owner,))
+                if j < len(other) and other[j][0] == owner:
+                    return False
+    return not patch.wrap or _wrap_fault(n, rep[8]) is None
+
+
+def validate_rep(sys: cm.System, rep: Representative, source=None,
+                 rule=None) -> None:
     """Raise ``InvariantViolation`` unless ``rep`` keeps the representative
     invariants: the trusted immortal is live, the budget is not negative,
     every entry is owned by a live agent and within the instance's bounds,
@@ -238,14 +379,22 @@ def validate_rep(sys: cm.System, rep: Representative, source=None) -> None:
     strictly increasing.
 
     ``source`` is an already validated state that ``rep`` was built from,
-    or None.  A check whose inputs are all ``source``'s own objects,
-    compared by identity, passed there and is skipped: the live tuple with
-    ``ti``, the live tuple alone, each of ``out1`` .. ``in2`` with the live
-    tuple, ``out3`` with ``in1`` and ``in2`` for the roles, ``wrap``, and
-    each field's ordering.  The budget is always checked, and the checks
-    run in the same order either way, so the first that fails, and its
-    message, do not depend on ``source``."""
+    or None, and ``rule`` the rule that built it, or None.  Where the rule
+    carries a ``Patch``, only what it changed is checked
+    (``_patch_accepts``), and the state passes if that accepts it.
+    Otherwise the checks below run.  A check whose inputs are all
+    ``source``'s own objects, compared by identity, passed there and is
+    skipped: the live tuple with ``ti``, the live tuple alone, each of
+    ``out1`` .. ``in2`` with the live tuple, ``out3`` with ``in1`` and
+    ``in2`` for the roles, ``wrap``, and each field's ordering.  The budget
+    is always checked, and the checks run in the same order either way, so
+    the first that fails, and its message, depend on neither ``source``
+    nor ``rule``."""
     n = sys.n
+    patch = getattr(rule, "patch", None)
+    if (patch is not None and source is not None
+            and _patch_accepts(n, rep, source, patch)):
+        return
     live_t, budget, ti, out1, out2, out3, in1, in2, wrap = rep
     (s_live, _, s_ti, s_out1, s_out2, s_out3, s_in1, s_in2,
      s_wrap) = _NO_SOURCE if source is None else source
@@ -309,14 +458,9 @@ def validate_rep(sys: cm.System, rep: Representative, source=None) -> None:
             raise InvariantViolation("an agent holds two roles at once")
 
     if wrap is not s_wrap:
-        wj, ww, wb = wrap
-        if wb not in (0, 1):
-            raise InvariantViolation(f"observer flag {wb}")
-        if not 0 <= wj <= n:
-            raise InvariantViolation(f"observer position {wj}")
-        if wj == 0 and (wb != 1 or ww != BOT):
-            raise InvariantViolation(
-                "observer at ok must be accepting with no remembered value")
+        fault = _wrap_fault(n, wrap)
+        if fault is not None:
+            raise InvariantViolation(fault)
 
     # Canonical form: a field out of order would be a second key for one
     # congruence class.
@@ -628,7 +772,6 @@ class Move(NamedTuple):
     adds: tuple
 
 
-_IN1, _IN2 = _FIELD["in1"], _FIELD["in2"]
 # A phase's transit field (out1, out2) lies this many fields before its
 # collector field (in1, in2).
 _TO_TRANSITS = _IN1 - _FIELD["out1"]
@@ -673,12 +816,15 @@ def _move(sys, field: int, entry, consumed) -> Move:
         text = f"{family} q={q} p={i}"
     if family == "SR1" and "sr1-deletes-in1" in sys.mutations:
         local = local._replace(in1=())
-    if receives:
-        rule = Rule(text, family, ("c", id(entry), id(consumed)))
-    else:
-        rule = Rule(text, family, ("s", id(entry)), suspected=i)
     adds = tuple((_FIELD[kind], entries)
                  for kind, entries in zip(LocalStep._fields, local) if entries)
+    # The move drops the collector, and the transit entry it receives.
+    patch = _patch(n, (field, field - _TO_TRANSITS) if receives else (field,),
+                   adds)
+    if receives:
+        rule = Rule(text, family, ("c", id(entry), id(consumed)), patch=patch)
+    else:
+        rule = Rule(text, family, ("s", id(entry)), suspected=i, patch=patch)
     move = sys._moves[id(entry), id(consumed)] = Move(rule, entry, consumed,
                                                        adds)
     return move
@@ -709,11 +855,15 @@ def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> tuple:
     consumes alive, so its id is not reused while the entry exists."""
     match key:
         case ("c", (wj, _, _), _):
-            rule = Rule(f"SRW1 j={wj} v={value_str(decision[1])}", "SRW1", key)
+            rule = Rule(f"SRW1 j={wj} v={value_str(decision[1])}", "SRW1", key,
+                        patch=_patch(sys.n, (_OUT3,), wrap=True))
         case ("s", (wj, _, _)):
-            rule = Rule(f"SRW2 j={wj}", "SRW2", key, perfect=wj)
+            rule = Rule(f"SRW2 j={wj}", "SRW2", key, perfect=wj,
+                        patch=_patch(sys.n, wrap=True))
         case ("x", p):
-            rule = Rule(f"SR7 p={p}", "SR7", key)
+            rule = Rule(f"SR7 p={p}", "SR7", key,
+                        patch=_patch(sys.n, (0, _OUT1, _OUT2, _OUT3, _IN1, _IN2),
+                                     crashed=p))
     known = sys._rules[key] = (rule, decision)
     return known
 

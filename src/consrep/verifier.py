@@ -75,9 +75,9 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     it is first discovered, and numbered in discovery order; since the
     `ok` loop's target is its source, a state's new targets are met in
     sorted order.  An edge's target is validated against the state it was
-    built from (``repsem.validate_rep`` with that source), which skips the
-    checks of the fields the target shares with it; a target that
-    ``compare`` returns is validated in full.
+    built from and the edge's rule (``repsem.validate_rep`` with that
+    source and rule), which checks only what the rule's patch changed; a
+    target that ``compare`` returns is validated in full.
 
     The graph holds one object per state, in the ``nodes`` list that is
     also the BFS queue, and its edges as int columns (``Edges``): a
@@ -119,9 +119,9 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
         return LtsGraph(initials, node_ids, edges, truncated=truncated,
                         defects=tuple(defects))
 
-    def admit(target, source) -> None:
+    def admit(target, source, rule) -> None:
         # ``target`` has just been given the next id.
-        repsem.validate_rep(sys, target, source)
+        repsem.validate_rep(sys, target, source, rule)
         if len(nodes) >= limit and not truncate:
             del node_ids[target]
             raise BoundExceeded(graph(True), max_states)
@@ -150,12 +150,12 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
                 else:
                     for target in first:
                         if setdefault(target, len(nodes)) == len(nodes):
-                            admit(target, None)
+                            admit(target, None, None)
             for action, target, rule in succs or ():
                 count = len(nodes)
                 ident = setdefault(target, count)
                 if ident == count:
-                    admit(target, rep)
+                    admit(target, rep, rule)
                 if action is TAU:
                     label = tau_labels.get(rule)
                     if label is None:

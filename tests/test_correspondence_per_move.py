@@ -148,9 +148,9 @@ def observed(checker, sys_, max_states) -> tuple:
     full = 0
     validate, calculus_targets = repsem.validate_rep, lts.calculus_targets
 
-    def recording(sys_, rep, source=None):
+    def recording(sys_, rep, source=None, rule=None):
         validated.append(rep)
-        return validate(sys_, rep, source)
+        return validate(sys_, rep, source, rule)
 
     def counted(sys_, rep):
         nonlocal full

@@ -1,13 +1,20 @@
-"""Validation against a source state, the calculus-side crash patch, and
-the exploration loop's handling of the cyclic garbage collector.
+"""Validation against a source state and the rule that built it, the
+calculus-side crash patch, and the exploration loop's handling of the
+cyclic garbage collector.
 
 ``repsem.validate_rep(sys, rep, source)`` skips the checks whose inputs are
-all ``source``'s own objects.  On every edge of the seven n<=2 instances,
-unmutated and under each mutation, and of a 3,000-state n=3 prefix, it must
-agree with ``validate_rep(sys, rep)``; so must a hand-built faulty target
-per message of ``validate_rep``, each raising the same message on both
-paths.  On the same states ``repsem.crash_target`` must equal the Stop
-target ``repsem.sf_step`` built before it delegated to it (kept below as
+all ``source``'s own objects, and ``validate_rep(sys, rep, source, rule)``
+checks only what the rule's ``repsem.Patch`` changed.  On every edge of the
+seven n<=2 instances, unmutated and under each mutation, and of a
+3,000-state n=3 prefix, both must agree with ``validate_rep(sys, rep)``;
+the patch must accept every rule-built edge, each field it only drops from
+must be a sub-sequence of the source's (the fact it is trusted for), and in
+``explore`` every target validated against its source and rule must take
+the patch path.  A hand-built faulty target per message of
+``validate_rep``, and a fault planted in the step facts per kind of check
+the patch makes, must raise the same message on every path.  On the same
+states ``repsem.crash_target`` must equal the Stop target
+``repsem.sf_step`` built before it delegated to it (kept below as
 ``former_stop_target``) and full extraction of the raw Stop configuration.
 
 ``verifier._bfs`` and the checks after correspondence run with the cyclic
@@ -17,6 +24,7 @@ do, and the GC's state is restored on every exit.
 
 import gc
 import os
+import re
 import types
 
 import pytest
@@ -52,12 +60,27 @@ def former_stop_target(rep, crashed):
     return Representative(live, rep.budget - 1, rep.ti, *fields)
 
 
-def outcome(sys_, rep, source=None):
+def outcome(sys_, rep, source=None, rule=None):
     try:
-        repsem.validate_rep(sys_, rep, source)
+        repsem.validate_rep(sys_, rep, source, rule)
     except InvariantViolation as exc:
         return str(exc)
     return None
+
+
+def is_subsequence(part, whole) -> bool:
+    """Whether ``part`` is ``whole`` with some entries left out, compared by
+    identity."""
+    rest = iter(whole)
+    return all(any(x is y for y in rest) for x in part)
+
+
+def without(field, entries) -> tuple:
+    """``field`` with each of ``entries`` taken out once."""
+    kept = list(field)
+    for entry in entries:
+        kept.remove(entry)
+    return tuple(kept)
 
 
 def runs():
@@ -76,16 +99,64 @@ def explored(sys_, bound):
     return list(graph.nodes)[:bound]
 
 
-def test_source_validation_and_crash_target_agree_on_every_state():
-    edges = crashes = 0
+def counting_patch_path(monkeypatch) -> dict:
+    """Counts, from now on, the ``validate_rep`` calls given a source and a
+    rule with a patch (``"built"``) and those the patch path accepted
+    (``"patched"``)."""
+    counts = {"built": 0, "patched": 0}
+    validate, accepts = repsem.validate_rep, repsem._patch_accepts
+
+    def validating(sys_, rep, source=None, rule=None):
+        if source is not None and getattr(rule, "patch", None) is not None:
+            counts["built"] += 1
+        return validate(sys_, rep, source, rule)
+
+    def accepting(*args):
+        accepted = accepts(*args)
+        counts["patched"] += accepted
+        return accepted
+
+    monkeypatch.setattr(repsem, "validate_rep", validating)
+    monkeypatch.setattr(repsem, "_patch_accepts", accepting)
+    return counts
+
+
+def assert_patch_holds(source, target, patch) -> None:
+    """The facts ``_patch_accepts`` trusts: each field the rule only drops
+    from, and each field it adds to without what it adds, is a
+    sub-sequence of the source's field."""
+    for k in patch.drops:
+        assert is_subsequence(target[k], source[k]), (source, target, k)
+    for k, entries in patch.adds:
+        kept = without(target[k], entries)
+        assert is_subsequence(kept, source[k]), (source, target, k)
+
+
+def test_source_validation_and_crash_target_agree_on_every_state(monkeypatch):
+    edges = crashes = new = 0
     for sys_, bound in runs():
-        for rep in explored(sys_, bound):
+        with monkeypatch.context() as m:
+            counts = counting_patch_path(m)
+            states = explored(sys_, bound)
+        # Every state explore met past the initials (and the first past a
+        # bound) was built by a rule from its source, and the patch path
+        # accepted each.
+        initials = set(lts.initial_reps(sys_))
+        assert (counts["patched"] == counts["built"]
+                == len(states) - len(initials) + (bound is not None) > 0)
+        new += counts["built"]
+        for rep in states:
             try:
                 succs = lts.labelled_targets(sys_, rep)
             except EmptyKnowledge:
                 continue
-            for _, target, _ in succs:
-                assert outcome(sys_, target, rep) == outcome(sys_, target) is None
+            for _, target, rule in succs:
+                assert (outcome(sys_, target, rep, rule)
+                        == outcome(sys_, target, rep)
+                        == outcome(sys_, target) is None)
+                if rule.patch is not None:
+                    assert repsem._patch_accepts(sys_.n, target, rep, rule.patch)
+                    assert_patch_holds(rep, target, rule.patch)
                 edges += 1
             for step in lts.keyed_steps(sys_, rep):
                 if step[0][0] != "x":
@@ -96,7 +167,7 @@ def test_source_validation_and_crash_target_agree_on_every_state():
                 assert target == repsem.sf_step(sys_, rep, step)
                 assert target == repsem.sf(sys_, raw_config(sys_, rep, step))
                 crashes += 1
-    assert edges > 4 * N3_PREFIX and crashes > N3_PREFIX
+    assert edges > 4 * N3_PREFIX and crashes > N3_PREFIX and new > N3_PREFIX
 
 
 def _source(sys2, test):
@@ -180,6 +251,137 @@ def test_a_faulty_target_fails_alike_with_and_without_its_source(sys2, message):
     assert outcome(sys2, target).startswith(message)
 
 
+def _plant_out1(entry):
+    """A change to a round collector's local step that also sends
+    ``entry(collector)`` as a round message."""
+    def plant(sys_, q, local):
+        return local._replace(
+            out1=local.out1 + (repsem._intern(sys_, entry(q)),))
+    return plant
+
+
+# A relay vector that sorts after every one the n=2 instances send.
+_LATE = ("set", (("pair", ("nat", 9), BOT),))
+
+# Per kind of check the patch path makes: the message the full check
+# raises (a pattern), whether the planted rule keeps a patch, and a change
+# to a round collector's local step (``repsem._phase1_local``) that plants
+# the fault in the entries its ``Move`` adds.  An entry out of bounds is a
+# fact of the entry alone, so its rule gets no patch and every check.  The
+# collector's own round-1 message is in transit until it receives it, so
+# sending it again duplicates it, sorting before or after the first.
+PLANTED = {
+    "out of bounds": (r"round message \((\d),9,1\) out of bounds", False,
+                      _plant_out1(lambda q: (q, 9, 1, BOT))),
+    "dead owner": (r"round message owned by dead agent 9", True,
+                   _plant_out1(lambda q: (9, 1, 1, BOT))),
+    "in transit, sorting before": (
+        r"duplicate round message \((\d),\1,1\)", True,
+        _plant_out1(lambda q: (q, q, 1, BOT))),
+    "in transit, sorting after": (
+        r"duplicate round message \((\d),\1,1\)", True,
+        _plant_out1(lambda q: (q, q, 1, _LATE))),
+    "second role": (r"an agent holds two roles at once", True,
+                    lambda sys_, q, local: local._replace(
+                        out3=(repsem._intern(sys_, (q, BOT)),))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_a_fault_planted_in_a_move_fails_alike_on_every_path(monkeypatch,
+                                                             fault):
+    message, patched, plant = PLANTED[fault]
+    instance = INSTANCES_2[1]
+    states = explored(cm.build_system(instance), None)
+    sys_ = cm.build_system(instance)  # its move memo fills planted
+    local = repsem._phase1_local
+    monkeypatch.setattr(repsem, "_phase1_local", lambda s, entry, delta:
+                        plant(s, entry[0], local(s, entry, delta)))
+    caught = 0
+    for source in states:
+        for rule, target in repsem.rep_successors(sys_, source):
+            full = outcome(sys_, target)
+            assert (outcome(sys_, target, source, rule)
+                    == outcome(sys_, target, source) == full)
+            if full is not None:
+                assert re.fullmatch(message, full), full
+                assert (rule.patch is not None) == patched
+                caught += 1
+    assert caught
+
+
+def test_a_crash_target_that_keeps_an_entry_of_its_agent_fails_alike(sys2):
+    caught = 0
+    for source in explored(sys2, None):
+        for rule, target in repsem.rep_successors(sys2, source):
+            if rule.family != "SR7":
+                continue
+            agent = rule.key[1]
+            for k in range(3, 8):
+                if not any(e[0] == agent for e in source[k]):
+                    continue
+                # The field as it was: the agent's entries stay.
+                kept = target._replace(**{target._fields[k]: source[k]})
+                full = outcome(sys2, kept)
+                assert "dead agent" in full
+                assert (outcome(sys2, kept, source, rule)
+                        == outcome(sys2, kept, source) == full)
+                caught += 1
+    assert caught
+
+
+# The position of the agent index that ``_in_bounds`` checks in an entry
+# of out1, out2, in1 and in2, by field name.
+_AGENT_INDEX = {"out1": 1, "out2": 1, "in1": 4, "in2": 3}
+
+
+def misbuilt(source, rule, target):
+    """(target, the message the full check raises on it) per way to build
+    ``target`` other than its rule does: a budget, a trusted immortal or an
+    observer that the rule does not make; each field the rule adds to with
+    its first added entry swapped for a twin out of bounds; and, after a
+    crash, another agent gone from the live set, with or without the one
+    that crashed, while it still owns entries."""
+    yield target._replace(budget=-1), "negative crash budget"
+    yield target._replace(ti=9), "trusted immortal 9 not live"
+    yield target._replace(wrap=(1, BOT, 5)), "observer flag 5"
+    for k, entries in rule.patch.adds:
+        name = target._fields[k]
+        if name in _AGENT_INDEX:
+            entry = entries[0]
+            at = _AGENT_INDEX[name]
+            twin = entry[:at] + (9,) + entry[at + 1:]
+            field = tuple(sorted(twin if e is entry else e for e in target[k]))
+            yield target._replace(**{name: field}), "out of bounds"
+    if rule.patch.crashed:
+        for q in source.live:
+            if q not in (rule.patch.crashed, source.ti) and any(
+                    e[0] == q for field in target[3:8] for e in field):
+                for live in (_without(target.live, q),
+                             _without(source.live, q)):
+                    yield target._replace(live=live), "dead agent"
+
+
+def test_a_target_its_rule_did_not_build_fails_alike():
+    caught = set()
+    for sys_, bound in ((cm.build_system(INSTANCES_2[1]), None),
+                        (cm.build_system(INSTANCE_3), 300)):
+        for source in explored(sys_, bound):
+            for rule, target in repsem.rep_successors(sys_, source):
+                for bad, message in misbuilt(source, rule, target):
+                    full = outcome(sys_, bad)
+                    assert message in full, (full, message)
+                    # A rule that is a plain string carries no patch.
+                    assert (outcome(sys_, bad, source, rule)
+                            == outcome(sys_, bad, source, str(rule))
+                            == outcome(sys_, bad, source) == full)
+                    caught.add((rule.family, message))
+    assert {family for family, _ in caught} >= {"SR1", "SR4", "SR7", "SRW1",
+                                                "SRW2", "SR1'"}
+    assert {message.split()[0] for _, message in caught} == {
+        "negative", "trusted", "observer", "out", "dead"}
+
+
 def test_the_ti_check_reruns_under_the_same_live_tuple(sys2):
     source = lts.initial_reps(sys2)[0]
     target = source._replace(ti=9)
@@ -213,10 +415,10 @@ def test_the_loop_restores_the_collectors_state(monkeypatch, enabled):
 
         validate = repsem.validate_rep
 
-        def failing(sys_, rep, source=None):
+        def failing(sys_, rep, source=None, rule=None):
             # Only the loop validates against a source.
             if source is None:
-                return validate(sys_, rep)
+                return validate(sys_, rep, source, rule)
             assert not gc.isenabled()
             raise InvariantViolation("planted")
 

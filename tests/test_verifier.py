@@ -83,9 +83,9 @@ def test_correspondence_validates_each_state_once(monkeypatch):
     validated = []
     original = repsem.validate_rep
 
-    def counted(sys_, rep, source=None):
+    def counted(sys_, rep, source=None, rule=None):
         validated.append(rep)
-        return original(sys_, rep, source)
+        return original(sys_, rep, source, rule)
 
     monkeypatch.setattr(repsem, "validate_rep", counted)
     report = verifier.check_correspondence(
