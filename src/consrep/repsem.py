@@ -241,8 +241,6 @@ class Patch(NamedTuple):
     named by their index in a representative; ``validate_rep`` checks a
     target that the rule built from a validated source by this alone."""
     same: tuple      # the fields of live, out1 .. in2, wrap it leaves alone
-    drops: tuple     # the fields it only drops entries from
-    adds: tuple      # (field index, entries) per entry field it adds to
     crashed: int     # the agent SR7 removes, 0 for every other rule
     wrap: bool       # whether it rebuilds the observer
     # Per added entry: (field index, entry, owner, key, the key's reader,
@@ -284,24 +282,16 @@ def _patch(n: int, drops: tuple = (), adds: tuple = (), crashed: int = 0,
            wrap: bool = False) -> Patch | None:
     """The patch of a rule that drops entries from the fields ``drops``,
     adds the (field, entries) pairs ``adds``, removes agent ``crashed`` if
-    not 0, and rebuilds the observer if ``wrap``; a field both dropped
-    from and added to counts as added to.  None where an added entry lies
-    out of the bounds of an instance of ``n`` agents, a fact of the entry
-    alone, so that the rule's targets get every check."""
+    not 0, and rebuilds the observer if ``wrap``.  None where an added
+    entry lies out of the bounds of an instance of ``n`` agents, a fact of
+    the entry alone, so that the rule's targets get every check."""
     if not all(_in_bounds(n, f, e) for f, entries in adds for e in entries):
         return None
-    added = {f for f, _ in adds}
-    changed = {*drops, *added, *((_WRAP,) if wrap else ())}
+    changed = {*drops, *(f for f, _ in adds), *((_WRAP,) if wrap else ())}
     same = tuple(k for k in (0, *_FIELD.values()) if k not in changed)
     placed = tuple((f, e, e[0], _KEY[f](e), _KEY[f], _RIVALS[f])
                    for f, entries in adds for e in entries)
-    return Patch(same, tuple(f for f in drops if f not in added), adds,
-                 crashed, wrap, placed)
-
-
-# Stands for "no source" in ``validate_rep``: no field of a representative
-# is one of these objects.
-_NO_SOURCE = tuple(object() for _ in Representative._fields)
+    return Patch(same, crashed, wrap, placed)
 
 
 def _wrap_fault(n: int, wrap) -> str | None:
@@ -373,106 +363,80 @@ def validate_rep(sys: cm.System, rep: Representative, source=None,
                  rule=None) -> None:
     """Raise ``InvariantViolation`` unless ``rep`` keeps the representative
     invariants: the trusted immortal is live, the budget is not negative,
-    every entry is owned by a live agent and within the instance's bounds,
-    no message is in transit twice, each agent holds at most one role, the
-    observer is well formed, and ``live`` and every entry field are
-    strictly increasing.
+    every entry is owned by a live agent and within the instance's bounds
+    (``_in_bounds``), no message is in transit twice (by its ``_KEY``),
+    each agent holds at most one role, the observer is well formed, and
+    ``live`` and every entry field are strictly increasing.
 
     ``source`` is an already validated state that ``rep`` was built from,
     or None, and ``rule`` the rule that built it, or None.  Where the rule
     carries a ``Patch``, only what it changed is checked
     (``_patch_accepts``), and the state passes if that accepts it.
-    Otherwise the checks below run.  A check whose inputs are all
-    ``source``'s own objects, compared by identity, passed there and is
-    skipped: the live tuple with ``ti``, the live tuple alone, each of
-    ``out1`` .. ``in2`` with the live tuple, ``out3`` with ``in1`` and
-    ``in2`` for the roles, ``wrap``, and each field's ordering.  The budget
-    is always checked, and the checks run in the same order either way, so
-    the first that fails, and its message, depend on neither ``source``
-    nor ``rule``."""
+    Otherwise, and wherever it does not, every check below runs, in the
+    same order, so the first that fails, and its message, depend on
+    neither ``source`` nor ``rule``."""
     n = sys.n
     patch = getattr(rule, "patch", None)
     if (patch is not None and source is not None
             and _patch_accepts(n, rep, source, patch)):
         return
     live_t, budget, ti, out1, out2, out3, in1, in2, wrap = rep
-    (s_live, _, s_ti, s_out1, s_out2, s_out3, s_in1, s_in2,
-     s_wrap) = _NO_SOURCE if source is None else source
-    same_live = live_t is s_live
     live = set(live_t)
 
-    if not (same_live and ti is s_ti) and ti not in live:
+    if ti not in live:
         raise InvariantViolation(f"trusted immortal {ti} not live")
     if budget < 0:
         raise InvariantViolation("negative crash budget")
-    if not same_live and not (1 <= min(live) and max(live) <= n):
+    if not (1 <= min(live) and max(live) <= n):
         raise InvariantViolation("live set out of range")
 
-    if not (same_live and out1 is s_out1):
-        seen1 = set()
-        for p, i, r, _ in out1:
-            if p not in live:
-                raise InvariantViolation(f"round message owned by dead agent {p}")
-            if not (1 <= i <= n and 1 <= r < n):
-                raise InvariantViolation(f"round message ({p},{i},{r}) out of bounds")
-            key = (p, i, r)
-            if key in seen1:
-                raise InvariantViolation(f"duplicate round message ({p},{i},{r})")
-            seen1.add(key)
-    if not (same_live and out2 is s_out2):
-        seen2 = set()
-        for p, i, _ in out2:
-            if p not in live:
-                raise InvariantViolation(f"sync message owned by dead agent {p}")
-            if not 1 <= i <= n:
-                raise InvariantViolation(f"sync message ({p},{i}) out of bounds")
-            key = (p, i)
-            if key in seen2:
-                raise InvariantViolation(f"duplicate sync message ({p},{i})")
-            seen2.add(key)
-    if not (same_live and out3 is s_out3):
-        out3_owners = list(map(_owner, out3))
-        deciders = set(out3_owners)
-        if len(out3_owners) != len(deciders):
-            raise InvariantViolation("duplicate decision message")
-        if not deciders <= live:
-            raise InvariantViolation("decision message owned by dead agent")
+    for f, what in ((_OUT1, "round message"), (_OUT2, "sync message")):
+        key_of, seen = _KEY[f], set()
+        for entry in rep[f]:
+            if entry[0] not in live:
+                raise InvariantViolation(f"{what} owned by dead agent {entry[0]}")
+            key = key_of(entry)
+            if not _in_bounds(n, f, entry):
+                raise InvariantViolation(
+                    f"{what} ({','.join(map(str, key))}) out of bounds")
+            if key in seen:
+                raise InvariantViolation(
+                    f"duplicate {what} ({','.join(map(str, key))})")
+            seen.add(key)
+    deciders = list(map(_KEY[_OUT3], out3))
+    if len(deciders) != len(set(deciders)):
+        raise InvariantViolation("duplicate decision message")
+    if not live.issuperset(deciders):
+        raise InvariantViolation("decision message owned by dead agent")
 
-    if not (same_live and in1 is s_in1):
-        for p, r, _, _, i in in1:
+    for f in (_IN1, _IN2):
+        for entry in rep[f]:
+            p = entry[0]
             if p not in live:
                 raise InvariantViolation(f"dead agent {p} collecting")
-            if not (1 <= r < n and 1 <= i <= n):
-                raise InvariantViolation(f"collector ({p},{r},i={i}) out of bounds")
-    if not (same_live and in2 is s_in2):
-        for p, _, _, i in in2:
-            if p not in live:
-                raise InvariantViolation(f"dead agent {p} collecting")
-            if not 1 <= i <= n:
-                raise InvariantViolation(f"collector ({p},i={i}) out of bounds")
-    if not (out3 is s_out3 and in1 is s_in1 and in2 is s_in2):
-        roles = list(map(_owner, in1))
-        roles += map(_owner, in2)
-        roles += map(_owner, out3)
-        if len(roles) != len(set(roles)):
-            raise InvariantViolation("an agent holds two roles at once")
+            if not _in_bounds(n, f, entry):
+                at = f"{p},{entry[1]}" if f == _IN1 else p
+                raise InvariantViolation(
+                    f"collector ({at},i={entry[-1]}) out of bounds")
+    roles = list(map(_owner, in1))
+    roles += map(_owner, in2)
+    roles += map(_owner, out3)
+    if len(roles) != len(set(roles)):
+        raise InvariantViolation("an agent holds two roles at once")
 
-    if wrap is not s_wrap:
-        fault = _wrap_fault(n, wrap)
-        if fault is not None:
-            raise InvariantViolation(fault)
+    fault = _wrap_fault(n, wrap)
+    if fault is not None:
+        raise InvariantViolation(fault)
 
     # Canonical form: a field out of order would be a second key for one
     # congruence class.
-    for name, entries, known in zip(_CANONICAL_FIELDS,
-                                    (live_t, out1, out2, out3, in1, in2),
-                                    (s_live, s_out1, s_out2, s_out3, s_in1, s_in2)):
-        if entries is not known:
-            prev = None
-            for entry in entries:
-                if prev is not None and not prev < entry:
-                    raise InvariantViolation(f"{name} not strictly increasing")
-                prev = entry
+    for name, entries in zip(_CANONICAL_FIELDS,
+                             (live_t, out1, out2, out3, in1, in2)):
+        prev = None
+        for entry in entries:
+            if prev is not None and not prev < entry:
+                raise InvariantViolation(f"{name} not strictly increasing")
+            prev = entry
 
 
 # ---------------------------------------------------------------------------

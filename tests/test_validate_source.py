@@ -2,15 +2,14 @@
 calculus-side crash patch, and the exploration loop's handling of the
 cyclic garbage collector.
 
-``repsem.validate_rep(sys, rep, source)`` skips the checks whose inputs are
-all ``source``'s own objects, and ``validate_rep(sys, rep, source, rule)``
-checks only what the rule's ``repsem.Patch`` changed.  On every edge of the
-seven n<=2 instances, unmutated and under each mutation, and of a
-3,000-state n=3 prefix, both must agree with ``validate_rep(sys, rep)``;
-the patch must accept every rule-built edge, each field it only drops from
-must be a sub-sequence of the source's (the fact it is trusted for), and in
-``explore`` every target validated against its source and rule must take
-the patch path.  A hand-built faulty target per message of
+``repsem.validate_rep(sys, rep, source, rule)`` checks only what the
+rule's ``repsem.Patch`` changed, and runs every check where that does not
+accept ``rep``.  On every edge of the seven n<=2 instances, unmutated and
+under each mutation, and of a 3,000-state n=3 prefix, it must agree with
+``validate_rep(sys, rep)``; the patch must accept every rule-built edge,
+each field it only drops from must be a sub-sequence of the source's (the
+fact it is trusted for), and in ``explore`` every target validated against
+its source and rule must take the patch path.  A hand-built faulty target per message of
 ``validate_rep``, and a fault planted in the step facts per kind of check
 the patch makes, must raise the same message on every path.  On the same
 states ``repsem.crash_target`` must equal the Stop target
@@ -121,15 +120,25 @@ def counting_patch_path(monkeypatch) -> dict:
     return counts
 
 
-def assert_patch_holds(source, target, patch) -> None:
+def adds_of(sys_, rule) -> tuple:
+    """The (field index, entries) pairs ``rule`` adds: those of its
+    ``Move``, found by the identities its step key names, for a collector
+    move; none for the observer and crash rules."""
+    if rule.family in ("SRW1", "SRW2", "SR7"):
+        return ()
+    entry, *consumed = rule.key[1:]
+    return sys_._moves[entry, consumed[0] if consumed else id(None)].adds
+
+
+def assert_patch_holds(sys_, source, target, rule) -> None:
     """The facts ``_patch_accepts`` trusts: each field the rule only drops
-    from, and each field it adds to without what it adds, is a
-    sub-sequence of the source's field."""
-    for k in patch.drops:
-        assert is_subsequence(target[k], source[k]), (source, target, k)
-    for k, entries in patch.adds:
-        kept = without(target[k], entries)
-        assert is_subsequence(kept, source[k]), (source, target, k)
+    from (one it neither leaves alone nor adds to), and each field it adds
+    to without what it adds, is a sub-sequence of the source's field."""
+    adds = dict(adds_of(sys_, rule))
+    for k in (0, *range(3, 8)):
+        if k not in rule.patch.same:
+            kept = without(target[k], adds.get(k, ()))
+            assert is_subsequence(kept, source[k]), (source, target, k)
 
 
 def test_source_validation_and_crash_target_agree_on_every_state(monkeypatch):
@@ -156,7 +165,7 @@ def test_source_validation_and_crash_target_agree_on_every_state(monkeypatch):
                         == outcome(sys_, target) is None)
                 if rule.patch is not None:
                     assert repsem._patch_accepts(sys_.n, target, rep, rule.patch)
-                    assert_patch_holds(rep, target, rule.patch)
+                    assert_patch_holds(sys_, rep, target, rule)
                 edges += 1
             for step in lts.keyed_steps(sys_, rep):
                 if step[0][0] != "x":
@@ -335,7 +344,7 @@ def test_a_crash_target_that_keeps_an_entry_of_its_agent_fails_alike(sys2):
 _AGENT_INDEX = {"out1": 1, "out2": 1, "in1": 4, "in2": 3}
 
 
-def misbuilt(source, rule, target):
+def misbuilt(sys_, source, rule, target):
     """(target, the message the full check raises on it) per way to build
     ``target`` other than its rule does: a budget, a trusted immortal or an
     observer that the rule does not make; each field the rule adds to with
@@ -345,7 +354,7 @@ def misbuilt(source, rule, target):
     yield target._replace(budget=-1), "negative crash budget"
     yield target._replace(ti=9), "trusted immortal 9 not live"
     yield target._replace(wrap=(1, BOT, 5)), "observer flag 5"
-    for k, entries in rule.patch.adds:
+    for k, entries in adds_of(sys_, rule):
         name = target._fields[k]
         if name in _AGENT_INDEX:
             entry = entries[0]
@@ -368,7 +377,7 @@ def test_a_target_its_rule_did_not_build_fails_alike():
                         (cm.build_system(INSTANCE_3), 300)):
         for source in explored(sys_, bound):
             for rule, target in repsem.rep_successors(sys_, source):
-                for bad, message in misbuilt(source, rule, target):
+                for bad, message in misbuilt(sys_, source, rule, target):
                     full = outcome(sys_, bad)
                     assert message in full, (full, message)
                     # A rule that is a plain string carries no patch.
@@ -391,14 +400,20 @@ def test_the_ti_check_reruns_under_the_same_live_tuple(sys2):
 
 
 def test_a_shared_field_is_not_walked_again(sys2):
-    # The checks skipped are those of the source's own objects: given a
-    # source with a field out of order, which validation never passes, a
-    # target sharing that field is not checked over it again.
-    source = lts.initial_reps(sys2)[0]
-    source = source._replace(in1=source.in1[::-1])
-    target = source._replace(budget=source.budget)
-    assert outcome(sys2, target) == "in1 not strictly increasing"
-    assert outcome(sys2, target, source) is None
+    # A field the rule leaves alone is not checked again: given a source
+    # with a transit field out of order, which validation never passes, the
+    # target its rule built sharing that field passes against the source
+    # and the rule, and fails alone.
+    source, rule, target, k = next(
+        (source, rule, target, k)
+        for source in explored(sys2, None)
+        for rule, target in repsem.rep_successors(sys2, source)
+        for k in (3, 4) if k in rule.patch.same and len(source[k]) > 1)
+    name = target._fields[k]
+    source = source._replace(**{name: source[k][::-1]})
+    target = target._replace(**{name: source[k]})
+    assert outcome(sys2, target) == f"{name} not strictly increasing"
+    assert outcome(sys2, target, source, rule) is None
 
 
 @pytest.mark.parametrize("enabled", [True, False])
