@@ -466,9 +466,8 @@ class System:
     and the memos the semantics fill as they run."""
 
     __slots__ = ("inst", "defs", "restriction", "mutations", "_wait_cache",
-                 "_moves", "_rules", "_slot_comps", "_leaf_slots",
-                 "_leaf_raises", "_received", "_offers", "_entries",
-                 "_validity")
+                 "_rules", "_slot_comps", "_leaf_slots", "_leaf_raises",
+                 "_received", "_offers", "_entries", "_validity")
 
     def __init__(self, inst: ProblemInstance, defs: Defs, restriction: tuple,
                  mutations: frozenset = frozenset()):
@@ -478,15 +477,11 @@ class System:
         self.mutations = mutations
         # Waiting-shape builder results; state components recur constantly.
         self._wait_cache: dict = {}
-        # One ``repsem.Move`` per collector move of the representative
-        # semantics, keyed by the identities of the collector entry and of
-        # the transit entry it consumes (None for the suspicion twin); each
-        # record holds both objects alive.  Collector moves recur across
-        # states.
-        self._moves: dict = {}
-        # The ``repsem.Rule`` of each observer and crash step of the
-        # representative semantics, by its step key, with the decision
-        # whose identity an SRW1 key names, held alive.
+        # The ``repsem.Rule`` of each step of the representative semantics
+        # but the `ok` send, by its step key: each collector move (keyed by
+        # the identities of the collector entry and of the transit entry it
+        # consumes), observer step and crash.  A rule holds every object
+        # whose identity its key names.  Steps recur across states.
         self._rules: dict = {}
         # Calculus-side canonicalisation per component (see repsem): the
         # round-trip-checked component of each representative slot, and,
@@ -508,9 +503,8 @@ class System:
         # caches its hash; filled where the memos above are filled and by
         # ``repsem.sf``.
         self._entries: dict = {}
-        # Per entry field (out1 .. in2), by the identity of each entry,
-        # what the validity check says of it (see
-        # verifier.check_safety_subset).
+        # By the identity of each entry of out1 .. in2, the entry and what
+        # the validity check says of it (see verifier.check_safety_subset).
         self._validity: dict = {}
 
     @property

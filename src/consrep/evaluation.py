@@ -27,8 +27,6 @@ every configuration it visits on the n<=2 instances).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .calculus_ast import (
     NNIL,
     Config,
@@ -41,10 +39,6 @@ from .calculus_ast import (
 from .errors import NonTermination, NotFullyEvaluated, UndefinedConstant
 
 DEFAULT_EVAL_STEPS = 10**6
-
-
-class EvalStep(NamedTuple):
-    rule: str
 
 
 def _unfold_call(name: str, arg, defs: Defs):
@@ -114,8 +108,9 @@ def _rebuild(net, context):
 
 
 def eval_steps(cfg: Config, defs: Defs) -> list:
-    """All single evaluation steps from a configuration, with their rule,
-    in pre-order of the positions they fire at (left before right)."""
+    """All single evaluation steps from a configuration, as (rule name,
+    configuration) pairs, in pre-order of the positions they fire at (left
+    before right)."""
     found = []
     stack = [(cfg.net, None)]
     while stack:
@@ -124,12 +119,12 @@ def eval_steps(cfg: Config, defs: Defs) -> list:
             case ("loc", location, p):
                 s = _located_step(cfg, location, p, defs)
                 if s is not None:
-                    found.append((EvalStep(s[0]), _rebuild(s[1], context)))
+                    found.append((s[0], _rebuild(s[1], context)))
             case ("npar", a, b):
                 if a == NNIL:
-                    found.append((EvalStep("E4"), _rebuild(b, context)))
+                    found.append(("E4", _rebuild(b, context)))
                 if b == NNIL:
-                    found.append((EvalStep("E5"), _rebuild(a, context)))
+                    found.append(("E5", _rebuild(a, context)))
                 stack.append((b, (1, a, context)))
                 stack.append((a, (0, b, context)))
             case ("res", inner, ch):

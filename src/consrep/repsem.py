@@ -29,35 +29,37 @@ the rule's name differ, so one builder (``_move``), one target builder
 state lives in the parameters of its process constant, so its step is a
 function of its own entry and the payload it receives alone.  So each
 collector move - a collector entry with the transit entry it consumes,
-or with None for its suspicion twin - has one ``Move`` record per
-System, shared by every global state, keyed by the identities of those
-two objects and holding them alive: its rule record made once, and the
-local part of the step (the new entry and the messages sent) as the
-(field, entries) pairs it adds, with the sr1-deletes-in1 mutation
-already applied.  A state pays only for the global assembly: one lookup
-by identity per move, and a rebuild of just the fields the move changes
-(an entry dropped, a sorted merge).  An undefined decision raises before
-anything is stored.  ``rep_successors`` does not validate what it
-returns: its consumers validate each state once, when they first
-discover it, against the state it was built from and the rule that built
-it where they have them (``validate_rep``).  Each rule preserves the
-invariants, so such a state is checked only for what its rule changed, as
-the rule's ``Patch`` states it: the entries it added, the agent it
-crashed, the observer it rebuilt.  A field the rule only drops from is a
-sub-sequence of its source's validated field by construction
-(``_move_target``'s slices and sorted merge, SR7's owner filter, SRW1's
-``_drop``) and is not walked; that is the trust boundary, and
-``tests/test_validate_source.py`` pins it edge by edge.
+or with None for its suspicion twin - is one ``Rule`` record per System,
+shared by every global state: made once, with the local part of the step
+(the new entry and the messages sent) as the (field, entries) pairs it
+adds, the sr1-deletes-in1 mutation already applied.  A state pays only
+for the global assembly: one lookup by step key per move, and a rebuild
+of just the fields the move changes (an entry dropped, a sorted merge).
+An undefined decision raises before anything is stored.
+``rep_successors`` does not validate what it returns: its consumers
+validate each state once, when they first discover it, against the state
+it was built from and the rule that built it where they have them
+(``validate_rep``).  Each rule preserves the invariants, so such a state
+is checked only for what its rule changed, as the rule's ``Patch`` states
+it: the entries it added, the agent it crashed, the observer it rebuilt.
+A field the rule only drops from is a sub-sequence of its source's
+validated field by construction (``_move_target``'s slices and sorted
+merge, SR7's owner filter, SRW1's ``_drop``) and is not walked; that is
+the trust boundary, and ``tests/test_validate_source.py`` pins it edge by
+edge.
 
-Each rule instance is a ``Rule`` record, made once: the ``Move`` of a
-collector move builds its rule, the observer and crash rules come from a
-memo on the System by step key, and ``lts.OK_RULE`` serves every System.  A rule renders,
+Each rule instance is a ``Rule`` record, made once and stored in one
+memo on the System, ``System._rules``, by its step key (``_move`` for a
+collector move, ``_keyed_rule`` for the observer and crash rules);
+``lts.OK_RULE`` serves every System.  A step key names the entries the
+step consumes, in the key space of ``lts.keyed_steps``, so that the
+correspondence check pairs the two semantics' steps without building the
+calculus targets.  Where a key names an entry by identity, the rule holds
+that entry, so a rule holds every object whose identity its key names and
+no id in a stored key is reused while the System lives.  A rule renders,
 hashes and sorts as its text, and carries what the checks read of it: its
-family, the agent it suspects or perfectly suspects, its patch, and its
-step key, which names the entries the step consumes in the key space of
-``lts.keyed_steps``, so that the correspondence check pairs the two
-semantics' steps without building the calculus targets.  No check parses
-rule text.
+family, the agent it suspects or perfectly suspects, its patch and what a
+collector move adds.  No check parses rule text.
 
 Calculus-side canonicalisation works per component for the same reason.
 ``expansion`` lists a representative's normal form as (slot, located
@@ -169,18 +171,29 @@ class Rule(str):
     * ``patch``: what the rule changes in any state it applies to (a
       ``Patch``, made with the rule), by which ``validate_rep`` checks its
       targets; None for the `ok` send, whose target is its source, and for
-      a move that adds an entry out of bounds (``_patch``).
+      a move that adds an entry out of bounds (``_patch``);
+    * ``entry`` and ``consumed``: the objects whose identities its key
+      names, held alive so that no such id is reused while the rule
+      exists: the collector entry of a collector move and the transit
+      entry it receives (None for a suspicion), and the decision SRW1
+      consumes as ``consumed``; None where the key names none;
+    * ``adds``: the (field index, entries) pairs of the fields a
+      collector move adds to, which ``_move_target`` merges in: the
+      collector's local step, with its next entry left out where the
+      sr1-deletes-in1 mutation drops it; empty for any other rule.
 
     A key names entries by identity, which means nothing in another
     process, so a rule pickles and copies as a plain ``str``.  A str
     subclass cannot have non-empty ``__slots__``."""
 
     def __new__(cls, text: str, family: str, key: tuple, suspected=None,
-                perfect: int = 0, patch=None):
+                perfect: int = 0, patch=None, entry=None, consumed=None,
+                adds: tuple = ()):
         self = str.__new__(cls, text)
         self.family, self.key = family, key
         self.suspected, self.perfect = suspected, perfect
         self.patch = patch
+        self.entry, self.consumed, self.adds = entry, consumed, adds
         return self
 
     def __reduce__(self):
@@ -674,66 +687,38 @@ def _drop(entries: tuple, entry) -> tuple:
     return entries[:i] + entries[i + 1:]
 
 
-# The id that stands for the absent transit entry in a move key.
-_NONE = id(None)
-
-
-class LocalStep(NamedTuple):
-    """What one collector step produces, whatever the rest of the state:
-    the collector's next entry (at most one of ``in1``, ``in2``) and the
-    messages it sends, each a tuple of entries to add."""
-    in1: tuple = ()
-    in2: tuple = ()
-    out1: tuple = ()
-    out2: tuple = ()
-    out3: tuple = ()
-
-
-def _phase1_local(sys, entry, delta) -> LocalStep:
+def _phase1_local(sys, entry, delta) -> tuple:
     """The local step of a round collector that receives ``delta`` (a relay
-    vector, or bot for a suspicion), its entries interned."""
+    vector, or bot for a suspicion): the (field index, entries) pairs of
+    the collector's next entry (in in1 or in2) and the messages it sends,
+    its entries interned."""
     n = sys.n
     q, r, vv, msgs, i = entry
     msgs2 = cm.msg_add1(msgs, delta, r, i)
     if i < n:
-        return LocalStep(in1=(_intern(sys, (q, r, vv, msgs2, i + 1)),))
+        return ((_IN1, (_intern(sys, (q, r, vv, msgs2, i + 1)),)),)
     vv2 = cm.updatek(r, msgs2, vv)
     if r < n - 1:
         dd2 = cm.updater(r, msgs2, vv)
-        return LocalStep(
-            in1=(_intern(sys, (q, r + 1, vv2, msgs2, 1)),),
-            out1=tuple(_intern(sys, (q, j, r + 1, dd2)) for j in range(1, n + 1)))
-    return LocalStep(
-        in2=(_intern(sys, (q, vv2, msgs2, 1)),),
-        out2=tuple(_intern(sys, (q, j, vv2)) for j in range(1, n + 1)))
+        return ((_IN1, (_intern(sys, (q, r + 1, vv2, msgs2, 1)),)),
+                (_OUT1, tuple(_intern(sys, (q, j, r + 1, dd2))
+                              for j in range(1, n + 1))))
+    return ((_IN2, (_intern(sys, (q, vv2, msgs2, 1)),)),
+            (_OUT2, tuple(_intern(sys, (q, j, vv2)) for j in range(1, n + 1))))
 
 
-def _phase2_local(sys, entry, payload) -> LocalStep:
+def _phase2_local(sys, entry, payload) -> tuple:
     """The local step of a sync collector that receives ``payload`` (a
-    knowledge vector, or bot for a suspicion), its entries interned.  An
-    undefined decision raises ``EmptyKnowledge`` (from ``getfst``)."""
+    knowledge vector, or bot for a suspicion): the (field index, entries)
+    pair of its next entry in in2, or of the decision it sends, its
+    entries interned.  An undefined decision raises ``EmptyKnowledge``
+    (from ``getfst``)."""
     q, vv, msgs, i = entry
     msgs2 = cm.msg_add2(msgs, payload, i)
     if i < sys.n:
-        return LocalStep(in2=(_intern(sys, (q, vv, msgs2, i + 1)),))
+        return ((_IN2, (_intern(sys, (q, vv, msgs2, i + 1)),)),)
     vv2 = vv if "skip-correct" in sys.mutations else cm.correct_fn(msgs2, vv)
-    return LocalStep(out3=(_intern(sys, (q, cm.getfst(vv2))),))
-
-
-class Move(NamedTuple):
-    """One collector move, whatever the rest of the state: a collector
-    entry receiving the transit entry it consumes, or its suspicion twin,
-    which consumes nothing and receives bot.  Memoised per System in
-    ``System._moves`` by the identities of ``entry`` and ``consumed``,
-    which the record holds alive, so neither id is reused while it
-    exists."""
-    rule: Rule               # the rule instance, made once
-    entry: tuple             # the collector entry that steps
-    consumed: tuple | None   # the transit entry received; None: suspicion
-    # The (field index, entries) pairs of the fields the move adds to: the
-    # collector's local step, with the collector's next entry left out
-    # where the sr1-deletes-in1 mutation drops it.
-    adds: tuple
+    return ((_OUT3, (_intern(sys, (q, cm.getfst(vv2))),)),)
 
 
 # A phase's transit field (out1, out2) lies this many fields before its
@@ -758,12 +743,12 @@ _FAMILIES = {
 _AWAITED = ((_IN1, itemgetter(4, 0, 1)), (_IN2, itemgetter(3, 0)))
 
 
-def _move(sys, field: int, entry, consumed) -> Move:
-    """The move of collector ``entry`` of field ``field`` (in1 or in2)
+def _move(sys, field: int, entry, consumed) -> Rule:
+    """The rule of collector ``entry`` of field ``field`` (in1 or in2)
     receiving ``consumed``, or suspecting its awaited sender where
-    ``consumed`` is None; stored in ``System._moves`` once its local step
-    is defined, so an undefined decision raises before anything is
-    stored."""
+    ``consumed`` is None; stored in ``System._rules`` under its step key
+    once its local step is defined, so an undefined decision raises before
+    anything is stored."""
     n = sys.n
     q, i = entry[0], entry[-1]  # collector, awaited sender
     receives = consumed is not None
@@ -771,56 +756,52 @@ def _move(sys, field: int, entry, consumed) -> Move:
     families = _FAMILIES[field, receives]
     if field == _IN1:
         r = entry[1]
-        local = _phase1_local(sys, entry, payload)
+        adds = _phase1_local(sys, entry, payload)
         family = families[0 if i < n else (1 if r < n - 1 else 2)]
         text = f"{family} q={q} p={i} r={r}"
     else:
-        local = _phase2_local(sys, entry, payload)
+        adds = _phase2_local(sys, entry, payload)
         family = families[0 if i < n else 1]
         text = f"{family} q={q} p={i}"
     if family == "SR1" and "sr1-deletes-in1" in sys.mutations:
-        local = local._replace(in1=())
-    adds = tuple((_FIELD[kind], entries)
-                 for kind, entries in zip(LocalStep._fields, local) if entries)
+        adds = tuple((f, entries) for f, entries in adds if f != _IN1)
     # The move drops the collector, and the transit entry it receives.
     patch = _patch(n, (field, field - _TO_TRANSITS) if receives else (field,),
                    adds)
-    if receives:
-        rule = Rule(text, family, ("c", id(entry), id(consumed)), patch=patch)
-    else:
-        rule = Rule(text, family, ("s", id(entry)), suspected=i, patch=patch)
-    move = sys._moves[id(entry), id(consumed)] = Move(rule, entry, consumed,
-                                                       adds)
-    return move
+    key = ("c", id(entry), id(consumed)) if receives else ("s", id(entry))
+    rule = sys._rules[key] = Rule(
+        text, family, key, suspected=None if receives else i, patch=patch,
+        entry=entry, consumed=consumed, adds=adds)
+    return rule
 
 
-def _move_target(rep, field: int, k: int, j: int, move: Move) -> Representative:
-    """The successor of ``rep`` under ``move`` of the ``k``-th collector of
-    field ``field``, where the transit entry it consumes, if any, is the
-    ``j``-th of its transit field: only the fields the move changes are
-    rebuilt."""
+def _move_target(rep, field: int, k: int, j: int, rule: Rule) -> Representative:
+    """The successor of ``rep`` under the collector move ``rule`` of the
+    ``k``-th collector of field ``field``, where the transit entry it
+    consumes, if any, is the ``j``-th of its transit field: only the fields
+    the move changes are rebuilt."""
     fields = list(rep)
     collectors = fields[field]
     fields[field] = collectors[:k] + collectors[k + 1:]
-    if move.consumed is not None:
+    if rule.consumed is not None:
         t = field - _TO_TRANSITS
         transits = fields[t]
         fields[t] = transits[:j] + transits[j + 1:]
-    for f, entries in move.adds:
+    for f, entries in rule.adds:
         fields[f] = tuple(sorted(fields[f] + entries))
     return _new(Representative, fields)
 
 
-def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> tuple:
+def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> Rule:
     """The rule of an observer or crash step, by its step key: SRW1 for
     ``("c", wrap, id(decision))``, SRW2 for ``("s", wrap)`` and SR7 for
-    ``("x", agent)``.  Returns the pair (rule, ``decision``) it stores in
-    ``System._rules`` under ``key``, which holds the decision SRW1
-    consumes alive, so its id is not reused while the entry exists."""
+    ``("x", agent)``; stored in ``System._rules`` under ``key``.  SRW1's
+    rule holds ``decision`` as the entry it consumes."""
     match key:
         case ("c", (wj, _, _), _):
             rule = Rule(f"SRW1 j={wj} v={value_str(decision[1])}", "SRW1", key,
-                        patch=_patch(sys.n, (_OUT3,), wrap=True))
+                        patch=_patch(sys.n, (_OUT3,), wrap=True),
+                        consumed=decision)
         case ("s", (wj, _, _)):
             rule = Rule(f"SRW2 j={wj}", "SRW2", key, perfect=wj,
                         patch=_patch(sys.n, wrap=True))
@@ -828,8 +809,8 @@ def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> tuple:
             rule = Rule(f"SR7 p={p}", "SR7", key,
                         patch=_patch(sys.n, (0, _OUT1, _OUT2, _OUT3, _IN1, _IN2),
                                      crashed=p))
-    known = sys._rules[key] = (rule, decision)
-    return known
+    sys._rules[key] = rule
+    return rule
 
 
 def rep_successors(sys: cm.System, rep: Representative) -> list:
@@ -837,18 +818,19 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
     (rule instance, successor) pairs, unordered: ``lts.labelled_targets``
     orders a state's transitions.
 
-    Each collector move of either phase comes from its ``Move`` record,
-    looked up by the identities of the collector entry and the transit
-    entry, and every other rule from ``System._rules`` by its step key, so
-    a state pays for no rule text and no local step; only the fields the
-    move changes are rebuilt, and successors are built positionally with
+    Each rule comes from ``System._rules`` by its step key, one lookup per
+    step: a collector move by the identities of the collector entry and
+    the transit entry, an observer step by the wrap value (and the
+    decision's identity), a crash by its agent.  So a state pays for no
+    rule text and no local step; only the fields the step changes are
+    rebuilt, and successors are built positionally with
     ``tuple.__new__``, past ``Representative``'s Python-level
     constructor.  Within a validated state the rule instances are
     pairwise distinct (each agent holds one role, and the SRW1/SRW2/SR7
     instances carry distinct parameters), so the list needs no
     deduplication."""
     n = sys.n
-    moves, rules = sys._moves, sys._rules
+    rules = sys._rules
     live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
     # The agent suspicion spares: the ti, or none (0) under no-ti-protection.
     spared = ti if "no-ti-protection" not in sys.mutations else 0
@@ -867,13 +849,13 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
             j = bisect_left(transits, awaited)
             if j < len(transits) and transits[j][:len(awaited)] == awaited:
                 transit = transits[j]
-                move = (moves.get((id(entry), id(transit)))
+                rule = (rules.get(("c", id(entry), id(transit)))
                         or _move(sys, field, entry, transit))
-                out.append((move.rule, _move_target(rep, field, k, j, move)))
+                out.append((rule, _move_target(rep, field, k, j, rule)))
             if i != q and i != spared and suspects:
-                move = (moves.get((id(entry), _NONE))
+                rule = (rules.get(("s", id(entry)))
                         or _move(sys, field, entry, None))
-                out.append((move.rule, _move_target(rep, field, k, j, move)))
+                out.append((rule, _move_target(rep, field, k, j, rule)))
 
     wj, ww, wb = wrap
     if wb == 1 and 1 <= wj <= n:
@@ -885,14 +867,14 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
             else:
                 wrap2 = (wj, ww, 0)
             key = ("c", wrap, id(decision))
-            rule = (rules.get(key) or _keyed_rule(sys, key, decision))[0]
+            rule = rules.get(key) or _keyed_rule(sys, key, decision)
             out.append((rule, _new(Representative, (
                 live, budget, ti, out1, out2, _drop(out3, decision), in1, in2,
                 wrap2))))
         if wj not in live:
             wrap2 = (wj + 1, ww, 1) if wj + 1 <= n else (0, BOT, 1)
             key = ("s", wrap)
-            rule = (rules.get(key) or _keyed_rule(sys, key))[0]
+            rule = rules.get(key) or _keyed_rule(sys, key)
             out.append((rule, _new(Representative, (
                 live, budget, ti, out1, out2, out3, in1, in2, wrap2))))
 
@@ -904,7 +886,7 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 kept = [tuple([e for e in f if e[0] != p]) if f else f
                         for f in owned]
                 key = ("x", p)
-                rule = (rules.get(key) or _keyed_rule(sys, key))[0]
+                rule = rules.get(key) or _keyed_rule(sys, key)
                 out.append((rule, _new(Representative, (
                     live[:k] + live[k + 1:], budget - 1, ti, *kept, wrap))))
 

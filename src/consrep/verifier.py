@@ -89,8 +89,10 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     expanded in id order.  So an edge costs two 4-byte ints (target and
     label id) and a node one offset, and a ``Transition`` exists only while
     someone iterates ``graph.edges``.  Looking a target up in ``node_ids``
-    hashes it through the hashes its ``repsem.Entry`` objects cache; a τ
-    edge's label id is looked up by its rule alone.
+    hashes it through the hashes its ``repsem.Entry`` objects cache.  An
+    edge's label id is looked up by its rule alone: every representative
+    rule labels τ and only ``lts.OK_RULE`` labels ``ok``, so a rule decides
+    its action.
 
     Every initial is expanded, and ``max_states`` states in all where
     there are more.  The first target past the bound raises
@@ -110,12 +112,13 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     offsets = array("I", [0])
     targets = array("I")
     label_ids = array("I")
-    labels: dict = {}              # (action, rule) -> label id
+    labels: dict = {}              # rule -> label id
+    label_pairs: list = []         # label id -> (action, rule)
     defects: list = []
 
     def graph(truncated: bool) -> LtsGraph:
         offsets.extend([len(targets)] * (len(nodes) + 1 - len(offsets)))
-        edges = Edges(nodes, offsets, targets, label_ids, tuple(labels))
+        edges = Edges(nodes, offsets, targets, label_ids, tuple(label_pairs))
         return LtsGraph(initials, node_ids, edges, truncated=truncated,
                         defects=tuple(defects))
 
@@ -127,15 +130,8 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
             raise BoundExceeded(graph(True), max_states)
         nodes.append(target)
 
-    def label_of(action, rule) -> int:
-        label = labels.get((action, rule))
-        if label is None:
-            label = labels[action, rule] = len(labels)
-        return label
-
     setdefault = node_ids.setdefault
     add_target, add_label = targets.append, label_ids.append
-    tau_labels: dict = {}          # rule -> label id of (TAU, rule)
     with _gc_paused():
         for rep in islice(nodes, limit):
             try:
@@ -156,12 +152,10 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
                 ident = setdefault(target, count)
                 if ident == count:
                     admit(target, rep, rule)
-                if action is TAU:
-                    label = tau_labels.get(rule)
-                    if label is None:
-                        label = tau_labels[rule] = label_of(action, rule)
-                else:
-                    label = label_of(action, rule)
+                label = labels.get(rule)
+                if label is None:
+                    label = labels[rule] = len(label_pairs)
+                    label_pairs.append((action, rule))
                 add_target(ident)
                 add_label(label)
             offsets.append(len(targets))
@@ -502,12 +496,14 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
     representative step of its key.
 
     A keyed step's patch is a function of its key (and, for a silent step,
-    of its leaf) on both sides: it removes the entries the key names and
-    adds the slots of a memoised leaf, or a ``Move``'s entries, or rebuilds
-    the observer from its wrap value.  So the two targets of a key are
-    compared once, where the key is first met, with ``repsem.sf_step`` on
-    one side and the target in ``succs`` on the other, and the verdict is
-    kept in ``verdicts`` (key -> (leaf, agrees)) for the rest of the check.
+    of its leaf) on both sides.  Both remove the entries the key names.
+    The calculus step adds the slots of a memoised leaf; the representative
+    step is the one rule ``System._rules`` stores under the key, which adds
+    its ``adds`` or rebuilds the observer from its wrap value.  So the two
+    targets of a key are compared once, where the key is first met, with
+    ``repsem.sf_step`` on one side and the target in ``succs`` on the
+    other, and the verdict is kept in ``verdicts`` (key -> (leaf, agrees))
+    for the rest of the check.
     A crash drops whatever its agent owns, so its two targets are compared
     in every state, the calculus one patched by ``repsem.crash_target``."""
     steps = lts.keyed_steps(sys, rep)
@@ -807,18 +803,19 @@ def check_safety_subset(sys: cm.System, reps) -> CheckReport:
     """Validity and agreement over a set of states, for bounded runs where
     the full graph (and with it termination) is out of reach.
 
-    Validity is judged once per entry object (``_ENTRY_VALIDITY``),
-    memoised per field on the System by the entry's identity (each entry
-    held alive, so its id is not reused); entries are interned, so that is
-    once per distinct entry.  A state then gets the message of each of
-    its invalid entries in field order, then the observer's."""
-    memos = [sys._validity.setdefault(k, {}) for k in range(len(_ENTRY_VALIDITY))]
+    Validity is judged once per entry object (``_ENTRY_VALIDITY``, by the
+    entry's field), memoised on the System by the entry's identity (each
+    entry held alive, so its id is not reused); entries are interned, so
+    that is once per distinct entry.  An interned entry's shape decides its
+    field, so one memo serves every field.  A state then gets the message
+    of each of its invalid entries in field order, then the observer's."""
+    memo = sys._validity
     proposed = _proposed(sys)
     failures: list = []
     count = 0
     for rep in reps:
         count += 1
-        for memo, judge, entries in zip(memos, _ENTRY_VALIDITY, rep[3:8]):
+        for judge, entries in zip(_ENTRY_VALIDITY, rep[3:8]):
             for entry in entries:
                 known = memo.get(id(entry))
                 if known is None:

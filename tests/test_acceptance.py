@@ -7,9 +7,9 @@ portion must be failure-free either way.  The instance is finite
 (1,060,526 states, within the 5,000,000 hard bound) and the full
 correspondence and property checks have been run to completion and pass;
 CONSREP_ACCEPT_N3=1100000 reproduces those runs.  The full n=3
-correspondence check, which also builds the representative graph, took
-150 s in one run on a 2-core machine (``BENCH_correspondence.json``,
-``single_pass_verify``).
+correspondence check, which also builds the representative graph, takes
+51-58 s on a 2-core machine (``BENCH_correspondence.json``,
+``per_move_correspondence``).
 """
 
 import os

@@ -10,11 +10,12 @@ the same report JSON, the same carried graph and the same sequence of
 ``repsem.validate_rep`` arguments.  Every state of the unmutated runs must
 take the keyed path, and on the n=3 prefix the check may build a
 non-crash calculus target at most once per distinct step key.  A
-corrupted ``Move`` record and a corrupted leaf memo entry, each planted
-before the check, must fail it exactly as they fail the oracle.
+corrupted collector-move rule and a corrupted leaf memo entry, each
+planted before the check, must fail it exactly as they fail the oracle.
 
 ``step_keys`` is how the check once named the representative steps: a
-second scan of each state that read the keys off the ``Move`` records.
+second scan of each state that found each collector move's rule in the
+System's rule memo by the key it works out.
 On the same runs, the keys the rules of ``repsem.rep_successors`` carry
 (``repsem.Rule``) must be the keys it names.
 """
@@ -31,7 +32,7 @@ from consrep import lts, repsem, verifier
 from consrep.calculus_ast import value_str
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.lts import TAU
-from consrep.repsem import _NONE, Representative
+from consrep.repsem import Representative
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
 N3_BOUND = 3000
@@ -43,14 +44,15 @@ def step_keys(sys: cm.System, rep: Representative) -> dict | None:
     """The key of each internal step of ``rep`` that ``rep_successors``
     gives, mapped to its rule instance, in the key space of
     ``lts.keyed_steps``: the key of the calculus step that the rule
-    matches.  A collector move is keyed from its ``Move`` record, which
-    ``rep_successors`` filled: ``("c", id(entry), id(consumed))`` for a
-    reception and ``("s", id(entry))`` for a suspicion.  The observer is
+    matches.  A collector move's rule is looked up in ``System._rules``,
+    which ``rep_successors`` filled, under ``("c", id(entry),
+    id(consumed))`` for a reception and ``("s", id(entry))`` for a
+    suspicion.  The observer is
     keyed by its wrap value: ``("c", wrap, id(decision))`` for SRW1 and
     ``("s", wrap)`` for SRW2.  A crash is ``("x", agent)``.  None where an
-    enabled move has no record."""
+    enabled move has no rule stored."""
     n = sys.n
-    moves = sys._moves
+    rules = sys._rules
     live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
     spared = ti if "no-ti-protection" not in sys.mutations else 0
     phase1_susp = "no-phase1-susp" not in sys.mutations
@@ -61,29 +63,29 @@ def step_keys(sys: cm.System, rep: Representative) -> dict | None:
         key = (i, q, r)
         j = bisect_left(out1, key)
         if j < len(out1) and out1[j][:3] == key:
-            move = moves.get((id(entry), id(out1[j])))
-            if move is None:
+            rule = rules.get(("c", id(entry), id(out1[j])))
+            if rule is None:
                 return None
-            keys["c", id(entry), id(out1[j])] = move.rule
+            keys["c", id(entry), id(out1[j])] = rule
         if i != q and i != spared and phase1_susp:
-            move = moves.get((id(entry), _NONE))
-            if move is None:
+            rule = rules.get(("s", id(entry)))
+            if rule is None:
                 return None
-            keys["s", id(entry)] = move.rule
+            keys["s", id(entry)] = rule
     for entry in in2:
         q, _, _, i = entry
         key = (i, q)
         j = bisect_left(out2, key)
         if j < len(out2) and out2[j][:2] == key:
-            move = moves.get((id(entry), id(out2[j])))
-            if move is None:
+            rule = rules.get(("c", id(entry), id(out2[j])))
+            if rule is None:
                 return None
-            keys["c", id(entry), id(out2[j])] = move.rule
+            keys["c", id(entry), id(out2[j])] = rule
         if i != q and i != spared:
-            move = moves.get((id(entry), _NONE))
-            if move is None:
+            rule = rules.get(("s", id(entry)))
+            if rule is None:
                 return None
-            keys["s", id(entry)] = move.rule
+            keys["s", id(entry)] = rule
 
     wj, ww, wb = wrap
     if wb == 1 and 1 <= wj <= n:
@@ -285,15 +287,17 @@ def _assert_fails_as_the_oracle(new_sys, old_sys) -> None:
 
 def test_a_corrupted_move_record_fails_as_in_the_oracle():
     # A move that drops the collector it advances, planted before the check
-    # as the one record of its key.
+    # as the one rule of its key.
     systems = _twin_systems()
     for sys_ in systems:
         for rep in lts.initial_reps(sys_):
             repsem.rep_successors(sys_, rep)
-        key, move = next((k, mv) for k, mv in sys_._moves.items()
-                         if mv.consumed is not None and IN1 in dict(mv.adds))
-        sys_._moves[key] = move._replace(
-            adds=tuple((f, entries) for f, entries in move.adds if f != IN1))
+        key, move = next((k, rule) for k, rule in sys_._rules.items()
+                         if rule.consumed is not None and IN1 in dict(rule.adds))
+        bad = repsem.Rule(move, move.family, key)
+        vars(bad).update(vars(move), adds=tuple(
+            (f, entries) for f, entries in move.adds if f != IN1))
+        sys_._rules[key] = bad
     _assert_fails_as_the_oracle(*systems)
 
 

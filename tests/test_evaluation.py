@@ -44,12 +44,12 @@ def cfgof(net, live={1, 2}, budget=0, ti=1):
 
 def test_nil_component_is_collected():
     steps = eval_steps(cfgof(located(1, NIL)), TOY)
-    assert [(s.rule, c.net) for s, c in steps] == [("E2", NNIL)]
+    assert [(s, c.net) for s, c in steps] == [("E2", NNIL)]
 
 
 def test_dead_location_is_collected():
     steps = eval_steps(cfgof(located(2, out_atom(C, lit(nat(1)))), live={1}), TOY)
-    assert [(s.rule, c.net) for s, c in steps] == [("E3", NNIL)]
+    assert [(s, c.net) for s, c in steps] == [("E3", NNIL)]
 
 
 def test_conditional_single_successor():
@@ -58,7 +58,7 @@ def test_conditional_single_successor():
                 NIL)
     steps = eval_steps(cfgof(located(1, body)), TOY)
     assert len(steps) == 1
-    assert steps[0][0].rule == "EIfTrue"
+    assert steps[0][0] == "EIfTrue"
 
 
 def test_worked_example_chain():

@@ -1,15 +1,15 @@
-"""The collector-local steps of the move records against the model's
+"""The collector-local steps of the move rules against the model's
 helpers.
 
 A collector's step in the representative semantics depends only on its
 own entry and the payload it receives, so ``repsem`` computes it once per
 collector move (the entry and the transit entry it consumes, or None for
-a suspicion) and keeps it in the move's record on the System.  Every
-record after exploration must hold the step recomputed from the
-``consensus_model`` helpers for its payload (the transit entry's vector,
-or bot), with the collector's next round entry left out of an SR1 move
-under the sr1-deletes-in1 mutation, as (field index, entries) pairs of
-just the fields it adds to; and a warm System must give the same
+a suspicion) and keeps it in the move's rule record on the System.  Every
+collector-move rule after exploration must hold the step recomputed from
+the ``consensus_model`` helpers for its payload (the transit entry's
+vector, or bot), with the collector's next round entry left out of an SR1
+move under the sr1-deletes-in1 mutation, as (field index, entries) pairs
+of just the fields it adds to; and a warm System must give the same
 successors as a fresh one.
 """
 
@@ -21,56 +21,54 @@ from consrep import consensus_model as cm
 from consrep import repsem, verifier
 from consrep.calculus_ast import BOT
 from consrep.errors import BoundExceeded, EmptyKnowledge
-from consrep.repsem import LocalStep, Representative
+from consrep.repsem import Representative
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
 
+IN1, IN2, OUT1, OUT2, OUT3 = map(Representative._fields.index,
+                                 ("in1", "in2", "out1", "out2", "out3"))
 
-def _phase1_oracle(sys_, entry, delta) -> LocalStep:
+
+def _phase1_oracle(sys_, entry, delta) -> dict:
     n = sys_.n
     q, r, vv, msgs, i = entry
     msgs2 = cm.msg_add1(msgs, delta, r, i)
     if i < n:
-        return LocalStep(in1=((q, r, vv, msgs2, i + 1),))
+        return {IN1: ((q, r, vv, msgs2, i + 1),)}
     vv2 = cm.updatek(r, msgs2, vv)
     if r < n - 1:
         dd2 = cm.updater(r, msgs2, vv)
-        return LocalStep(in1=((q, r + 1, vv2, msgs2, 1),),
-                         out1=tuple((q, j, r + 1, dd2) for j in range(1, n + 1)))
-    return LocalStep(in2=((q, vv2, msgs2, 1),),
-                     out2=tuple((q, j, vv2) for j in range(1, n + 1)))
+        return {IN1: ((q, r + 1, vv2, msgs2, 1),),
+                OUT1: tuple((q, j, r + 1, dd2) for j in range(1, n + 1))}
+    return {IN2: ((q, vv2, msgs2, 1),),
+            OUT2: tuple((q, j, vv2) for j in range(1, n + 1))}
 
 
-def _phase2_oracle(sys_, entry, payload) -> LocalStep:
+def _phase2_oracle(sys_, entry, payload) -> dict:
     q, vv, msgs, i = entry
     msgs2 = cm.msg_add2(msgs, payload, i)
     if i < sys_.n:
-        return LocalStep(in2=((q, vv, msgs2, i + 1),))
+        return {IN2: ((q, vv, msgs2, i + 1),)}
     if "skip-correct" not in sys_.mutations:
         vv = cm.correct_fn(msgs2, vv)
-    return LocalStep(out3=((q, cm.getfst(vv)),))
-
-
-def _by_field(step: LocalStep) -> dict:
-    """The non-empty fields of ``step`` by their index in a
-    representative."""
-    return {Representative._fields.index(kind): entries
-            for kind, entries in step._asdict().items() if entries}
+    return {OUT3: ((q, cm.getfst(vv)),)}
 
 
 def _assert_memo_matches_helpers(sys_) -> int:
     fresh = cm.build_system(sys_.inst, sys_.mutations)
-    for move in sys_._moves.values():
+    # The collector-move rules: those whose key names a collector entry.
+    moves = [rule for rule in sys_._rules.values() if rule.entry is not None]
+    for move in moves:
         entry, consumed = move.entry, move.consumed
         if len(entry) == 5:
             oracle = _phase1_oracle(fresh, entry, consumed[3] if consumed else BOT)
-            if (move.rule.startswith("SR1 ")
+            if (move.startswith("SR1 ")
                     and "sr1-deletes-in1" in sys_.mutations):
-                oracle = oracle._replace(in1=())
+                del oracle[IN1]
         else:
             oracle = _phase2_oracle(fresh, entry, consumed[2] if consumed else BOT)
         assert len(dict(move.adds)) == len(move.adds), move
-        assert _by_field(oracle) == dict(move.adds), move
-    return len(sys_._moves)
+        assert oracle == dict(move.adds), move
+    return len(moves)
 
 
 @pytest.mark.parametrize("mutation", [None, *sorted(cm.MUTATIONS)])

@@ -1,18 +1,19 @@
 """``repsem.rep_successors`` against the successor function it replaced.
 
 ``reference_rep_successors`` below is the earlier ``rep_successors``, with
-its ``_phase1_step`` and ``_phase2_step``, kept verbatim: per state it
-computes each collector's local step, formats each rule instance afresh
-and merges every collector field, looking no move record up.  It calls
-the same ``_phase1_local``/``_phase2_local`` (which
+its ``_phase1_step`` and ``_phase2_step``, kept as it was but for reading
+the local step as (field index, entries) pairs: per state it computes
+each collector's local step, formats each rule instance afresh and merges
+every collector field, looking no rule up.  It calls the same
+``_phase1_local``/``_phase2_local`` (which
 ``tests/test_local_step_memo.py`` checks against the model's helpers), so
 what it checks is the assembly: the rule text, the transit lookup and the
-rebuilt fields.  The per-System move records
+rebuilt fields.  The per-System rule records
 that ``rep_successors`` reads must give the same (rule, target) list on
 every state of the seven n<=2 instances, unmutated and under each of the
 four mutations (where a decision is undefined, both raise), and on seeded
 samples of an n=3 (1,2,3) prefix.  A representative rebuilt from plain
-tuples must get the same successors as its interned twin, and every move
+tuples must get the same successors as its interned twin, and every rule
 record must hold the objects its key names, so no id in a key is reused
 while the record exists.  ``rep_successors`` returns its pairs unordered,
 so they are compared sorted.  Between them, the compared states fire
@@ -40,6 +41,10 @@ COLLECTOR_FAMILIES = {"SR1", "SR2", "SR3", "SR4", "SR5", "SR6",
                       "SR1'", "SR2'", "SR4'", "SR5'"}
 
 
+# The index of each entry field in a representative.
+OUT1, OUT2, OUT3, IN1, IN2 = range(3, 8)
+
+
 def _merge(entries: tuple, new: tuple) -> tuple:
     return tuple(sorted(entries + new)) if new else entries
 
@@ -48,32 +53,32 @@ def _phase1_step(sys, rep, entry, delta, consumed, rule, out):
     """Advance a round collector on ``delta``.  ``consumed`` is the transit
     entry to remove, if any."""
     q, r, _, _, i = entry
-    step = _phase1_local(sys, entry, delta)
+    step = dict(_phase1_local(sys, entry, delta))
     out1 = _drop(rep.out1, consumed) if consumed else rep.out1
     in1 = _drop(rep.in1, entry)
     if rule != "SR1" or "sr1-deletes-in1" not in sys.mutations:
-        in1 = _merge(in1, step.in1)
+        in1 = _merge(in1, step.get(IN1, ()))
     out.append((f"{rule} q={q} p={i} r={r}", Representative(
         rep.live, rep.budget, rep.ti,
-        _merge(out1, step.out1),
-        _merge(rep.out2, step.out2),
+        _merge(out1, step.get(OUT1, ())),
+        _merge(rep.out2, step.get(OUT2, ())),
         rep.out3,
         in1,
-        _merge(rep.in2, step.in2),
+        _merge(rep.in2, step.get(IN2, ())),
         rep.wrap,
     )))
 
 
 def _phase2_step(sys, rep, entry, payload, consumed, rule, out):
     q, _, _, i = entry
-    step = _phase2_local(sys, entry, payload)
+    step = dict(_phase2_local(sys, entry, payload))
     out2 = _drop(rep.out2, consumed) if consumed else rep.out2
     out.append((f"{rule} q={q} p={i}", Representative(
         rep.live, rep.budget, rep.ti, rep.out1,
         out2,
-        _merge(rep.out3, step.out3),
+        _merge(rep.out3, step.get(OUT3, ())),
         rep.in1,
-        _merge(_drop(rep.in2, entry), step.in2),
+        _merge(_drop(rep.in2, entry), step.get(IN2, ())),
         rep.wrap,
     )))
 
@@ -193,10 +198,22 @@ def _assert_same_successors(sys_, reps, families=None) -> int:
 
 
 def _assert_records_hold_their_keys(sys_) -> int:
-    for (entry_id, consumed_id), move in sys_._moves.items():
-        assert id(move.entry) == entry_id
-        assert id(move.consumed) == consumed_id
-    return len(sys_._moves)
+    """Every rule in the System's rule memo is stored under its own key,
+    and each id its key names is that of the object it holds: a collector
+    move's entry (an int after the key's tag) and the entry it consumes
+    (the last int of a reception key), SRW1's decision.  Observer keys name
+    the wrap by value, crash keys an agent; neither is an id."""
+    for key, rule in sys_._rules.items():
+        assert rule.key is key
+        if key[0] in ("c", "s") and type(key[1]) is int:
+            assert key[1] == id(rule.entry)
+        else:
+            assert rule.entry is None
+        if key[0] == "c":
+            assert key[2] == id(rule.consumed)
+        else:
+            assert rule.consumed is None
+    return len(sys_._rules)
 
 
 def _graph(sys_, bound=verifier.DEFAULT_MAX_STATES):
@@ -242,5 +259,5 @@ def test_sampled_n3_states_match_the_reference(n3_prefix):
     assert _assert_same_successors(cm.build_system(INSTANCE_3), sample) == 0
     # The plain-tuple twins filled records of their own, which hold the
     # twins' tuples, so no id in a key is reused while its record lives.
-    assert any(type(move.entry) is tuple for move in sys3._moves.values())
+    assert any(type(rule.entry) is tuple for rule in sys3._rules.values())
     assert _assert_records_hold_their_keys(sys3) > 0

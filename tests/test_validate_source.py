@@ -120,21 +120,11 @@ def counting_patch_path(monkeypatch) -> dict:
     return counts
 
 
-def adds_of(sys_, rule) -> tuple:
-    """The (field index, entries) pairs ``rule`` adds: those of its
-    ``Move``, found by the identities its step key names, for a collector
-    move; none for the observer and crash rules."""
-    if rule.family in ("SRW1", "SRW2", "SR7"):
-        return ()
-    entry, *consumed = rule.key[1:]
-    return sys_._moves[entry, consumed[0] if consumed else id(None)].adds
-
-
-def assert_patch_holds(sys_, source, target, rule) -> None:
+def assert_patch_holds(source, target, rule) -> None:
     """The facts ``_patch_accepts`` trusts: each field the rule only drops
     from (one it neither leaves alone nor adds to), and each field it adds
     to without what it adds, is a sub-sequence of the source's field."""
-    adds = dict(adds_of(sys_, rule))
+    adds = dict(rule.adds)
     for k in (0, *range(3, 8)):
         if k not in rule.patch.same:
             kept = without(target[k], adds.get(k, ()))
@@ -165,7 +155,7 @@ def test_source_validation_and_crash_target_agree_on_every_state(monkeypatch):
                         == outcome(sys_, target) is None)
                 if rule.patch is not None:
                     assert repsem._patch_accepts(sys_.n, target, rep, rule.patch)
-                    assert_patch_holds(sys_, rep, target, rule)
+                    assert_patch_holds(rep, target, rule)
                 edges += 1
             for step in lts.keyed_steps(sys_, rep):
                 if step[0][0] != "x":
@@ -260,12 +250,15 @@ def test_a_faulty_target_fails_alike_with_and_without_its_source(sys2, message):
     assert outcome(sys2, target).startswith(message)
 
 
-def _plant_out1(entry):
-    """A change to a round collector's local step that also sends
-    ``entry(collector)`` as a round message."""
+def _sending(field: str, entry):
+    """A change to a round collector's local step, its (field index,
+    entries) pairs, that also adds ``entry(collector)`` to ``field``."""
+    k = Representative._fields.index(field)
+
     def plant(sys_, q, local):
-        return local._replace(
-            out1=local.out1 + (repsem._intern(sys_, entry(q)),))
+        pairs = dict(local)
+        pairs[k] = pairs.get(k, ()) + (repsem._intern(sys_, entry(q)),)
+        return tuple(pairs.items())
     return plant
 
 
@@ -275,24 +268,23 @@ _LATE = ("set", (("pair", ("nat", 9), BOT),))
 # Per kind of check the patch path makes: the message the full check
 # raises (a pattern), whether the planted rule keeps a patch, and a change
 # to a round collector's local step (``repsem._phase1_local``) that plants
-# the fault in the entries its ``Move`` adds.  An entry out of bounds is a
+# the fault in the entries its rule adds.  An entry out of bounds is a
 # fact of the entry alone, so its rule gets no patch and every check.  The
 # collector's own round-1 message is in transit until it receives it, so
 # sending it again duplicates it, sorting before or after the first.
 PLANTED = {
     "out of bounds": (r"round message \((\d),9,1\) out of bounds", False,
-                      _plant_out1(lambda q: (q, 9, 1, BOT))),
+                      _sending("out1", lambda q: (q, 9, 1, BOT))),
     "dead owner": (r"round message owned by dead agent 9", True,
-                   _plant_out1(lambda q: (9, 1, 1, BOT))),
+                   _sending("out1", lambda q: (9, 1, 1, BOT))),
     "in transit, sorting before": (
         r"duplicate round message \((\d),\1,1\)", True,
-        _plant_out1(lambda q: (q, q, 1, BOT))),
+        _sending("out1", lambda q: (q, q, 1, BOT))),
     "in transit, sorting after": (
         r"duplicate round message \((\d),\1,1\)", True,
-        _plant_out1(lambda q: (q, q, 1, _LATE))),
+        _sending("out1", lambda q: (q, q, 1, _LATE))),
     "second role": (r"an agent holds two roles at once", True,
-                    lambda sys_, q, local: local._replace(
-                        out3=(repsem._intern(sys_, (q, BOT)),))),
+                    _sending("out3", lambda q: (q, BOT))),
 }
 
 
@@ -302,7 +294,7 @@ def test_a_fault_planted_in_a_move_fails_alike_on_every_path(monkeypatch,
     message, patched, plant = PLANTED[fault]
     instance = INSTANCES_2[1]
     states = explored(cm.build_system(instance), None)
-    sys_ = cm.build_system(instance)  # its move memo fills planted
+    sys_ = cm.build_system(instance)  # its rule memo fills planted
     local = repsem._phase1_local
     monkeypatch.setattr(repsem, "_phase1_local", lambda s, entry, delta:
                         plant(s, entry[0], local(s, entry, delta)))
@@ -344,7 +336,7 @@ def test_a_crash_target_that_keeps_an_entry_of_its_agent_fails_alike(sys2):
 _AGENT_INDEX = {"out1": 1, "out2": 1, "in1": 4, "in2": 3}
 
 
-def misbuilt(sys_, source, rule, target):
+def misbuilt(source, rule, target):
     """(target, the message the full check raises on it) per way to build
     ``target`` other than its rule does: a budget, a trusted immortal or an
     observer that the rule does not make; each field the rule adds to with
@@ -354,7 +346,7 @@ def misbuilt(sys_, source, rule, target):
     yield target._replace(budget=-1), "negative crash budget"
     yield target._replace(ti=9), "trusted immortal 9 not live"
     yield target._replace(wrap=(1, BOT, 5)), "observer flag 5"
-    for k, entries in adds_of(sys_, rule):
+    for k, entries in rule.adds:
         name = target._fields[k]
         if name in _AGENT_INDEX:
             entry = entries[0]
@@ -377,7 +369,7 @@ def test_a_target_its_rule_did_not_build_fails_alike():
                         (cm.build_system(INSTANCE_3), 300)):
         for source in explored(sys_, bound):
             for rule, target in repsem.rep_successors(sys_, source):
-                for bad, message in misbuilt(sys_, source, rule, target):
+                for bad, message in misbuilt(source, rule, target):
                     full = outcome(sys_, bad)
                     assert message in full, (full, message)
                     # A rule that is a plain string carries no patch.
