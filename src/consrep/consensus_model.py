@@ -477,11 +477,11 @@ class System:
         self.mutations = mutations
         # Waiting-shape builder results; state components recur constantly.
         self._wait_cache: dict = {}
-        # The ``repsem.Rule`` of each step of the representative semantics
-        # but the `ok` send, by its step key: each collector move (keyed by
-        # the identities of the collector entry and of the transit entry it
-        # consumes), observer step and crash.  A rule holds every object
-        # whose identity its key names.  Steps recur across states.
+        # The ``repsem.Rule`` of each step of the representative semantics,
+        # by its step key: each collector move and observer step (keyed by
+        # the identities of the collector or observer entry and of the
+        # entry it consumes), `ok` send and crash.  A rule holds every
+        # object whose identity its key names.  Steps recur across states.
         self._rules: dict = {}
         # Calculus-side canonicalisation per component (see repsem): the
         # round-trip-checked component of each representative slot, and,
@@ -496,12 +496,11 @@ class System:
         # the leaves (see lts._com_leaves).
         self._received: dict = {}
         # What each slot's component offers a calculus step, by the
-        # identity of the slot's entry, or by the wrap value for the
-        # observer (see lts._offer).
+        # identity of the slot's entry (see lts._offer).
         self._offers: dict = {}
-        # Each distinct representative entry as one ``repsem.Entry``, which
-        # caches its hash; filled where the memos above are filled and by
-        # ``repsem.sf``.
+        # Each distinct representative entry, observer included, as one
+        # ``repsem.Entry``, which caches its hash; filled where the memos
+        # above are filled and by ``repsem.sf``.
         self._entries: dict = {}
         # By the identity of each entry of out1 .. in2, the entry and what
         # the validity check says of it (see verifier.check_safety_subset).
@@ -669,8 +668,6 @@ def classify_component(sys: System, location, p):
                 if as_nat(wb) != 0:
                     raise NotReachableShape("observer call left unevaluated")
                 return ("wrap", (as_nat(wj), ww, 0))
-    except NotReachableShape:
-        raise
     except (IndexError, TypeError, KeyError, TypeMismatch) as exc:
         raise NotReachableShape(f"malformed component at {location}: {exc}") from exc
     raise NotReachableShape(f"unrecognised component at {location}")

@@ -12,17 +12,17 @@ are the one form of a step.  It walks the representative's fields
 directly and reads, per entry, a record of what its component offers a
 step (its output, its silent leaves and its inputs), read off its guard
 leaves once per slot and kept on the System under the entry's identity
-(entries are interned per System), or under the wrap value for the
-observer.  Each step is a record (key, leaf, rule, action, consumed):
+(entries, the observer's included, are interned per System).  Each step
+is a record (key, leaf, rule, action, consumed):
 ``consumed`` names the slots of the components the step consumes, and
 ``leaf`` is the located leaf it leaves in place of the last of them.  The
 key names the same consumption as a value: ``("c", input owner, output
 owner)`` for a Com step, ``("s", owner)`` for a silent one, ``("snd",
 owner)`` for a Snd step and ``("x", agent)`` for a crash, where an owner
-is an entry's identity or the observer's wrap value.  The leaves a Com
-step leaves behind are substituted once per Com key.  The correspondence
-check compares these keys with the ones the representative semantics'
-rules carry (``repsem.Rule``).
+is an entry's identity.  The leaves a Com step leaves behind are
+substituted once per Com key.  The correspondence check compares these
+keys with the ones the representative semantics' rules carry
+(``repsem.Rule``).
 
 A step's target is canonicalised back to a representative, which
 realises closure under structural congruence: ``repsem.sf_step`` patches
@@ -47,7 +47,9 @@ configurations.
 
 The representative semantics takes the successors straight from the rule
 set on representatives.  Both expose the same observable: the `ok` send,
-which leaves the representative fixed, enabled where ``emits_ok`` says.
+which leaves the representative fixed, enabled where ``emits_ok`` says;
+its representative rule is kept with the others in ``System._rules``,
+under the Snd key of the observer at `ok`.
 
 ``labelled_targets`` gives a state's transitions as (action, target,
 rule) triples in canonical order; every transition shares its source, so
@@ -83,10 +85,6 @@ def act_send(ch, v) -> tuple:
 
 
 OK = act_send(CHAN_OK, BOT)
-# The rule of the representative semantics' `ok` step.  Its key names the
-# observer at `ok`, the one wrap value that emits (``emits_ok``; validation
-# pins the remembered value to bot), so one record serves every System.
-OK_RULE = repsem.Rule("Snd ok", "Snd", ("snd", (0, BOT, 1)))
 
 
 def action_str(action) -> str:
@@ -142,10 +140,10 @@ def _guard_leaves(p) -> list:
     return leaves
 
 
-def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
+def _offer(sys: cm.System, kind: str, entry) -> tuple:
     """What the component of the slot ``(kind, entry)`` offers a step,
-    memoised on the System under ``owner``, as (slot, output, silent,
-    inputs, channels):
+    memoised on the System under the identity of ``entry``, as (slot,
+    output, silent, inputs, channels):
 
     * output: None, or (channel, value, Com rule, Snd step) for an output
       in transit, with the Snd step (a ``keyed_steps`` record) None on a
@@ -158,11 +156,11 @@ def _offer(sys: cm.System, owner, kind: str, entry) -> tuple:
       guard order, and channels the distinct channels among them.
 
     What fires in a state depends only on these and on the state's ti and
-    live set.  ``owner`` is the identity of ``entry`` (entries are interned
-    per System, and an entry's shape decides its field), or the wrap value
-    itself for the observer, so a lookup hashes no term; the record holds
-    ``entry`` alive, so its id is not reused while the record exists.  The
-    component comes from the slot memo, which checks its round trip."""
+    live set.  Entries are interned per System, and an entry's shape
+    decides its field, so a lookup by identity hashes no term; the record
+    holds ``entry`` alive, so its id is not reused while the record exists.
+    The component comes from the slot memo, which checks its round trip."""
+    owner = id(entry)
     slot = (kind, entry)
     consumed = (slot,)
     _, location, p = repsem._slot_component(sys, slot)
@@ -235,8 +233,8 @@ def keyed_steps(sys: cm.System, rep: repsem.Representative) -> list:
     inputs = {}    # channel -> [(slot, owner)], in slot order
     for kind, entries in zip(repsem._FIELD, (*rep[3:8], (rep.wrap,))):
         for entry in entries:
-            owner = entry if kind == "wrap" else id(entry)
-            offer = offers.get(owner) or _offer(sys, owner, kind, entry)
+            owner = id(entry)
+            offer = offers.get(owner) or _offer(sys, kind, entry)
             slot, output, silent, _, channels = offer
             if output is not None:
                 outputs.append((slot, owner, output))
@@ -327,7 +325,9 @@ def labelled_targets(sys: cm.System, rep: repsem.Representative) -> list:
     if emits_ok(rep):
         # Emitting ok consumes the observer; extraction restores it, so the
         # observable loops on the representative.
-        triples.append((OK, rep, OK_RULE))
+        key = ("snd", id(rep.wrap))
+        rule = sys._rules.get(key) or repsem._keyed_rule(sys, key, rep.wrap)
+        triples.append((OK, rep, rule))
     triples.sort()
     return triples
 

@@ -50,16 +50,16 @@ edge.
 
 Each rule instance is a ``Rule`` record, made once and stored in one
 memo on the System, ``System._rules``, by its step key (``_move`` for a
-collector move, ``_keyed_rule`` for the observer and crash rules);
-``lts.OK_RULE`` serves every System.  A step key names the entries the
-step consumes, in the key space of ``lts.keyed_steps``, so that the
-correspondence check pairs the two semantics' steps without building the
-calculus targets.  Where a key names an entry by identity, the rule holds
-that entry, so a rule holds every object whose identity its key names and
-no id in a stored key is reused while the System lives.  A rule renders,
+collector move, ``_keyed_rule`` for the observer rules, the `ok` send
+among them, and the crash rule).  A step key names the entries the step
+consumes by their identities, in the key space of ``lts.keyed_steps``,
+so that the correspondence check pairs the two semantics' steps without
+building the calculus targets.  The rule holds those entries, so no id
+in a stored key is reused while the System lives.  A rule renders,
 hashes and sorts as its text, and carries what the checks read of it: its
-family, the agent it suspects or perfectly suspects, its patch and what a
-collector move adds.  No check parses rule text.
+family, the agent it suspects or perfectly suspects, its patch, what a
+collector move adds and the observer an observer step leaves.  No check
+parses rule text.
 
 Calculus-side canonicalisation works per component for the same reason.
 ``expansion`` lists a representative's normal form as (slot, located
@@ -88,16 +88,16 @@ compare the incremental path with.
 
 Representatives are the keys the explorers hash and compare on every
 edge, so their entries are hash-consed.  Each distinct out1/out2/out3/
-in1/in2 entry is one ``Entry`` per System (``System._entries``), a tuple
-that computes its tuple hash once, when it is made.  Entries are interned
-only where a memo entry is filled (a collector move, a leaf's
-slots) and in ``sf``; the rules, ``sf_step`` and the crash rule reuse
-those objects, so no state pays for interning, and the entries of the two
-semantics compare by identity.  A representative's value, order, hash,
-JSON and digest are those of the same fields as plain tuples, and
-``validate_rep`` checks that ``live`` and every entry field are strictly
-increasing, the canonical form that makes representative equality decide
-congruence.  ``wrap`` stays a plain tuple: the observer rules rebuild it.
+in1/in2 entry and each distinct observer is one ``Entry`` per System
+(``System._entries``), a tuple that computes its tuple hash once, when it
+is made.  Entries are interned only where a memo entry is filled (a
+collector move, an observer rule, a leaf's slots) and in ``sf``; the
+rules, ``sf_step`` and the crash rule reuse those objects, so no state
+pays for interning, and the entries of the two semantics compare by
+identity.  A representative's value, order, hash, JSON and digest are
+those of the same fields as plain tuples, and ``validate_rep`` checks
+that ``live`` and every entry field are strictly increasing, the
+canonical form that makes representative equality decide congruence.
 
 Two canonical choices keep extraction a function: once the observer
 reaches the `ok` output its remembered value is gone from the term, so
@@ -163,7 +163,8 @@ class Rule(str):
     * ``key``: its step key in the key space of ``lts.keyed_steps``,
       ``("c", input owner, output owner)`` for a reception,
       ``("s", owner)`` for a suspicion, ``("snd", owner)`` for the `ok`
-      send and ``("x", agent)`` for a crash;
+      send and ``("x", agent)`` for a crash, an owner being the identity
+      of the entry (collector or observer) that steps;
     * ``suspected``: the agent a suspicion suspects, None for any other
       rule;
     * ``perfect``: the agent a perfect suspicion passes, 0 for any other
@@ -174,13 +175,15 @@ class Rule(str):
       a move that adds an entry out of bounds (``_patch``);
     * ``entry`` and ``consumed``: the objects whose identities its key
       names, held alive so that no such id is reused while the rule
-      exists: the collector entry of a collector move and the transit
-      entry it receives (None for a suspicion), and the decision SRW1
-      consumes as ``consumed``; None where the key names none;
+      exists: the collector or observer entry that steps (None for a
+      crash), and the transit entry or decision it receives (None for any
+      other rule);
     * ``adds``: the (field index, entries) pairs of the fields a
       collector move adds to, which ``_move_target`` merges in: the
       collector's local step, with its next entry left out where the
-      sr1-deletes-in1 mutation drops it; empty for any other rule.
+      sr1-deletes-in1 mutation drops it; empty for any other rule;
+    * ``wrap``: the interned observer that SRW1 or SRW2 leaves in place
+      of ``entry``; None for any other rule.
 
     A key names entries by identity, which means nothing in another
     process, so a rule pickles and copies as a plain ``str``.  A str
@@ -188,12 +191,13 @@ class Rule(str):
 
     def __new__(cls, text: str, family: str, key: tuple, suspected=None,
                 perfect: int = 0, patch=None, entry=None, consumed=None,
-                adds: tuple = ()):
+                adds: tuple = (), wrap=None):
         self = str.__new__(cls, text)
         self.family, self.key = family, key
         self.suspected, self.perfect = suspected, perfect
         self.patch = patch
         self.entry, self.consumed, self.adds = entry, consumed, adds
+        self.wrap = wrap
         return self
 
     def __reduce__(self):
@@ -210,18 +214,17 @@ def _intern(sys: cm.System, entry: tuple) -> Entry:
 
 
 def _classify(sys: cm.System, location, proc) -> tuple:
-    """``classify_component`` with the fields of an entry interned."""
+    """``classify_component`` with the fields interned."""
     kind, fields = cm.classify_component(sys, location, proc)
-    return kind, fields if kind == "wrap" else _intern(sys, fields)
+    return kind, _intern(sys, fields)
 
 
 class Representative(NamedTuple):
     """The canonical key of a congruence class.  ``live`` and each of
-    out1..in2 are strictly increasing, and out1..in2 hold interned
-    ``Entry`` objects; ``wrap`` is a plain tuple.  Its value, order and
-    hash are those of the same fields as plain tuples, so a representative
-    built by hand from plain tuples is equal to it and finds it in a
-    dict."""
+    out1..in2 are strictly increasing, out1..in2 hold interned ``Entry``
+    objects, and ``wrap`` is one.  Its value, order and hash are those of
+    the same fields as plain tuples, so a representative built by hand
+    from plain tuples is equal to it and finds it in a dict."""
     live: tuple      # sorted agent ids
     budget: int
     ti: int
@@ -232,6 +235,9 @@ class Representative(NamedTuple):
     in2: tuple       # (agent, knowledge, messages, awaited sender)
     wrap: tuple      # (position, remembered value, accepting flag)
 
+
+# The observer at the `ok` output: accepting, its remembered value gone.
+_AT_OK = (0, BOT, 1)
 
 # The fields held in strictly increasing order: live and out1 .. in2.
 _CANONICAL_FIELDS = ("live", *Representative._fields[3:8])
@@ -455,35 +461,29 @@ def validate_rep(sys: cm.System, rep: Representative, source=None,
 # ---------------------------------------------------------------------------
 # Extraction and expansion.
 
-def _assemble(live, budget: int, ti: int, classified) -> Representative:
+def _observer(sys: cm.System, wraps) -> Entry:
+    """The one observer among the observer entries ``wraps`` of a fully
+    evaluated configuration.  With none, the observer was consumed after
+    emitting `ok`, and it is restored to the System's observer at `ok`."""
+    if len(wraps) > 1:
+        raise NotReachableShape("two observer components")
+    return wraps[0] if wraps else _intern(sys, _AT_OK)
+
+
+def _assemble(sys: cm.System, live, budget: int, ti: int,
+              classified) -> Representative:
     """The representative of a fully evaluated configuration from the
     (kind, fields) pairs its components classify to, every field bucketed
     and sorted afresh.  ``sf`` and the normal-form round trip of
     ``verifier.check_normal_forms`` use it; calculus-step targets are
     patched instead (``sf_step``).  Not validated: ``sf`` validates its
     result."""
-    buckets: dict = {"out1": [], "out2": [], "out3": [], "in1": [], "in2": []}
-    wrap = None
+    buckets = {kind: [] for kind in _FIELD}
     for kind, fields in classified:
-        if kind != "wrap":
-            buckets[kind].append(fields)
-        elif wrap is not None:
-            raise NotReachableShape("two observer components")
-        else:
-            wrap = fields
-    if wrap is None:
-        wrap = (0, BOT, 1)  # the observer was consumed after emitting ok
-    return Representative(
-        live=tuple(sorted(live)),
-        budget=budget,
-        ti=ti,
-        out1=tuple(sorted(buckets["out1"])),
-        out2=tuple(sorted(buckets["out2"])),
-        out3=tuple(sorted(buckets["out3"])),
-        in1=tuple(sorted(buckets["in1"])),
-        in2=tuple(sorted(buckets["in2"])),
-        wrap=wrap,
-    )
+        buckets[kind].append(fields)
+    wrap = _observer(sys, buckets.pop("wrap"))
+    return Representative(tuple(sorted(live)), budget, ti,
+                          *(tuple(sorted(b)) for b in buckets.values()), wrap)
 
 
 def sf(sys: cm.System, cfg: Config) -> Representative:
@@ -494,7 +494,7 @@ def sf(sys: cm.System, cfg: Config) -> Representative:
     chans, core = split_restriction(fixed.net)
     if sorted(chans) != list(sys.restriction):
         raise NotReachableShape("restriction group differs from the system's")
-    rep = _assemble(cfg.live, cfg.budget, cfg.ti,
+    rep = _assemble(sys, cfg.live, cfg.budget, cfg.ti,
                     [_classify(sys, location, proc)
                      for location, proc in flatten_components(core)])
     validate_rep(sys, rep)
@@ -621,12 +621,12 @@ def sf_step(sys: cm.System, rep: Representative, step) -> Representative:
     its slot and its entry.
 
     * A crash consumes nothing; its target is ``crash_target``.
-    * Each consumed slot's entry leaves its field; a consumed observer
-      leaves none behind.
+    * Each consumed slot's entry leaves its field, the observer's
+      included (taken as a field of one entry).
     * The leaf is located where its step fired, which is live, so its
-      slots come from the leaf memo and are merged into their fields; a
-      second observer raises.  An observer consumed with nothing in its
-      place is restored to ``(0, BOT, 1)``.
+      slots come from the leaf memo and are merged into their fields.
+    * The observer field then holds one entry, or none, which restores
+      the observer at `ok`; two raise (``_observer``).
 
     Untouched fields stay the tuples of ``rep``.  The leaf is evaluated
     before anything is merged, so a step raises as ``_assemble`` of its
@@ -635,10 +635,10 @@ def sf_step(sys: cm.System, rep: Representative, step) -> Representative:
     key, leaf, _, _, consumed = step
     if key[0] == "x":
         return crash_target(rep, key[1])
-    fields = list(rep)  # the observer is the last field
+    fields = [*rep[:_WRAP], (rep.wrap,)]
     for kind, entry in consumed:
         k = _FIELD[kind]
-        fields[k] = None if kind == "wrap" else _drop(fields[k], entry)
+        fields[k] = _drop(fields[k], entry)
     added = ()
     if leaf is not None:
         assert leaf[1] == STAR or leaf[1] in rep.live, leaf[1]
@@ -646,17 +646,11 @@ def sf_step(sys: cm.System, rep: Representative, step) -> Representative:
     grown = set()
     for kind, entry in added:
         k = _FIELD[kind]
-        if kind != "wrap":
-            fields[k] += (entry,)
-            grown.add(k)
-        elif fields[-1] is None:
-            fields[-1] = entry
-        else:
-            raise NotReachableShape("two observer components")
+        fields[k] += (entry,)
+        grown.add(k)
     for k in grown:
         fields[k] = tuple(sorted(fields[k]))
-    if fields[-1] is None:
-        fields[-1] = (0, BOT, 1)  # the observer was consumed after emitting ok
+    fields[_WRAP] = _observer(sys, fields[_WRAP])
     return _new(Representative, fields)
 
 
@@ -792,23 +786,38 @@ def _move_target(rep, field: int, k: int, j: int, rule: Rule) -> Representative:
     return _new(Representative, fields)
 
 
-def _keyed_rule(sys: cm.System, key: tuple, decision=None) -> Rule:
-    """The rule of an observer or crash step, by its step key: SRW1 for
-    ``("c", wrap, id(decision))``, SRW2 for ``("s", wrap)`` and SR7 for
-    ``("x", agent)``; stored in ``System._rules`` under ``key``.  SRW1's
-    rule holds ``decision`` as the entry it consumes."""
+def _keyed_rule(sys: cm.System, key: tuple, wrap, decision=None) -> Rule:
+    """The rule of an observer or crash step, by its step key, stored in
+    ``System._rules`` under ``key``: for the observer ``wrap``, SRW1 under
+    ``("c", id(wrap), id(decision))``, SRW2 under ``("s", id(wrap))`` and
+    the `ok` send under ``("snd", id(wrap))``; SR7 under ``("x", agent)``,
+    with ``wrap`` None.  An observer rule holds ``wrap`` as its entry, the
+    decision SRW1 consumes, and the interned observer SRW1 or SRW2 leaves:
+    the next position after an accepted decision or a crashed agent (`ok`
+    past the last), the inert observer after a conflicting decision."""
+    n, after = sys.n, None
     match key:
-        case ("c", (wj, _, _), _):
-            rule = Rule(f"SRW1 j={wj} v={value_str(decision[1])}", "SRW1", key,
-                        patch=_patch(sys.n, (_OUT3,), wrap=True),
+        case ("c", _, _):
+            wj, ww, _ = wrap
+            v = decision[1]
+            accepts = (ww == BOT and v != BOT) or ww == v
+            after = (wj + 1, v, 1) if accepts else (wj, ww, 0)
+            rule = Rule(f"SRW1 j={wj} v={value_str(v)}", "SRW1", key,
+                        patch=_patch(n, (_OUT3,), wrap=True), entry=wrap,
                         consumed=decision)
-        case ("s", (wj, _, _)):
+        case ("s", _):
+            wj, ww, _ = wrap
+            after = (wj + 1, ww, 1)
             rule = Rule(f"SRW2 j={wj}", "SRW2", key, perfect=wj,
-                        patch=_patch(sys.n, wrap=True))
+                        patch=_patch(n, wrap=True), entry=wrap)
+        case ("snd", _):
+            rule = Rule("Snd ok", "Snd", key, entry=wrap)
         case ("x", p):
             rule = Rule(f"SR7 p={p}", "SR7", key,
-                        patch=_patch(sys.n, (0, _OUT1, _OUT2, _OUT3, _IN1, _IN2),
+                        patch=_patch(n, (0, _OUT1, _OUT2, _OUT3, _IN1, _IN2),
                                      crashed=p))
+    if after is not None:  # past the last agent the observer is at `ok`
+        rule.wrap = _intern(sys, after if after[0] <= n else _AT_OK)
     sys._rules[key] = rule
     return rule
 
@@ -819,16 +828,15 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
     orders a state's transitions.
 
     Each rule comes from ``System._rules`` by its step key, one lookup per
-    step: a collector move by the identities of the collector entry and
-    the transit entry, an observer step by the wrap value (and the
-    decision's identity), a crash by its agent.  So a state pays for no
-    rule text and no local step; only the fields the step changes are
-    rebuilt, and successors are built positionally with
-    ``tuple.__new__``, past ``Representative``'s Python-level
-    constructor.  Within a validated state the rule instances are
-    pairwise distinct (each agent holds one role, and the SRW1/SRW2/SR7
-    instances carry distinct parameters), so the list needs no
-    deduplication."""
+    step: a collector or observer step by the identities of the entry
+    that steps and of the entry it receives, a crash by its agent.  So a
+    state pays for no rule text, no local step and no next observer
+    (``Rule.wrap``); only the fields the step changes are rebuilt, and
+    successors are built positionally with ``tuple.__new__``, past
+    ``Representative``'s Python-level constructor.  Within a validated
+    state the rule instances are pairwise distinct (each agent holds one
+    role, and the SRW1/SRW2/SR7 instances carry distinct parameters), so
+    the list needs no deduplication."""
     n = sys.n
     rules = sys._rules
     live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
@@ -857,26 +865,20 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                         or _move(sys, field, entry, None))
                 out.append((rule, _move_target(rep, field, k, j, rule)))
 
-    wj, ww, wb = wrap
+    wj, _, wb = wrap
     if wb == 1 and 1 <= wj <= n:
         decision = next((e for e in out3 if e[0] == wj), None)
         if decision is not None:
-            v = decision[1]
-            if (ww == BOT and v != BOT) or ww == v:
-                wrap2 = (wj + 1, v, 1) if wj + 1 <= n else (0, BOT, 1)
-            else:
-                wrap2 = (wj, ww, 0)
-            key = ("c", wrap, id(decision))
-            rule = rules.get(key) or _keyed_rule(sys, key, decision)
+            key = ("c", id(wrap), id(decision))
+            rule = rules.get(key) or _keyed_rule(sys, key, wrap, decision)
             out.append((rule, _new(Representative, (
                 live, budget, ti, out1, out2, _drop(out3, decision), in1, in2,
-                wrap2))))
+                rule.wrap))))
         if wj not in live:
-            wrap2 = (wj + 1, ww, 1) if wj + 1 <= n else (0, BOT, 1)
-            key = ("s", wrap)
-            rule = rules.get(key) or _keyed_rule(sys, key)
+            key = ("s", id(wrap))
+            rule = rules.get(key) or _keyed_rule(sys, key, wrap)
             out.append((rule, _new(Representative, (
-                live, budget, ti, out1, out2, out3, in1, in2, wrap2))))
+                live, budget, ti, out1, out2, out3, in1, in2, rule.wrap))))
 
     if budget > 0:
         owned = (out1, out2, out3, in1, in2)
@@ -886,7 +888,7 @@ def rep_successors(sys: cm.System, rep: Representative) -> list:
                 kept = [tuple([e for e in f if e[0] != p]) if f else f
                         for f in owned]
                 key = ("x", p)
-                rule = rules.get(key) or _keyed_rule(sys, key)
+                rule = rules.get(key) or _keyed_rule(sys, key, None)
                 out.append((rule, _new(Representative, (
                     live[:k] + live[k + 1:], budget - 1, ti, *kept, wrap))))
 

@@ -80,19 +80,21 @@ def _bfs(sys: cm.System, max_states: int, compare, truncate: bool) -> LtsGraph:
     target that ``compare`` returns is validated in full.
 
     The graph holds one object per state, in the ``nodes`` list that is
-    also the BFS queue, and its edges as int columns (``Edges``): a
-    first-edge offset per node (``array('I')``, nodes + 1 long), a target
-    id per edge (``array('I')``) and a label id per edge (``array('I')``)
-    into one tuple of the graph's distinct (action, rule) pairs, whose
-    actions and rules are one object each.  A node's edges are appended
+    also the BFS queue and is in id order (the exports read it so), and
+    its edges as int columns (``Edges``): a first-edge offset per node
+    (``array('I')``, nodes + 1 long), a target id per edge
+    (``array('I')``) and a label id per edge (``array('I')``) into one
+    tuple of the graph's distinct (action, rule) pairs, whose actions and
+    rules are one object each.  A node's edges are appended
     together when it is expanded, in successor order, and nodes are
     expanded in id order.  So an edge costs two 4-byte ints (target and
     label id) and a node one offset, and a ``Transition`` exists only while
     someone iterates ``graph.edges``.  Looking a target up in ``node_ids``
     hashes it through the hashes its ``repsem.Entry`` objects cache.  An
     edge's label id is looked up by its rule alone: every representative
-    rule labels τ and only ``lts.OK_RULE`` labels ``ok``, so a rule decides
-    its action.
+    rule labels τ but the `ok` send, which labels ``ok`` (one rule per
+    System, the observer at `ok` being one entry), so a rule decides its
+    action.
 
     Every initial is expanded, and ``max_states`` states in all where
     there are more.  The first target past the bound raises
@@ -499,7 +501,7 @@ def _keys_agree(sys: cm.System, rep, succs: list, verdicts: dict) -> bool:
     of its leaf) on both sides.  Both remove the entries the key names.
     The calculus step adds the slots of a memoised leaf; the representative
     step is the one rule ``System._rules`` stores under the key, which adds
-    its ``adds`` or rebuilds the observer from its wrap value.  So the two
+    its ``adds`` or leaves its observer (``Rule.wrap``).  So the two
     targets of a key are compared once, where the key is first met, with
     ``repsem.sf_step`` on one side and the target in ``succs`` on the
     other, and the verdict is kept in ``verdicts`` (key -> (leaf, agrees))
@@ -560,7 +562,8 @@ def check_normal_forms(sys: cm.System, graph: LtsGraph) -> CheckReport:
             comp = repsem._slot_component(sys, slot)
             if comp == NNIL or not (comp[1] == STAR or comp[1] in live):
                 evaluated = False
-        if not evaluated or repsem._assemble(live, rep.budget, rep.ti, slots) != rep:
+        if not evaluated or repsem._assemble(sys, live, rep.budget, rep.ti,
+                                             slots) != rep:
             failures.append(f"round trip broke at {repsem.rep_digest(rep)}")
         if not evaluated:
             failures.append(
@@ -971,7 +974,7 @@ def graph_stats(graph: LtsGraph) -> dict:
 
 def export_dot(graph: LtsGraph) -> str:
     lines = ["digraph lts {", "  rankdir=LR;"]
-    for rep, ident in sorted(graph.node_ids.items(), key=lambda kv: kv[1]):
+    for ident, rep in enumerate(graph.edges.nodes):
         wj, ww, wb = rep.wrap
         label = (f"{repsem.rep_digest(rep)}\\n"
                  f"live={len(rep.live)} b={rep.budget} w=({wj},{value_str(ww)},{wb})")
@@ -988,12 +991,12 @@ def export_dot(graph: LtsGraph) -> str:
 
 
 def graph_jsonable(graph: LtsGraph) -> dict:
-    nodes = sorted(graph.node_ids.items(), key=lambda kv: kv[1])
     return {
         "mode": "representative",
         "truncated": graph.truncated,
         "initials": [graph.node_ids[r] for r in graph.initials],
-        "nodes": [dict(id=ident, **repsem.rep_jsonable(rep)) for rep, ident in nodes],
+        "nodes": [dict(id=ident, **repsem.rep_jsonable(rep))
+                  for ident, rep in enumerate(graph.edges.nodes)],
         "edges": [
             {
                 "source": graph.node_ids[tr.source],

@@ -16,7 +16,7 @@ planted before the check, must fail it exactly as they fail the oracle.
 ``step_keys`` is how the check once named the representative steps: a
 second scan of each state that found each collector move's rule in the
 System's rule memo by the key it works out.
-On the same runs, the keys the rules of ``repsem.rep_successors`` carry
+On the same runs, the keys the rules of ``lts.labelled_targets`` carry
 (``repsem.Rule``) must be the keys it names.
 """
 
@@ -41,16 +41,16 @@ IN1 = Representative._fields.index("in1")
 
 
 def step_keys(sys: cm.System, rep: Representative) -> dict | None:
-    """The key of each internal step of ``rep`` that ``rep_successors``
+    """The key of each step of ``rep`` that ``lts.labelled_targets``
     gives, mapped to its rule instance, in the key space of
     ``lts.keyed_steps``: the key of the calculus step that the rule
     matches.  A collector move's rule is looked up in ``System._rules``,
     which ``rep_successors`` filled, under ``("c", id(entry),
     id(consumed))`` for a reception and ``("s", id(entry))`` for a
-    suspicion.  The observer is
-    keyed by its wrap value: ``("c", wrap, id(decision))`` for SRW1 and
-    ``("s", wrap)`` for SRW2.  A crash is ``("x", agent)``.  None where an
-    enabled move has no rule stored."""
+    suspicion.  The observer is keyed by its identity: ``("c", id(wrap),
+    id(decision))`` for SRW1, ``("s", id(wrap))`` for SRW2 and
+    ``("snd", id(wrap))`` for the `ok` send.  A crash is ``("x", agent)``.
+    None where an enabled move has no rule stored."""
     n = sys.n
     rules = sys._rules
     live, budget, ti, out1, out2, out3, in1, in2, wrap = rep
@@ -91,9 +91,12 @@ def step_keys(sys: cm.System, rep: Representative) -> dict | None:
     if wb == 1 and 1 <= wj <= n:
         decision = next((e for e in out3 if e[0] == wj), None)
         if decision is not None:
-            keys["c", wrap, id(decision)] = f"SRW1 j={wj} v={value_str(decision[1])}"
+            keys["c", id(wrap), id(decision)] = (
+                f"SRW1 j={wj} v={value_str(decision[1])}")
         if wj not in live:
-            keys["s", wrap] = f"SRW2 j={wj}"
+            keys["s", id(wrap)] = f"SRW2 j={wj}"
+    if wj == 0 and wb == 1:
+        keys["snd", id(wrap)] = "Snd ok"
     if budget > 0:
         for p in live:
             if p != ti:
@@ -196,19 +199,15 @@ def test_rules_carry_the_keys_step_keys_names():
             graph = exc.graph
         for rep in graph.edges.nodes[:bound]:
             try:
-                succs = repsem.rep_successors(sys_, rep)
+                succs = lts.labelled_targets(sys_, rep)
             except EmptyKnowledge:
                 # The undefined move is never stored.
                 assert step_keys(sys_, rep) is None
                 continue
-            carried = {rule.key: rule for rule, _ in succs}
+            carried = {rule.key: rule for _, _, rule in succs}
             assert len(carried) == len(succs)
             assert all(type(rule) is repsem.Rule for rule in carried.values())
-            keys = step_keys(sys_, rep)
-            if lts.emits_ok(rep):
-                carried[lts.OK_RULE.key] = lts.OK_RULE
-                keys["snd", rep.wrap] = lts.OK_RULE
-            assert carried == keys
+            assert carried == step_keys(sys_, rep)
             states += 1
     assert states > N3_BOUND
 

@@ -1,12 +1,12 @@
 """Interned representative entries (``repsem.Entry``).
 
-Each distinct out1/out2/out3/in1/in2 entry is one ``Entry`` per System,
-made where a memo entry is filled or by ``sf``, and every state reuses
-those objects.  On every state that ``explore``, a test-side exploration
+Each distinct out1/out2/out3/in1/in2 entry and observer is one ``Entry``
+per System, made where a memo entry is filled or by ``sf``, and every
+state reuses those objects.  On every state that ``explore``, a test-side exploration
 of the calculus semantics and ``check_correspondence`` meet - the n<=2
 instances, unmutated and under each mutation, and an n=3 (1,2,3) prefix -
-each entry must be an ``Entry``, be the System's object for its value and
-hash as the plain tuple of that value.  So a representative built by hand
+each entry and the observer must be an ``Entry``, be the System's object
+for its value and hash as the plain tuple of that value.  So a representative built by hand
 from plain tuples must find an explored one in a dict, and the reverse.  An ``Entry``
 pickles and copies as a plain ``tuple``, so no cached hash leaves the
 process.
@@ -66,12 +66,11 @@ def assert_interned(sys_, states) -> None:
     entries = sys_._entries
     by_plain = {plain(rep): i for i, rep in enumerate(states)}
     for i, rep in enumerate(states):
-        for field in rep[3:8]:
+        for field in (*rep[3:8], (rep.wrap,)):
             for entry in field:
                 assert type(entry) is Entry, (rep, entry)
                 assert entries[tuple(entry)] is entry, entry
                 assert hash(entry) == tuple.__hash__(entry), entry
-        assert type(rep.wrap) is tuple
         hand_built = plain(rep)
         assert hash(hand_built) == hash(rep)
         assert rep in by_plain and states[by_plain[rep]] == rep

@@ -155,9 +155,11 @@ def test_a_consumed_observer_is_restored_to_ok(sys3):
     assert rep.wrap == (1, cm.BOT, 1)
     slot = repsem.expansion(sys3, rep)[-1][0]
     assert slot == ("wrap", rep.wrap)
-    step = (("snd", rep.wrap), None, "test", lts.TAU, (slot,))
+    step = (("snd", id(rep.wrap)), None, "test", lts.TAU, (slot,))
     patched, full = _step_target_pair(sys3, rep, step)
     assert patched == full == rep._replace(wrap=(0, cm.BOT, 1))
+    # Both restore the System's one observer at `ok`.
+    assert patched.wrap is full.wrap is sys3._entries[0, cm.BOT, 1]
     # Untouched fields stay the source's own tuples.
     assert all(patched[k] is rep[k] for k in range(8))
 

@@ -23,6 +23,7 @@ from consrep.calculus_ast import BOT
 from consrep.errors import BoundExceeded, EmptyKnowledge
 from consrep.repsem import Representative
 from test_acceptance import INSTANCE_3, INSTANCES_1, INSTANCES_2
+from test_rep_successors_oracle import COLLECTOR_FAMILIES
 
 IN1, IN2, OUT1, OUT2, OUT3 = map(Representative._fields.index,
                                  ("in1", "in2", "out1", "out2", "out3"))
@@ -55,8 +56,8 @@ def _phase2_oracle(sys_, entry, payload) -> dict:
 
 def _assert_memo_matches_helpers(sys_) -> int:
     fresh = cm.build_system(sys_.inst, sys_.mutations)
-    # The collector-move rules: those whose key names a collector entry.
-    moves = [rule for rule in sys_._rules.values() if rule.entry is not None]
+    moves = [rule for rule in sys_._rules.values()
+             if rule.family in COLLECTOR_FAMILIES]
     for move in moves:
         entry, consumed = move.entry, move.consumed
         if len(entry) == 5:

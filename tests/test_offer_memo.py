@@ -11,8 +11,9 @@ and on 500 states sampled from the rest of a 3,000-state prefix, with
 the memo filling as the states go by: the same rule and action, the
 slots of the replaced components, through the expansion, as the slots
 the record consumes, and the leaf the step leaves.  Each record's key
-must name what its step consumes: the entries (or the observer's wrap
-value) of the components it replaces, or the agent it crashes.
+must name what its step consumes: the identities of the entries of the
+components it replaces, the observer's included, or the agent it
+crashes.
 ``reference_raw_config`` gives the configuration a reference step
 reaches, before evaluation, for the confluence oracle.
 """
@@ -109,14 +110,9 @@ def reference_raw_config(sys, rep, comps, step) -> Config:
                   net=res_chain(npar_chain(left), sys.restriction))
 
 
-def _owner(slot):
-    kind, entry = slot
-    return entry if kind == "wrap" else id(entry)
-
-
 def _assert_key_names_the_step(record, step, comps) -> None:
     key, leaf = record[0], record[1]
-    owners = [_owner(comps[idx][0]) for idx in step.replaced]
+    owners = [id(comps[idx][0][1]) for idx in step.replaced]
     match key:
         case ("s", owner):
             assert owners == [owner] and list(step.replaced.values()) == [leaf]

@@ -199,16 +199,16 @@ def _assert_same_successors(sys_, reps, families=None) -> int:
 
 def _assert_records_hold_their_keys(sys_) -> int:
     """Every rule in the System's rule memo is stored under its own key,
-    and each id its key names is that of the object it holds: a collector
-    move's entry (an int after the key's tag) and the entry it consumes
-    (the last int of a reception key), SRW1's decision.  Observer keys name
-    the wrap by value, crash keys an agent; neither is an id."""
+    and each id its key names is that of the object it holds: the entry
+    that steps, a collector or the observer (the int after the key's tag),
+    and the entry it consumes (the last int of a reception key), a transit
+    entry or SRW1's decision.  A crash key names an agent, not an id."""
     for key, rule in sys_._rules.items():
         assert rule.key is key
-        if key[0] in ("c", "s") and type(key[1]) is int:
-            assert key[1] == id(rule.entry)
-        else:
+        if key[0] == "x":
             assert rule.entry is None
+        else:
+            assert key[1] == id(rule.entry)
         if key[0] == "c":
             assert key[2] == id(rule.consumed)
         else:
